@@ -200,7 +200,10 @@ def _run_anoedge(args, which: str) -> int:
     with _open_input(opts.get("input", "-", str)) as handle:
         events = list(parse_edge_stream(handle, has_weight=args.has_weight))
     started = time.perf_counter()
-    scores = [detector.score(event) for event in events]
+    if which == "global":
+        scores = detector.score_many(events)
+    else:  # the local scorer's maintained submatrix is sequential state
+        scores = [detector.score(event) for event in events]
     elapsed = time.perf_counter() - started
     _emit_scores_or_eval(args, opts, scores)
     _maybe_report_time(args, elapsed, len(scores))

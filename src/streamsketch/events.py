@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -19,8 +20,8 @@ class EdgeEvent:
     weight: float = 1.0
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError(f"edge weight must be >= 0, got {self.weight}")
+        if not (0 <= self.weight < math.inf):  # also rejects nan
+            raise ValueError(f"edge weight must be finite and >= 0, got {self.weight}")
         if self.tick < 1:
             raise ValueError(f"tick must be >= 1, got {self.tick}")
 

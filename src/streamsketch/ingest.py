@@ -13,6 +13,7 @@ decrease.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -61,8 +62,8 @@ def parse_edge_stream(
             raise ValueError(
                 f"line {lineno}: tick {tick} decreases from {last_tick}"
             )
-        if weight < 0:
-            raise ValueError(f"line {lineno}: weight must be >= 0, got {weight}")
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"line {lineno}: weight must be finite and >= 0, got {weight}")
         last_tick = tick
         yield EdgeEvent(source, dest, tick, weight)
 

@@ -479,7 +479,10 @@ def _peak_allocation(n_edges, seed):
 def test_criterion_09_scalability():
     started = time.perf_counter()
     sizes = [2**k for k in range(16, 21)]
-    times = [_timed_scoring(n, seed=9) for n in sizes]
+    # A slow stretch of a shared machine can land on one size of one pass;
+    # fit each size's fastest of a few interleaved passes.
+    passes = [[_timed_scoring(n, seed=9) for n in sizes] for _ in range(3)]
+    times = [min(runs) for runs in zip(*passes)]
     r_squared = linear_fit_r2(sizes, times)
 
     peak_small, state_small = _peak_allocation(10_000, seed=9)

@@ -1,0 +1,307 @@
+"""Exactness of the lock-step expansion kernel and the chunked AnoEdge-G
+scorer against slow per-edge oracles.
+
+The oracles are the scalar expansion and the per-edge ``AnoEdgeGlobal.score``
+body as they stood before scoring moved to ``expand_many``. Every comparison
+is exact (``==`` or ``np.array_equal``): the kernel does the same float
+operations per lane in the same order, so any difference is a bug.
+"""
+
+import gc
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from streamsketch.cli import FORMAT, main
+from streamsketch.densegraph import (
+    SNAPSHOT_BUDGET_BYTES,
+    AnoEdgeGlobal,
+    GraphWindow,
+    _as_matrix,
+    anograph_k_density,
+    anograph_score,
+    edge_submatrix_density,
+    expand_many,
+)
+from streamsketch.events import EdgeEvent
+from streamsketch.sketch import HigherOrderSketch
+
+
+def oracle_expand(matrix, row: int, col: int) -> float:
+    """Max density along a greedy expansion from the 1x1 seed (row, col).
+
+    Starting from the seed cell, repeatedly add the remaining row with the
+    largest sum against the current columns, or the remaining column with
+    the largest sum against the current rows, until nothing remains. The
+    best density seen anywhere on that path (seed included) is returned.
+    """
+    m = _as_matrix(matrix)
+    n_rows, n_cols = m.shape
+    if not (0 <= row < n_rows and 0 <= col < n_cols):
+        raise ValueError(f"seed ({row}, {col}) out of range for {m.shape} matrix")
+
+    in_rows = np.zeros(n_rows, dtype=bool)
+    in_cols = np.zeros(n_cols, dtype=bool)
+    in_rows[row] = True
+    in_cols[col] = True
+    row_gain = m[:, col].copy()  # each row's sum against the current columns
+    col_gain = m[row, :].copy()
+    total = float(m[row, col])
+    size_rows = size_cols = 1
+    best = total
+
+    for _ in range(n_rows + n_cols - 2):
+        cand_rows = np.where(in_rows, -np.inf, row_gain)
+        cand_cols = np.where(in_cols, -np.inf, col_gain)
+        r = int(np.argmax(cand_rows))
+        c = int(np.argmax(cand_cols))
+        # Strict > sends ties (and exhausted rows) to the column branch.
+        if cand_rows[r] > cand_cols[c]:
+            total += float(row_gain[r])
+            col_gain += m[r, :]
+            in_rows[r] = True
+            size_rows += 1
+        else:
+            total += float(col_gain[c])
+            row_gain += m[:, c]
+            in_cols[c] = True
+            size_cols += 1
+        density = total / math.sqrt(size_rows * size_cols)
+        if density > best:
+            best = density
+    return float(best)
+
+
+def oracle_topk(matrix, k: int) -> float:
+    """The per-seed top-k loop: one scalar expansion per seed cell."""
+    m = _as_matrix(matrix)
+    n_cols = m.shape[1]
+    flat = m.ravel(order="C")
+    seeds = np.argsort(-flat, kind="stable")[: min(k, flat.size)]
+    best = 0.0
+    for pos in seeds:
+        r, c = divmod(int(pos), n_cols)
+        best = max(best, oracle_expand(m, r, c))
+    return float(best)
+
+
+class OracleAnoEdgeGlobal(AnoEdgeGlobal):
+    """AnoEdge-G scoring one edge at a time with the scalar expansion."""
+
+    def score(self, event: EdgeEvent) -> float:
+        self._advance(event.tick)
+        cells = self.sketch.indexes(event.source, event.dest)
+        self.sketch.update_at(cells, event.weight)
+        return min(
+            oracle_expand(self.sketch.matrices[layer], r, c)
+            for layer, (r, c) in enumerate(cells)
+        )
+
+
+# -- the kernel ------------------------------------------------------------------
+
+
+def _tie_heavy(kind, rng, batch, n_rows, n_cols):
+    shape = (batch, n_rows, n_cols)
+    if kind == "zeros":
+        return np.zeros(shape)
+    if kind == "ones":
+        return np.ones(shape)
+    if kind == "poisson":
+        return rng.poisson(0.6, size=shape).astype(float)
+    if kind == "with_inf":
+        # An inf cell in one lane must not leak into another: masking by
+        # multiplication would turn it into nan there (inf * 0).
+        mats = rng.poisson(0.6, size=shape).astype(float)
+        mats[rng.random(shape) < 0.02] = np.inf
+        return mats
+    # Decayed counts: the fractional values a sketch holds between ticks.
+    return rng.poisson(1.5, size=shape) * 0.9 ** rng.integers(0, 30, size=shape)
+
+
+@pytest.mark.parametrize("kind", ["zeros", "ones", "poisson", "decayed", "with_inf"])
+def test_expand_many_matches_scalar_oracle(kind):
+    rng = np.random.default_rng(len(kind))
+    for n_rows, n_cols in [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (8, 8), (32, 32)]:
+        batch = 24
+        mats = _tie_heavy(kind, rng, batch, n_rows, n_cols)
+        rows = rng.integers(0, n_rows, size=batch)
+        cols = rng.integers(0, n_cols, size=batch)
+        got = expand_many(mats, rows, cols)
+        want = [oracle_expand(mats[i], rows[i], cols[i]) for i in range(batch)]
+        assert np.array_equal(got, want), (kind, n_rows, n_cols)
+
+
+def test_expand_many_on_broadcast_batch_matches_oracle():
+    rng = np.random.default_rng(3)
+    mats = rng.poisson(0.8, size=(3, 9, 9)).astype(float)
+    view = np.broadcast_to(mats[:, None], (3, 5, 9, 9))
+    rows = rng.integers(0, 9, size=(3, 5))
+    cols = rng.integers(0, 9, size=(3, 5))
+    got = expand_many(view, rows, cols)
+    want = [
+        [oracle_expand(mats[i], rows[i, j], cols[i, j]) for j in range(5)] for i in range(3)
+    ]
+    assert np.array_equal(got, want)
+
+
+def test_expand_many_rejects_bad_input():
+    mats = np.zeros((2, 3, 3))
+    with pytest.raises(ValueError):
+        expand_many(mats, [0, 3], [0, 0])
+    with pytest.raises(ValueError):
+        expand_many(mats, [0, 0], [-1, 0])
+    with pytest.raises(ValueError):
+        expand_many(mats, [0], [0])
+    with pytest.raises(ValueError):
+        expand_many(np.zeros((3, 3)), 0, 0)
+
+
+def test_edge_submatrix_density_is_the_oracle():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        m = rng.poisson(0.7, size=(n, n)).astype(float)
+        r, c = int(rng.integers(0, n)), int(rng.integers(0, n))
+        assert edge_submatrix_density(m, r, c) == oracle_expand(m, r, c)
+
+
+def test_topk_matches_per_seed_oracle():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n = int(rng.integers(1, 10))
+        m = rng.poisson(0.5, size=(n, n + 1)).astype(float)
+        for k in (1, 3, 5, 200):
+            assert anograph_k_density(m, k) == oracle_topk(m, k)
+    window = GraphWindow(HigherOrderSketch(3, 16, seed=5))
+    for _ in range(400):
+        window.add(EdgeEvent(int(rng.integers(0, 40)), int(rng.integers(0, 40)), 1))
+    for k in (1, 5, 300):
+        want = min(oracle_topk(window.sketch.matrices[j], k) for j in range(3))
+        assert anograph_score(window, "topk", k) == want
+
+
+# -- chunked scoring -------------------------------------------------------------
+
+SHAPES = [
+    # (n_rows, n_buckets, distinct_column_seeds)
+    (1, 4, False),
+    (2, 32, False),
+    (3, 64, False),
+    (1, 64, True),
+    (2, 4, True),
+    (3, 32, True),
+]
+
+
+def _chunk(n_rows, n_buckets):
+    return max(1, SNAPSHOT_BUDGET_BYTES // (n_rows * n_buckets * n_buckets * 8))
+
+
+def _stream(kind, chunk, rng):
+    """(source, dest, tick, weight) rows shaped by ``kind``, relative to the
+    detector's chunk length."""
+    if kind == "one_per_tick":
+        n = min(chunk + 5, 400)
+        ticks = np.arange(1, n + 1)
+    elif kind == "big_tick":
+        ticks = np.repeat([1, 2, 3], [4, 150, 3])
+    elif kind == "straddle":
+        # One tick covers positions chunk-3 .. chunk+3 of the stream.
+        before = max(chunk - 3, 0)
+        ticks = np.concatenate(
+            [np.arange(1, before + 1), np.full(7, before + 1), [before + 2]]
+        )
+    elif kind == "three_chunks":
+        n = 3 * chunk + 7
+        ticks = np.sort(rng.integers(1, max(2, n // 6), size=n))
+    elif kind == "weighted":
+        ticks = np.sort(rng.integers(1, 30, size=300))
+    else:
+        raise AssertionError(kind)
+    n = ticks.shape[0]
+    sources = rng.integers(0, 40, size=n)
+    dests = rng.integers(0, 40, size=n)
+    if kind == "weighted":
+        weights = rng.choice([0.0, 0.25, 1.0, 3.5, 1e-3, 7.0], size=n)
+    else:
+        weights = np.ones(n)
+    return [
+        EdgeEvent(int(u), int(v), int(t), float(w))
+        for u, v, t, w in zip(sources, dests, ticks, weights)
+    ]
+
+
+@pytest.mark.parametrize("n_rows,n_buckets,distinct", SHAPES)
+@pytest.mark.parametrize(
+    "kind", ["one_per_tick", "big_tick", "straddle", "three_chunks", "weighted"]
+)
+def test_score_many_matches_per_edge_oracle(kind, n_rows, n_buckets, distinct):
+    chunk = _chunk(n_rows, n_buckets)
+    events = _stream(kind, chunk, np.random.default_rng(n_rows * 100 + n_buckets))
+    params = dict(n_rows=n_rows, n_buckets=n_buckets, alpha=0.8, seed=13,
+                  distinct_column_seeds=distinct)
+    fast = AnoEdgeGlobal(**params)
+    assert fast._snapshots.shape[0] == chunk
+    oracle = OracleAnoEdgeGlobal(**params)
+    want = [oracle.score(event) for event in events]
+    assert fast.score_many(events) == want
+    assert np.array_equal(fast.sketch.matrices, oracle.sketch.matrices)
+    assert fast.internal_tick == oracle.internal_tick
+
+
+def test_score_many_continues_across_calls_and_single_scores():
+    events = _stream("weighted", 32, np.random.default_rng(6))
+    oracle = OracleAnoEdgeGlobal(seed=6)
+    want = [oracle.score(event) for event in events]
+    detector = AnoEdgeGlobal(seed=6)
+    got = detector.score_many(events[:70])
+    got += [detector.score(event) for event in events[70:75]]
+    got += detector.score_many(iter(events[75:]))
+    assert got == want
+
+
+def test_snapshot_buffer_is_fixed_and_bounded():
+    rng = np.random.default_rng(7)
+
+    def peak_while_scoring(events):
+        detector = AnoEdgeGlobal(seed=7)
+        buffer = detector._snapshots
+        assert buffer.nbytes <= SNAPSHOT_BUDGET_BYTES
+        gc.collect()
+        tracemalloc.start()
+        detector.score_many(events)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert detector._snapshots is buffer
+        return peak
+
+    def stream(n, n_ticks):
+        ticks = np.sort(rng.integers(1, n_ticks + 1, size=n))
+        return [EdgeEvent(int(rng.integers(0, 50)), int(rng.integers(0, 50)), int(t))
+                for t in ticks]
+
+    short = peak_while_scoring(stream(200, 25))
+    long = peak_while_scoring(stream(2000, 250))
+    one_tick = peak_while_scoring(stream(2000, 1))
+    # The scores list itself grows by 1800 floats (under 100 KB); buffering
+    # every snapshot would add 1800 * 16 KiB.
+    allowance = 256 * 1024
+    assert long - short < allowance
+    assert one_tick - short < allowance
+
+
+# -- the command -----------------------------------------------------------------
+
+
+def test_anoedge_g_cli_output_is_the_oracle(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    events = _stream("three_chunks", 32, rng)
+    path = tmp_path / "edges.csv"
+    path.write_text("".join(f"{e.source},{e.dest},{e.tick}\n" for e in events))
+    oracle = OracleAnoEdgeGlobal(n_rows=2, n_buckets=32, alpha=0.9, seed=21)
+    want = "".join(FORMAT.format(oracle.score(event)) + "\n" for event in events)
+    assert main(["anoedge-g", "--input", str(path), "--seed", "21"]) == 0
+    assert capsys.readouterr().out == want

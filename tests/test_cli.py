@@ -167,6 +167,17 @@ def test_anoedge_and_anograph_commands(tmp_path):
     assert len(out.read_text().splitlines()) == 3
 
 
+@pytest.mark.parametrize("command", ["midas", "anoedge-g"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_weight_exits_1_with_line_number(tmp_path, capsys, command, bad):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"1,2,1,1\n3,4,{bad},2\n")
+    assert run_cli(command, "--has-weight", "--input", str(edges)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 2:" in captured.err
+
+
 def test_mstream_command(tmp_path):
     records = tmp_path / "records.csv"
     out = tmp_path / "scores.txt"

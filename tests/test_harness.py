@@ -90,6 +90,14 @@ def test_parse_weighted_edges():
     assert event == EdgeEvent(1, 2, 3, 5.0)
 
 
+def test_non_finite_weights_rejected():
+    for bad in ("nan", "inf", "-1"):
+        with pytest.raises(ValueError, match="line 2"):
+            list(parse_edge_stream(["1,2,1,1", f"1,2,{bad},1"], has_weight=True))
+        with pytest.raises(ValueError, match="weight"):
+            EdgeEvent(1, 2, 1, float(bad))
+
+
 def test_parse_rejects_decreasing_ticks_with_line_number():
     with pytest.raises(ValueError, match="line 2"):
         list(parse_edge_stream(["1,2,4", "3,4,2"]))
