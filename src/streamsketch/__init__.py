@@ -28,7 +28,7 @@ from .ingest import (
     parse_record_stream,
     window_aggregate,
 )
-from .metrics import LabeledRun, linear_fit_r2, roc_auc
+from .metrics import linear_fit_r2, roc_auc
 from .midas import (
     DecisionRule,
     MidasDetector,
@@ -45,7 +45,6 @@ from .mstream import (
     RecordScore,
     StreamingMinMax,
     bucketize_numeric,
-    feature_hash,
     hash_categorical,
     record_hash,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "HashFamily",
     "HigherOrderSketch",
     "HyperplaneHash",
-    "LabeledRun",
     "MidasDetector",
     "MstreamDetector",
     "MultiAspectRecord",
@@ -104,7 +102,6 @@ __all__ = [
     "chi2_score",
     "edge_submatrix_density",
     "expected_accuracy_one_sided",
-    "feature_hash",
     "filtering_score",
     "guaranteed_shape",
     "hash_categorical",

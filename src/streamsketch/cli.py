@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from .densegraph import AnoEdgeGlobal, AnoEdgeLocal, anograph_score
+from .hashing import DEFAULT_SEED
 from .ingest import (
     WindowSpec,
     parse_edge_stream,
@@ -86,7 +87,7 @@ class Options:
         env = os.environ.get("STREAMSKETCH_SEED")
         if env is not None:
             return int(env)
-        return 42
+        return DEFAULT_SEED
 
 
 @contextlib.contextmanager
@@ -120,30 +121,47 @@ def _read_labels(path: str) -> list[int]:
     return labels
 
 
-def _emit_scores_or_eval(args, opts: Options, scores: list[float]) -> None:
+def _score_input(args, opts: Options, score_all, read=None, flags=None, labels=None) -> int:
+    """The pipeline behind every detector command: read all input, score
+    it, then write the scores and the ``--time`` line.
+
+    ``read(handle)`` returns the items, edges by default, and
+    ``score_all(items)`` their scores; only the scoring is timed. When
+    ``flags`` is given, ``score_all`` fills it with one flag per score and
+    the output lines become ``score,flag``. ``--eval`` writes the AUC of the
+    scores against ``labels(items)``, or against the ``--labels`` file when
+    ``labels`` is None. Nothing is written before every item is scored, so
+    bad input leaves the output empty.
+    """
+    if args.eval and args.labels is None:
+        raise ValueError("--eval requires --labels")
+    with _open_input(opts.get("input", "-", str)) as handle:
+        if read is None:
+            items = list(parse_edge_stream(handle, has_weight=args.has_weight))
+        else:
+            items = read(handle)
+    started = time.perf_counter()
+    scores = score_all(items)
+    elapsed = time.perf_counter() - started
+
+    if args.eval:
+        truth = _read_labels(args.labels) if labels is None else labels(items)
+        if len(truth) != len(scores):
+            raise ValueError(f"labels file has {len(truth)} entries for {len(scores)} scores")
+        auc = roc_auc(scores, truth)
     with _open_output(opts.get("output", "-", str)) as out:
-        if getattr(args, "eval", False):
-            labels_path = getattr(args, "labels", None)
-            if labels_path is None:
-                raise ValueError("--eval requires --labels")
-            labels = _read_labels(labels_path)
-            if len(labels) != len(scores):
-                raise ValueError(
-                    f"labels file has {len(labels)} entries for {len(scores)} scores"
-                )
-            json.dump({"auc": roc_auc(scores, labels)}, out)
+        if args.eval:
+            json.dump({"auc": auc}, out)
             out.write("\n")
+        elif flags is not None:
+            for value, flagged in zip(scores, flags):
+                out.write(FORMAT.format(value) + "," + ("1" if flagged else "0") + "\n")
         else:
             for value in scores:
                 out.write(FORMAT.format(value) + "\n")
-
-
-def _maybe_report_time(args, seconds: float, count: int) -> None:
-    if getattr(args, "time", False):
-        print(
-            json.dumps({"seconds": round(seconds, 6), "items": count}),
-            file=sys.stderr,
-        )
+    if args.time:
+        print(json.dumps({"seconds": round(elapsed, 6), "items": len(scores)}), file=sys.stderr)
+    return 0
 
 
 # -- detector subcommands ----------------------------------------------------
@@ -160,32 +178,24 @@ def _run_midas(args, variant: str) -> int:
         seed=opts.seed(),
     )
     mode = opts.get("score_mode", "max", str)
-    flag_eps = getattr(args, "flag_epsilon", None)
+    flag_eps = args.flag_epsilon
     rule = DecisionRule.for_detector(flag_eps, detector) if flag_eps is not None else None
+    flags = [] if rule is not None else None
 
-    with _open_input(opts.get("input", "-", str)) as handle:
-        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
-    started = time.perf_counter()
-    scores, flags = [], []
-    for event in events:
-        stats = detector.process(event)
-        if variant == "plain":
-            score = stats.edge_score
-        else:
-            score = stats.combined(mode)
-        scores.append(score)
-        if rule is not None:
-            flags.append(rule.is_flagged(stats))
-    elapsed = time.perf_counter() - started
+    def score_all(events) -> list[float]:
+        scores = []
+        for event in events:
+            stats = detector.process(event)
+            if variant == "plain":
+                score = stats.edge_score
+            else:
+                score = stats.combined(mode)
+            scores.append(score)
+            if rule is not None:
+                flags.append(rule.is_flagged(stats))
+        return scores
 
-    if rule is not None and not getattr(args, "eval", False):
-        with _open_output(opts.get("output", "-", str)) as out:
-            for value, flagged in zip(scores, flags):
-                out.write(FORMAT.format(value) + "," + ("1" if flagged else "0") + "\n")
-    else:
-        _emit_scores_or_eval(args, opts, scores)
-    _maybe_report_time(args, elapsed, len(scores))
-    return 0
+    return _score_input(args, opts, score_all, flags=flags)
 
 
 def _run_anoedge(args, which: str) -> int:
@@ -197,17 +207,10 @@ def _run_anoedge(args, which: str) -> int:
         alpha=opts.get("alpha", 0.9, float),
         seed=opts.seed(),
     )
-    with _open_input(opts.get("input", "-", str)) as handle:
-        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
-    started = time.perf_counter()
     if which == "global":
-        scores = detector.score_many(events)
-    else:  # the local scorer's maintained submatrix is sequential state
-        scores = [detector.score(event) for event in events]
-    elapsed = time.perf_counter() - started
-    _emit_scores_or_eval(args, opts, scores)
-    _maybe_report_time(args, elapsed, len(scores))
-    return 0
+        return _score_input(args, opts, detector.score_many)
+    # The local scorer's maintained submatrix is sequential state.
+    return _score_input(args, opts, lambda events: [detector.score(e) for e in events])
 
 
 def _run_anograph(args, variant: str) -> int:
@@ -217,59 +220,56 @@ def _run_anograph(args, variant: str) -> int:
         anomaly_edge_threshold=opts.get("tau", 50, int),
     )
     k = opts.get("k", 5, int)
-    with _open_input(opts.get("input", "-", str)) as handle:
-        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
-    labels_path = getattr(args, "labels", None)
-    edge_labels = _read_labels(labels_path) if labels_path else [0] * len(events)
-    if len(edge_labels) != len(events):
-        raise ValueError(
-            f"labels file has {len(edge_labels)} entries for {len(events)} edges"
-        )
-    windows = window_aggregate(
-        events,
-        edge_labels,
-        spec,
-        n_rows=opts.get("rows", 2, int),
-        n_buckets=opts.get("buckets", 32, int),
-        seed=opts.seed(),
-    )
-    started = time.perf_counter()
-    scores = [anograph_score(window, variant=variant, k=k) for window, _ in windows]
-    elapsed = time.perf_counter() - started
-    window_labels = [label for _, label in windows]
 
-    with _open_output(opts.get("output", "-", str)) as out:
-        if getattr(args, "eval", False):
-            json.dump({"auc": roc_auc(scores, window_labels)}, out)
-            out.write("\n")
-        else:
-            for value in scores:
-                out.write(FORMAT.format(value) + "\n")
-    _maybe_report_time(args, elapsed, len(scores))
-    return 0
+    def read(handle) -> list:
+        """Sealed windows with their labels, one per ``window_ticks``."""
+        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
+        edge_labels = _read_labels(args.labels) if args.labels else [0] * len(events)
+        if len(edge_labels) != len(events):
+            raise ValueError(
+                f"labels file has {len(edge_labels)} entries for {len(events)} edges"
+            )
+        return window_aggregate(
+            events,
+            edge_labels,
+            spec,
+            n_rows=opts.get("rows", 2, int),
+            n_buckets=opts.get("buckets", 32, int),
+            seed=opts.seed(),
+        )
+
+    return _score_input(
+        args,
+        opts,
+        lambda windows: [anograph_score(w, variant=variant, k=k) for w, _ in windows],
+        read=read,
+        labels=lambda windows: [label for _, label in windows],
+    )
 
 
 def _run_mstream(args) -> int:
     opts = Options(args)
-    with _open_input(opts.get("input", "-", str)) as handle:
+
+    def read(handle):
         schema, records = parse_record_stream(
             handle, tick_every=opts.get("decay_every", 1000, int)
         )
-        records = list(records)
-    detector = MstreamDetector(
-        n_categorical=schema.n_categorical,
-        n_numeric=schema.n_numeric,
-        n_rows=opts.get("rows", 2, int),
-        n_buckets=opts.get("buckets", 1024, int),
-        alpha=opts.get("alpha", 0.85, float),
-        seed=opts.seed(),
-    )
-    started = time.perf_counter()
-    scores = [detector.score(record).total for record in records]
-    elapsed = time.perf_counter() - started
-    _emit_scores_or_eval(args, opts, scores)
-    _maybe_report_time(args, elapsed, len(scores))
-    return 0
+        return schema, list(records)
+
+    def score_all(parsed) -> list[float]:
+        schema, records = parsed
+        # The attribute split comes from the file's header.
+        detector = MstreamDetector(
+            n_categorical=schema.n_categorical,
+            n_numeric=schema.n_numeric,
+            n_rows=opts.get("rows", 2, int),
+            n_buckets=opts.get("buckets", 1024, int),
+            alpha=opts.get("alpha", 0.85, float),
+            seed=opts.seed(),
+        )
+        return [detector.score(record).total for record in records]
+
+    return _score_input(args, opts, score_all, read=read)
 
 
 def _run_sess(args) -> int:
@@ -306,19 +306,19 @@ def _run_sess(args) -> int:
     for line in node_lines:
         apply_feedback(detector, FeedbackEvent(line.label, node=line.node), params)
 
-    with _open_input(opts.get("input", "-", str)) as handle:
-        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
-    scores = []
-    for index, event in enumerate(events):
-        scores.append(detector.score(event))
-        label = edge_labels.get(index)
-        if label is not None:
-            feedback = FeedbackEvent(
-                label, edge=(event.source, event.dest), index=index
-            )
-            apply_feedback(detector, feedback, params)
-    _emit_scores_or_eval(args, opts, scores)
-    return 0
+    def score_all(events) -> list[float]:
+        scores = []
+        for index, event in enumerate(events):
+            scores.append(detector.score(event))
+            label = edge_labels.get(index)
+            if label is not None:
+                feedback = FeedbackEvent(
+                    label, edge=(event.source, event.dest), index=index
+                )
+                apply_feedback(detector, feedback, params)
+        return scores
+
+    return _score_input(args, opts, score_all)
 
 
 def _run_pomdp(args) -> int:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import EdgeEvent
+from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
 from .sketch import HigherOrderSketch
 
@@ -225,19 +225,10 @@ class AnoEdgeGlobal:
             raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
         self.sketch = HigherOrderSketch(n_rows, n_buckets, seed, distinct_column_seeds)
         self.alpha = alpha
-        self.internal_tick: int | None = None
+        self.clock = TickClock()
         chunk = max(1, SNAPSHOT_BUDGET_BYTES // self.sketch.matrices.nbytes)
         self._snapshots = np.empty((chunk,) + self.sketch.matrices.shape)
         self._seeds = np.empty((chunk, n_rows, 2), dtype=np.intp)
-
-    def _advance(self, tick: int) -> None:
-        if self.internal_tick is None:
-            self.internal_tick = tick
-        elif tick < self.internal_tick:
-            raise ValueError(f"tick regression: got {tick} after {self.internal_tick}")
-        elif tick > self.internal_tick:
-            self.sketch.decay(self.alpha)
-            self.internal_tick = tick
 
     def score(self, event: EdgeEvent) -> float:
         return self.score_many((event,))[0]
@@ -256,7 +247,8 @@ class AnoEdgeGlobal:
         scores: list[float] = []
         filled = 0
         for event in events:
-            self._advance(event.tick)
+            if self.clock.advance(event.tick) is not None:
+                self.sketch.decay(self.alpha)
             cells = self.sketch.indexes(event.source, event.dest)
             self.sketch.update_at(cells, event.weight)
             snapshots[filled] = self.sketch.matrices
@@ -421,23 +413,15 @@ class AnoEdgeLocal:
             raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
         self.sketch = HigherOrderSketch(n_rows, n_buckets, seed, distinct_column_seeds)
         self.alpha = alpha
-        self.internal_tick: int | None = None
+        self.clock = TickClock()
         rng = np.random.default_rng(seed)
         self.states = [_LocalSubmatrix.seeded(n_buckets, rng) for _ in range(n_rows)]
 
-    def _advance(self, tick: int) -> None:
-        if self.internal_tick is None:
-            self.internal_tick = tick
-        elif tick < self.internal_tick:
-            raise ValueError(f"tick regression: got {tick} after {self.internal_tick}")
-        elif tick > self.internal_tick:
+    def score(self, event: EdgeEvent) -> float:
+        if self.clock.advance(event.tick) is not None:
             self.sketch.decay(self.alpha)
             for state in self.states:
                 state.on_decay(self.alpha)
-            self.internal_tick = tick
-
-    def score(self, event: EdgeEvent) -> float:
-        self._advance(event.tick)
         cells = self.sketch.indexes(event.source, event.dest)
         self.sketch.update_at(cells, event.weight)
         score = None

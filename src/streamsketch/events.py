@@ -1,9 +1,34 @@
-"""Stream element types: timestamped edges and multi-aspect records."""
+"""Stream element types: timestamped edges and multi-aspect records, and
+the tick clock every detector keeps."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+
+class TickClock:
+    """The current tick of one detector; ticks never decrease.
+
+    Detector state changes only at tick boundaries, so ``advance`` reports
+    each boundary once and the detector does its boundary work on that.
+    """
+
+    __slots__ = ("tick",)
+
+    def __init__(self):
+        self.tick: int | None = None
+
+    def advance(self, tick: int) -> int | None:
+        """Move to ``tick``; return the tick this closes, or None when
+        ``tick`` is the first one seen or the current one."""
+        current = self.tick
+        if tick == current:
+            return None
+        if current is not None and tick < current:
+            raise ValueError(f"tick regression: got {tick} after {current}")
+        self.tick = tick
+        return current
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,7 +69,10 @@ class MultiAspectRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "categorical", tuple(self.categorical))
-        object.__setattr__(self, "numeric", tuple(float(x) for x in self.numeric))
+        numeric = tuple(float(x) for x in self.numeric)
+        if not all(map(math.isfinite, numeric)):
+            raise ValueError(f"numeric attributes must be finite, got {numeric}")
+        object.__setattr__(self, "numeric", numeric)
         if self.tick < 1:
             raise ValueError(f"tick must be >= 1, got {self.tick}")
 

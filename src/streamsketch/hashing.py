@@ -117,26 +117,9 @@ class HashFamily:
             out[row] = (total % n_b).astype(np.int64)
         return out
 
-    def index_row(self, key, row: int) -> int:
-        a, b = self._params[row]
-        return ((a * canonical_key(key) + b) % MERSENNE_P) % self.n_buckets
-
     def same_layout(self, other: "HashFamily") -> bool:
         return (
             self.n_rows == other.n_rows
             and self.n_buckets == other.n_buckets
             and self._params == other._params
         )
-
-    @property
-    def params(self) -> tuple[tuple[int, int], ...]:
-        return self._params
-
-
-def resolve_seed(seed: int | None) -> int:
-    """Fall back to the package default seed when none is given.
-
-    The environment variable STREAMSKETCH_SEED, handled by the CLI, feeds
-    through this same path.
-    """
-    return DEFAULT_SEED if seed is None else int(seed)

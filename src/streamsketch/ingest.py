@@ -149,11 +149,16 @@ def parse_record_stream(
                     cats.append(value.strip())
                 elif kind == "num":
                     try:
-                        nums.append(float(value))
+                        number = float(value)
                     except ValueError:
                         raise ValueError(
                             f"line {lineno}: non-numeric value {value!r}"
                         ) from None
+                    if not math.isfinite(number):
+                        raise ValueError(
+                            f"line {lineno}: numeric value must be finite, got {value!r}"
+                        )
+                    nums.append(number)
                 else:
                     try:
                         tick = int(value)

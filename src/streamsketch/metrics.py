@@ -2,26 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class LabeledRun:
-    """Aligned per-item scores and binary ground-truth labels."""
-
-    scores: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if len(self.scores) != len(self.labels):
-            raise ValueError(
-                f"scores ({len(self.scores)}) and labels ({len(self.labels)}) differ in length"
-            )
-
-    def auc(self) -> float:
-        return roc_auc(self.scores, self.labels)
 
 
 def roc_auc(scores, labels) -> float:

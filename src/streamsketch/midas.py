@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .events import EdgeEvent
+from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily
 from .sketch import CountMinSketch
 
@@ -202,50 +202,41 @@ class MidasDetector:
             self.source_scores = make()
             self.dest_scores = make()
 
-        self.internal_tick: int | None = None
+        self.clock = TickClock()
         self.tick_volume = 0.0  # weight in the current-count sketch, N_t
 
     # -- tick bookkeeping --------------------------------------------------
 
-    def _advance(self, tick: int) -> None:
-        if self.internal_tick is None:
-            self.internal_tick = tick
-            return
-        if tick < self.internal_tick:
-            raise ValueError(
-                f"tick regression: got {tick} after {self.internal_tick}"
-            )
-        if tick == self.internal_tick:
-            return
+    def _close_tick(self, closing: int) -> None:
         if self.variant == "plain":
             self.edge_current.clear()
             self.tick_volume = 0.0
-        else:
-            if self.variant == "filtering":
-                # Close out the tick that just ended: totals absorb current
-                # counts (or their own per-tick mean when the cached score
-                # crossed the threshold), keeping the mean level unchanged.
-                closing = self.internal_tick
-                self.edge_total.merge_conditional(
-                    self.edge_current, self.edge_scores, self.merge_threshold, closing
-                )
-                self.source_total.merge_conditional(
-                    self.source_current, self.source_scores, self.merge_threshold, closing
-                )
-                self.dest_total.merge_conditional(
-                    self.dest_current, self.dest_scores, self.merge_threshold, closing
-                )
-            self.edge_current.decay(self.alpha)
-            self.source_current.decay(self.alpha)
-            self.dest_current.decay(self.alpha)
-            self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
-        self.internal_tick = tick
+            return
+        if self.variant == "filtering":
+            # Close out the tick that just ended: totals absorb current
+            # counts (or their own per-tick mean when the cached score
+            # crossed the threshold), keeping the mean level unchanged.
+            self.edge_total.merge_conditional(
+                self.edge_current, self.edge_scores, self.merge_threshold, closing
+            )
+            self.source_total.merge_conditional(
+                self.source_current, self.source_scores, self.merge_threshold, closing
+            )
+            self.dest_total.merge_conditional(
+                self.dest_current, self.dest_scores, self.merge_threshold, closing
+            )
+        self.edge_current.decay(self.alpha)
+        self.source_current.decay(self.alpha)
+        self.dest_current.decay(self.alpha)
+        self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
 
     # -- scoring -------------------------------------------------------------
 
     def process(self, event: EdgeEvent) -> StepStats:
         """Insert one edge and return its scores and supporting counts."""
-        self._advance(event.tick)
+        closing = self.clock.advance(event.tick)
+        if closing is not None:
+            self._close_tick(closing)
         t = event.tick
         w = event.weight
         idx_edge = self.family.indexes((event.source, event.dest))
@@ -329,9 +320,6 @@ class MidasDetector:
         stats = self.process(event)
         score = stats.combined("max") if self._with_nodes else stats.edge_score
         return score, rule.is_flagged(stats)
-
-    def flag(self, event: EdgeEvent, rule: DecisionRule) -> bool:
-        return self.score_and_flag(event, rule)[1]
 
     # -- placement for semi-supervised updates ------------------------------
 

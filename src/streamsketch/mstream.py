@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import MultiAspectRecord
-from .hashing import DEFAULT_SEED, MERSENNE_P, canonical_key
+from .events import MultiAspectRecord, TickClock
+from .hashing import DEFAULT_SEED, MERSENNE_P, HashFamily, canonical_key
 from .midas import chi2_score
 from .sketch import CountMinSketch
 
@@ -61,19 +61,6 @@ def hash_categorical(value, seed_pair: tuple[int, int], n_buckets: int) -> int:
     """Linear hash of an opaque categorical value into n_buckets."""
     a, b = seed_pair
     return ((a * canonical_key(value) + b) % MERSENNE_P) % n_buckets
-
-
-def feature_hash(
-    value,
-    n_buckets: int,
-    state: StreamingMinMax | None = None,
-    seed_pair: tuple[int, int] = (1, 0),
-) -> int:
-    """Bucket one attribute value: numeric when ``state`` is given, else
-    categorical through the supplied linear-hash parameters."""
-    if state is not None:
-        return bucketize_numeric(float(value), state, n_buckets)
-    return hash_categorical(value, seed_pair, n_buckets)
 
 
 @dataclass
@@ -182,27 +169,16 @@ class MstreamDetector:
         ]
         self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
 
-        arity = n_categorical + n_numeric
-        self._feature_totals = [self._table() for _ in range(arity)]
-        self._feature_currents = [self._table() for _ in range(arity)]
-        self._record_total = self._table()
-        self._record_current = self._table()
-        self.internal_tick: int | None = None
+        # The tables take their buckets from the hashes above; the family
+        # only fixes their shape.
+        family = HashFamily(n_rows, n_buckets, seed)
 
-    def _table(self) -> np.ndarray:
-        return np.zeros((self.n_rows, self.n_buckets), dtype=np.float64)
+        def make() -> CountMinSketch:
+            return CountMinSketch(n_rows, n_buckets, family=family)
 
-    def _advance(self, tick: int) -> None:
-        if self.internal_tick is None:
-            self.internal_tick = tick
-            return
-        if tick < self.internal_tick:
-            raise ValueError(f"tick regression: got {tick} after {self.internal_tick}")
-        if tick > self.internal_tick:
-            for table in self._feature_currents:
-                table *= self.alpha
-            self._record_current *= self.alpha
-            self.internal_tick = tick
+        # (total, current) per attribute, then the pair for the whole record.
+        self._tables = [(make(), make()) for _ in range(n_categorical + n_numeric + 1)]
+        self.clock = TickClock()
 
     def _feature_buckets(self, record: MultiAspectRecord) -> list[list[int]]:
         """Per-attribute bucket list, one entry per hash row."""
@@ -232,16 +208,6 @@ class MstreamDetector:
             for row in range(self.n_rows)
         ]
 
-    @staticmethod
-    def _bump_and_query(total, current, buckets, weight=1.0) -> tuple[float, float]:
-        a = s = math.inf
-        for row, bucket in enumerate(buckets):
-            current[row, bucket] += weight
-            total[row, bucket] += weight
-            a = min(a, current[row, bucket])
-            s = min(s, total[row, bucket])
-        return a, s
-
     def score(self, record: MultiAspectRecord) -> RecordScore:
         """Insert one record; return its total score and per-attribute terms.
 
@@ -257,27 +223,20 @@ class MstreamDetector:
                 f"record arity ({len(record.categorical)} cat, {len(record.numeric)} num) "
                 f"does not match detector ({self.n_categorical} cat, {self.n_numeric} num)"
             )
-        self._advance(record.tick)
+        if self.clock.advance(record.tick) is not None:
+            for _, current in self._tables:
+                current.decay(self.alpha)
         t = record.tick
 
-        per_feature = []
-        for j, buckets in enumerate(self._feature_buckets(record)):
-            a, s = self._bump_and_query(
-                self._feature_totals[j], self._feature_currents[j], buckets
-            )
-            per_feature.append(chi2_score(a, s, t))
-
-        a, s = self._bump_and_query(
-            self._record_total, self._record_current, self._record_buckets(record)
-        )
-        record_term = chi2_score(a, s, t)
-        total = record_term + sum(per_feature)
-        return RecordScore(total, record_term, tuple(per_feature))
+        buckets = self._feature_buckets(record)
+        buckets.append(self._record_buckets(record))
+        terms = []
+        for (total, current), indexes in zip(self._tables, buckets):
+            current.update_at(indexes)
+            total.update_at(indexes)
+            terms.append(chi2_score(current.query_at(indexes), total.query_at(indexes), t))
+        record_term = terms.pop()
+        return RecordScore(record_term + sum(terms), record_term, tuple(terms))
 
     def state_bytes(self) -> int:
-        tables = (
-            self._feature_totals
-            + self._feature_currents
-            + [self._record_total, self._record_current]
-        )
-        return int(sum(t.nbytes for t in tables))
+        return sum(t.state_bytes() + c.state_bytes() for t, c in self._tables)

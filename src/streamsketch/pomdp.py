@@ -91,38 +91,37 @@ class PredictorConfig:
         return math.ceil(1.0 / self.q_hat)
 
 
-def _evolve_chain(u: np.ndarray, p: float, q: float, start: int) -> np.ndarray:
-    """State path of a two-state chain from its per-step uniform draws.
+def _chain_states(u, p, q, t, reset_pos, base) -> np.ndarray:
+    """States at steps ``t`` of a two-state chain that was ``base`` at step
+    ``reset_pos`` and then applied the maps drawn in ``u[reset_pos:t]``.
 
     Each draw applies one of three maps to the state: u < min(p, q) flips it,
     min <= u < max pins it (to N when p < q, to A otherwise), anything else
     keeps it. Pinned segments make the whole path computable by prefix sums:
     after the latest pin, the state is the pinned value xor the parity of
-    flips since.
+    flips since; with no pin since the reset, it is the base xor the parity
+    of flips since the reset.
     """
+    lo, hi = (p, q) if p <= q else (q, p)
+    pinned_value = 0 if p <= q else 1
+    cum_flips = np.zeros(u.shape[0] + 1, dtype=np.int64)
+    np.cumsum(u < lo, out=cum_flips[1:])
+    pins = (u >= lo) & (u < hi)
+    last_pin = np.maximum.accumulate(np.where(pins, np.arange(u.shape[0]), -1))
+
+    pin = last_pin[t - 1]
+    flips_since_pin = (cum_flips[t] - cum_flips[np.maximum(pin, 0) + 1]) & 1
+    flips_since_reset = (cum_flips[t] - cum_flips[reset_pos]) & 1
+    return np.where(pin >= reset_pos, pinned_value ^ flips_since_pin, base ^ flips_since_reset)
+
+
+def _evolve_chain(u: np.ndarray, p: float, q: float, start: int) -> np.ndarray:
+    """State path of a two-state chain from its per-step uniform draws."""
     n = u.shape[0]
     states = np.empty(n + 1, dtype=np.int8)
     states[0] = start
-    if n == 0:
-        return states
-    lo, hi = (p, q) if p <= q else (q, p)
-    pinned_value = 0 if p <= q else 1
-    flips = u < lo
-    pins = (u >= lo) & (u < hi)
-
-    cum_flips = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(flips, out=cum_flips[1:])
-    pin_positions = np.where(pins, np.arange(n), -1)
-    last_pin = np.maximum.accumulate(pin_positions)
-
-    t = np.arange(1, n + 1)
-    pin = last_pin[t - 1]
-    has_pin = pin >= 0
-    flips_since_pin = (cum_flips[t] - cum_flips[np.maximum(pin, 0) + 1]) & 1
-    flips_from_start = cum_flips[t] & 1
-    states[1:] = np.where(
-        has_pin, pinned_value ^ flips_since_pin, start ^ flips_from_start
-    )
+    if n:
+        states[1:] = _chain_states(u, p, q, np.arange(1, n + 1), 0, start)
     return states
 
 
@@ -157,21 +156,10 @@ def _imitate_predictions(
     pred[0] = start
     if steps == 1:
         return pred
-    lo, hi = (p_hat, q_hat) if p_hat <= q_hat else (q_hat, p_hat)
-    pinned_value = 0 if p_hat <= q_hat else 1
-    flips = u_pred < lo
-    pins = (u_pred >= lo) & (u_pred < hi)
-
-    cum_flips = np.zeros(steps + 1, dtype=np.int64)
-    np.cumsum(flips, out=cum_flips[1:])
-    pin_positions = np.where(pins, np.arange(steps), -1)
-    last_pin = np.maximum.accumulate(pin_positions)
-
     fb_pos = np.flatnonzero(delivered)
     t = np.arange(1, steps)
     if fb_pos.size == 0:
-        reset_pos = np.zeros(steps - 1, dtype=np.int64)
-        base = np.full(steps - 1, start, dtype=np.int8)
+        reset_pos, base = 0, start
     else:
         k = np.searchsorted(fb_pos, t - 1, side="right") - 1
         has_reset = k >= 0
@@ -180,13 +168,7 @@ def _imitate_predictions(
 
     # The predictor chain at step t composes its own transition maps over
     # [reset, t) on top of the state revealed at the reset.
-    pin = last_pin[t - 1]
-    pin_applies = pin >= reset_pos
-    flips_since_pin = (cum_flips[t] - cum_flips[np.maximum(pin, 0) + 1]) & 1
-    flips_since_reset = (cum_flips[t] - cum_flips[reset_pos]) & 1
-    pred[1:] = np.where(
-        pin_applies, pinned_value ^ flips_since_pin, base ^ flips_since_reset
-    )
+    pred[1:] = _chain_states(u_pred, p_hat, q_hat, t, reset_pos, base)
     return pred
 
 

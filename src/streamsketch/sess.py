@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .events import EdgeEvent
+from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
 from .midas import MidasDetector, chi2_score
 from .sketch import HigherOrderSketch
@@ -116,19 +116,11 @@ class Sess3dDetector:
         self.n_rows = n_rows
         self.n_buckets = n_buckets
         self.alpha = alpha
-        self.internal_tick: int | None = None
-
-    def _advance(self, tick: int) -> None:
-        if self.internal_tick is None:
-            self.internal_tick = tick
-        elif tick < self.internal_tick:
-            raise ValueError(f"tick regression: got {tick} after {self.internal_tick}")
-        elif tick > self.internal_tick:
-            self.current.decay(self.alpha)
-            self.internal_tick = tick
+        self.clock = TickClock()
 
     def score(self, event: EdgeEvent) -> float:
-        self._advance(event.tick)
+        if self.clock.advance(event.tick) is not None:
+            self.current.decay(self.alpha)
         cells = self.total.indexes(event.source, event.dest)
         self.current.update_at(cells, event.weight)
         self.total.update_at(cells, event.weight)

@@ -8,6 +8,7 @@ row, and estimates take the minimum across rows.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -54,13 +55,14 @@ class CountMinSketch:
         """Add ``weight`` to the key's bucket in every row.
 
         Negative weights are rejected: they would break the guarantee that
-        queries never fall below the true accumulated weight.
+        queries never fall below the true accumulated weight. So are inf
+        and nan, which would poison the bucket for good.
         """
         self.update_at(self.family.indexes(key), weight)
 
     def update_at(self, indexes, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"update weight must be >= 0, got {weight}")
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
         counts = self.counts
         for row, bucket in enumerate(indexes):
             counts[row, bucket] += weight
@@ -80,8 +82,8 @@ class CountMinSketch:
 
     def update_many(self, keys: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer keys; equivalent to updating one by one."""
-        if weight < 0:
-            raise ValueError(f"update weight must be >= 0, got {weight}")
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
         buckets = self.family.indexes_many(keys)
         for row in range(self.n_rows):
             np.add.at(self.counts[row], buckets[row], weight)
@@ -212,8 +214,8 @@ class HigherOrderSketch:
         self.update_at(self.indexes(source, dest), weight)
 
     def update_at(self, cells, weight: float = 1.0) -> None:
-        if weight < 0:
-            raise ValueError(f"update weight must be >= 0, got {weight}")
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
         matrices = self.matrices
         for layer, (r, c) in enumerate(cells):
             matrices[layer, r, c] += weight
@@ -231,8 +233,8 @@ class HigherOrderSketch:
 
     def update_many(self, sources: np.ndarray, dests: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer node ids; equivalent to one-by-one."""
-        if weight < 0:
-            raise ValueError(f"update weight must be >= 0, got {weight}")
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
         rows = self.row_family.indexes_many(sources)
         cols = self.col_family.indexes_many(dests)
         for layer in range(self.n_rows):
@@ -256,13 +258,6 @@ class HigherOrderSketch:
 
     def reset(self) -> None:
         self.matrices.fill(0.0)
-
-    def scale_row(self, layer: int, row: int, factor: float) -> None:
-        """Multiply one layer row by ``factor`` (node-level feedback)."""
-        self.matrices[layer, row, :] *= factor
-
-    def scale_col(self, layer: int, col: int, factor: float) -> None:
-        self.matrices[layer, :, col] *= factor
 
     def to_bytes(self) -> bytes:
         head = _HEADER.pack(self.n_rows, self.n_buckets, self.seed & 0xFFFFFFFF)

@@ -91,7 +91,8 @@ class OracleAnoEdgeGlobal(AnoEdgeGlobal):
     """AnoEdge-G scoring one edge at a time with the scalar expansion."""
 
     def score(self, event: EdgeEvent) -> float:
-        self._advance(event.tick)
+        if self.clock.advance(event.tick) is not None:
+            self.sketch.decay(self.alpha)
         cells = self.sketch.indexes(event.source, event.dest)
         self.sketch.update_at(cells, event.weight)
         return min(
@@ -249,7 +250,7 @@ def test_score_many_matches_per_edge_oracle(kind, n_rows, n_buckets, distinct):
     want = [oracle.score(event) for event in events]
     assert fast.score_many(events) == want
     assert np.array_equal(fast.sketch.matrices, oracle.sketch.matrices)
-    assert fast.internal_tick == oracle.internal_tick
+    assert fast.clock.tick == oracle.clock.tick
 
 
 def test_score_many_continues_across_calls_and_single_scores():

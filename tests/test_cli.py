@@ -178,6 +178,61 @@ def test_non_finite_weight_exits_1_with_line_number(tmp_path, capsys, command, b
     assert "line 2:" in captured.err
 
 
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_numeric_attribute_exits_1_with_line_number(tmp_path, capsys, bad):
+    records = tmp_path / "records.csv"
+    records.write_text(f"cat:a,num:x,tick\nu,1.5,1\nv,{bad},1\n")
+    assert run_cli("mstream", "--input", str(records)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3:" in captured.err
+
+
+DETECTOR_COMMANDS = [
+    "midas", "midas-r", "midas-f", "anoedge-g", "anoedge-l",
+    "anograph", "anograph-k", "mstream", "sess",
+]
+
+
+def detector_argv(tmp_path, command):
+    """Arguments that run ``command`` on a small valid input."""
+    if command == "mstream":
+        path = tmp_path / "records.csv"
+        rows = "".join(f"c{i % 3},{i},{1 + i // 4}\n" for i in range(12))
+        path.write_text("cat:a,num:x,tick\n" + rows)
+        return [command, "--input", str(path)]
+    path = tmp_path / "edges.csv"
+    write_edges(path, [(i % 3, (i + 1) % 3, 1 + i // 4) for i in range(12)])
+    argv = [command, "--input", str(path)]
+    if command == "sess":
+        feedback = tmp_path / "feedback.txt"
+        feedback.write_text("3,1\n")
+        argv += ["--feedback", str(feedback)]
+    return argv
+
+
+@pytest.mark.parametrize("command", DETECTOR_COMMANDS)
+def test_time_line_on_every_detector_command(tmp_path, capsys, command):
+    argv = detector_argv(tmp_path, command)
+    assert run_cli(*argv) == 0
+    items = len(capsys.readouterr().out.splitlines())
+    assert run_cli(*argv, "--time") == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == items
+    report = json.loads(captured.err)
+    assert set(report) == {"seconds", "items"}
+    assert report["items"] == items
+    assert report["seconds"] >= 0
+
+
+@pytest.mark.parametrize("command", DETECTOR_COMMANDS)
+def test_eval_without_labels_is_rejected_on_every_detector_command(tmp_path, capsys, command):
+    assert run_cli(*detector_argv(tmp_path, command), "--eval") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --eval requires --labels\n"
+
 def test_mstream_command(tmp_path):
     records = tmp_path / "records.csv"
     out = tmp_path / "scores.txt"

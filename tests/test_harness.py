@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from streamsketch.events import EdgeEvent
+from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.ingest import (
     WindowSpec,
     parse_edge_stream,
@@ -10,7 +10,7 @@ from streamsketch.ingest import (
     parse_record_stream,
     window_aggregate,
 )
-from streamsketch.metrics import LabeledRun, linear_fit_r2, roc_auc
+from streamsketch.metrics import linear_fit_r2, roc_auc
 from streamsketch.synth import (
     synth_attack_stream,
     synth_burst_stream,
@@ -46,8 +46,6 @@ def test_auc_validation():
         roc_auc([1, 2], [0, 2])
     with pytest.raises(ValueError):
         roc_auc([1, 2, 3], [0, 1])
-    with pytest.raises(ValueError):
-        LabeledRun((1.0,), (0, 1))
 
 
 def test_auc_matches_pairwise_oracle():
@@ -61,11 +59,6 @@ def test_auc_matches_pairwise_oracle():
         assert roc_auc(scores, labels) == pytest.approx(
             pairwise_auc(scores, labels), abs=1e-12
         )
-
-
-def test_labeled_run_auc():
-    run = LabeledRun((0.1, 0.9, 0.5), (0, 1, 0))
-    assert run.auc() == 1.0
 
 
 def test_linear_fit_r2_on_a_line():
@@ -158,6 +151,15 @@ def test_record_stream_errors_name_lines():
     with pytest.raises(ValueError, match="line 3"):
         list(records)
 
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_record_stream_rejects_non_finite_numeric_values(bad):
+    _, records = parse_record_stream(["cat:a,num:x,tick", "u,1.5,1", f"v,{bad},1"])
+    with pytest.raises(ValueError, match="line 3: numeric value must be finite"):
+        list(records)
+    with pytest.raises(ValueError, match="finite"):
+        MultiAspectRecord(("v",), (float(bad),), 1)
 
 # -- feedback parsing -----------------------------------------------------------------
 

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from streamsketch.hashing import (
-    DEFAULT_SEED,
     MERSENNE_P,
     HashFamily,
     canonical_key,
-    resolve_seed,
 )
 
 
@@ -95,7 +93,3 @@ def test_batch_indexes_handle_full_uint64_range():
     for i, key in enumerate(keys):
         assert tuple(batch[:, i]) == fam.indexes(int(key))
 
-
-def test_resolve_seed_defaults():
-    assert resolve_seed(None) == DEFAULT_SEED
-    assert resolve_seed(7) == 7

@@ -4,7 +4,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from streamsketch.events import EdgeEvent
+from streamsketch.events import EdgeEvent, TickClock
 from streamsketch.metrics import roc_auc
 from streamsketch.midas import (
     DecisionRule,
@@ -58,6 +58,18 @@ def test_tick_regression_rejected():
     with pytest.raises(ValueError, match="tick regression"):
         detector.score(EdgeEvent("u", "v", 4))
 
+
+
+def test_tick_clock_reports_each_closed_tick_once():
+    clock = TickClock()
+    assert clock.advance(3) is None  # first tick: nothing to close
+    assert clock.advance(3) is None
+    assert clock.advance(5) == 3
+    assert clock.advance(5) is None
+    with pytest.raises(ValueError, match="tick regression: got 4 after 5"):
+        clock.advance(4)
+    assert clock.tick == 5
+    assert clock.advance(6) == 5
 
 def test_weight_feeds_counts():
     detector = MidasDetector("plain", n_buckets=BIG, seed=1)

@@ -11,7 +11,6 @@ from streamsketch.mstream import (
     MstreamDetector,
     StreamingMinMax,
     bucketize_numeric,
-    feature_hash,
     hash_categorical,
     record_hash,
 )
@@ -57,14 +56,6 @@ def test_bucket_monotone_between_minmax_updates():
     buckets = [bucketize_numeric(float(v), state, 16) for v in values]
     assert all(b2 >= b1 for b1, b2 in zip(buckets, buckets[1:]))
     assert bucketize_numeric(1000.0, state, 16) == 0  # single wrap point
-
-
-def test_feature_hash_dispatch():
-    state = StreamingMinMax()
-    assert feature_hash(5.0, 8, state=state) == bucketize_numeric(5.0, StreamingMinMax(), 8)
-    assert feature_hash("tcp", 8, seed_pair=(12345, 678)) == hash_categorical(
-        "tcp", (12345, 678), 8
-    )
 
 
 def test_categorical_hash_range_and_determinism():

@@ -40,6 +40,27 @@ def test_negative_weight_rejected():
         ho.update("u", "v", -1.0)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_rejected_and_table_unchanged(bad):
+    sketch = CountMinSketch(2, 16, seed=0)
+    sketch.update("k", 2.0)
+    before = sketch.counts.copy()
+    with pytest.raises(ValueError, match="finite"):
+        sketch.update("k", bad)
+    with pytest.raises(ValueError, match="finite"):
+        sketch.update_many(np.array([1, 2]), bad)
+    assert np.array_equal(sketch.counts, before)
+    assert sketch.query("k") == 2.0
+    ho = HigherOrderSketch(2, 8, seed=0)
+    ho.update(1, 2, 1.0)
+    before = ho.matrices.copy()
+    with pytest.raises(ValueError, match="finite"):
+        ho.update(1, 2, bad)
+    with pytest.raises(ValueError, match="finite"):
+        ho.update_many(np.array([1]), np.array([2]), bad)
+    assert np.array_equal(ho.matrices, before)
+
 def test_never_underestimates_against_exact_counter():
     rng = np.random.default_rng(7)
     keys = rng.zipf(1.5, size=10_000) % 3000
