@@ -186,11 +186,7 @@ def _run_midas(args, variant: str) -> int:
         scores = []
         for event in events:
             stats = detector.process(event)
-            if variant == "plain":
-                score = stats.edge_score
-            else:
-                score = stats.combined(mode)
-            scores.append(score)
+            scores.append(stats.combined(mode))
             if rule is not None:
                 flags.append(rule.is_flagged(stats))
         return scores
@@ -297,14 +293,12 @@ def _run_sess(args) -> int:
         raise ValueError(f"layout must be 'flat' or '3d', got {layout!r}")
 
     with open(args.feedback, "r", encoding="utf-8") as handle:
-        lines = parse_feedback(handle)
-    edge_labels = {line.index: line.label for line in lines if line.index is not None}
-    node_lines = [line for line in lines if line.node is not None]
-    if node_lines and layout != "3d":
+        edge_labels, node_feedback = parse_feedback(handle)
+    if node_feedback and layout != "3d":
         raise ValueError("node feedback requires --layout 3d")
     # Node labels carry no stream position; they apply before scoring starts.
-    for line in node_lines:
-        apply_feedback(detector, FeedbackEvent(line.label, node=line.node), params)
+    for feedback in node_feedback:
+        apply_feedback(detector, feedback, params)
 
     def score_all(events) -> list[float]:
         scores = []

@@ -31,6 +31,16 @@ class TickClock:
         return current
 
 
+def _check_tick(tick: int) -> None:
+    """Ticks start at 1 and must convert to a float: scores divide by them."""
+    if tick < 1:
+        raise ValueError(f"tick must be >= 1, got {tick}")
+    try:
+        float(tick)
+    except OverflowError:
+        raise ValueError("tick too large") from None
+
+
 @dataclass(frozen=True, slots=True)
 class EdgeEvent:
     """One directed edge from a dynamic-graph stream.
@@ -47,8 +57,7 @@ class EdgeEvent:
     def __post_init__(self):
         if not (0 <= self.weight < math.inf):  # also rejects nan
             raise ValueError(f"edge weight must be finite and >= 0, got {self.weight}")
-        if self.tick < 1:
-            raise ValueError(f"tick must be >= 1, got {self.tick}")
+        _check_tick(self.tick)
 
     @property
     def key(self) -> tuple:
@@ -73,8 +82,7 @@ class MultiAspectRecord:
         if not all(map(math.isfinite, numeric)):
             raise ValueError(f"numeric attributes must be finite, got {numeric}")
         object.__setattr__(self, "numeric", numeric)
-        if self.tick < 1:
-            raise ValueError(f"tick must be >= 1, got {self.tick}")
+        _check_tick(self.tick)
 
     @property
     def arity(self) -> int:

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 from .densegraph import GraphWindow
 from .events import EdgeEvent, MultiAspectRecord
 from .hashing import DEFAULT_SEED
+from .sess import FeedbackEvent
 from .sketch import HigherOrderSketch
 
 
@@ -54,18 +55,15 @@ def parse_edge_stream(
             dest = _parse_node(parts[1])
             weight = float(parts[2]) if has_weight else 1.0
             tick = int(parts[-1])
+            event = EdgeEvent(source, dest, tick, weight)  # checks weight and tick
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-        if tick < 1:
-            raise ValueError(f"line {lineno}: tick must be >= 1, got {tick}")
         if last_tick is not None and tick < last_tick:
             raise ValueError(
                 f"line {lineno}: tick {tick} decreases from {last_tick}"
             )
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"line {lineno}: weight must be finite and >= 0, got {weight}")
         last_tick = tick
-        yield EdgeEvent(source, dest, tick, weight)
+        yield event
 
 
 @dataclass(frozen=True)
@@ -158,6 +156,10 @@ def parse_record_stream(
                         raise ValueError(
                             f"line {lineno}: numeric value must be finite, got {value!r}"
                         )
+                    if number <= -1.0:  # outside log1p's domain
+                        raise ValueError(
+                            f"line {lineno}: numeric value must be > -1, got {value!r}"
+                        )
                     nums.append(number)
                 else:
                     try:
@@ -168,33 +170,30 @@ def parse_record_stream(
                         ) from None
             if tick is None:
                 tick = 1 + offset // tick_every
-            if tick < 1:
-                raise ValueError(f"line {lineno}: tick must be >= 1, got {tick}")
+            try:
+                record = MultiAspectRecord(tuple(cats), tuple(nums), tick)
+            except ValueError as exc:  # the tick; the values are checked above
+                raise ValueError(f"line {lineno}: {exc}") from None
             if last_tick is not None and tick < last_tick:
                 raise ValueError(
                     f"line {lineno}: tick {tick} decreases from {last_tick}"
                 )
             last_tick = tick
-            yield MultiAspectRecord(tuple(cats), tuple(nums), tick)
+            yield record
 
     return schema, generate()
 
 
-@dataclass(frozen=True)
-class FeedbackLine:
-    """One parsed feedback-file line: an indexed edge label or a node label.
+def parse_feedback(
+    lines: Iterable[str], delimiter: str = ","
+) -> tuple[dict[int, int], list[FeedbackEvent]]:
+    """Edge labels by 0-based stream position, and node feedback in file order.
 
-    Edge labels reference the 0-based position of the edge in the stream;
-    the edge itself is resolved when that position is reached.
+    An edge is resolved when its position is reached; when a position is
+    labelled twice, the later line wins.
     """
-
-    label: int
-    index: int | None = None
-    node: object = None
-
-
-def parse_feedback(lines: Iterable[str], delimiter: str = ",") -> list[FeedbackLine]:
-    events = []
+    edge_labels: dict[int, int] = {}
+    node_feedback: list[FeedbackEvent] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -207,7 +206,7 @@ def parse_feedback(lines: Iterable[str], delimiter: str = ",") -> list[FeedbackL
                 label = int(parts[2])
                 if label not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {label}")
-                events.append(FeedbackLine(label=label, node=_parse_node(parts[1])))
+                node_feedback.append(FeedbackEvent(label, node=_parse_node(parts[1])))
             else:
                 if len(parts) != 2:
                     raise ValueError("edge feedback needs 'index,label'")
@@ -217,10 +216,10 @@ def parse_feedback(lines: Iterable[str], delimiter: str = ",") -> list[FeedbackL
                 label = int(parts[1])
                 if label not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {label}")
-                events.append(FeedbackLine(label=label, index=index))
+                edge_labels[index] = label
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    return events
+    return edge_labels, node_feedback
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily
@@ -94,14 +95,18 @@ def chi2_quantile_1dof(p: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class StepStats:
-    """Everything one detector step produced, for scoring and flagging."""
+    """Everything one detector step produced, for scoring and flagging.
+
+    ``current_count`` and ``total_count`` are the edge's own counts, which
+    the decision rule reads.
+    """
 
     tick: int
     edge_score: float
     source_score: float | None
     dest_score: float | None
-    edge_current: float
-    edge_total: float
+    current_count: float
+    total_count: float
     tick_volume: float
 
     def combined(self, mode: str = "max") -> float:
@@ -142,8 +147,8 @@ class DecisionRule:
         return cls(epsilon, nu, chi2_quantile_1dof(1.0 - epsilon / 2.0))
 
     def statistic(self, stats: StepStats) -> float:
-        adjusted = stats.edge_current - self.nu * stats.tick_volume
-        return chi2_score(adjusted, stats.edge_total, stats.tick)
+        adjusted = stats.current_count - self.nu * stats.tick_volume
+        return chi2_score(adjusted, stats.total_count, stats.tick)
 
     def is_flagged(self, stats: StepStats) -> bool:
         return self.statistic(stats) > self.threshold
@@ -189,45 +194,37 @@ class MidasDetector:
         def make() -> CountMinSketch:
             return CountMinSketch(n_rows, n_buckets, family=self.family)
 
-        self.edge_total = make()
-        self.edge_current = make()
-        self._with_nodes = variant in ("relational", "filtering")
-        if self._with_nodes:
-            self.source_total = make()
-            self.source_current = make()
-            self.dest_total = make()
-            self.dest_current = make()
-        if variant == "filtering":
-            self.edge_scores = make()
-            self.source_scores = make()
-            self.dest_scores = make()
+        # (total, current) per scored key, in the order keys() gives them.
+        n_keys = len(self.keys(None, None))
+        self.tables = [(make(), make()) for _ in range(n_keys)]
+        # Filtering caches each key's last score for the conditional merge.
+        self.score_caches = [make() for _ in range(n_keys)] if variant == "filtering" else []
 
         self.clock = TickClock()
         self.tick_volume = 0.0  # weight in the current-count sketch, N_t
+
+    def keys(self, source, dest) -> tuple:
+        """The keys one edge is scored on: the edge itself, then its source
+        and destination for the relational and filtering variants."""
+        if self.variant == "plain":
+            return ((source, dest),)
+        return ((source, dest), source, dest)
 
     # -- tick bookkeeping --------------------------------------------------
 
     def _close_tick(self, closing: int) -> None:
         if self.variant == "plain":
-            self.edge_current.clear()
+            for _, current in self.tables:
+                current.clear()
             self.tick_volume = 0.0
             return
-        if self.variant == "filtering":
-            # Close out the tick that just ended: totals absorb current
-            # counts (or their own per-tick mean when the cached score
-            # crossed the threshold), keeping the mean level unchanged.
-            self.edge_total.merge_conditional(
-                self.edge_current, self.edge_scores, self.merge_threshold, closing
-            )
-            self.source_total.merge_conditional(
-                self.source_current, self.source_scores, self.merge_threshold, closing
-            )
-            self.dest_total.merge_conditional(
-                self.dest_current, self.dest_scores, self.merge_threshold, closing
-            )
-        self.edge_current.decay(self.alpha)
-        self.source_current.decay(self.alpha)
-        self.dest_current.decay(self.alpha)
+        # Filtering closes out the tick that just ended: totals absorb current
+        # counts (or their own per-tick mean when the cached score crossed the
+        # threshold), keeping the mean level unchanged.
+        for (total, current), cache in zip(self.tables, self.score_caches):
+            total.merge_conditional(current, cache, self.merge_threshold, closing)
+        for _, current in self.tables:
+            current.decay(self.alpha)
         self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
 
     # -- scoring -------------------------------------------------------------
@@ -239,106 +236,51 @@ class MidasDetector:
             self._close_tick(closing)
         t = event.tick
         w = event.weight
-        idx_edge = self.family.indexes((event.source, event.dest))
-
-        self.edge_current.update_at(idx_edge, w)
         self.tick_volume += w
-        if self.variant != "filtering":
-            self.edge_total.update_at(idx_edge, w)
-
-        source_score = dest_score = None
-        if self._with_nodes:
-            idx_src = self.family.indexes(event.source)
-            idx_dst = self.family.indexes(event.dest)
-            self.source_current.update_at(idx_src, w)
-            self.dest_current.update_at(idx_dst, w)
-            if self.variant != "filtering":
-                self.source_total.update_at(idx_src, w)
-                self.dest_total.update_at(idx_dst, w)
-
-        a_edge = self.edge_current.query_at(idx_edge)
-        s_edge = self.edge_total.query_at(idx_edge)
-
+        indexes = self.family.indexes
+        keys = self.keys(event.source, event.dest)
+        scores = []
         if self.variant == "filtering":
-            edge_score = filtering_score(a_edge, s_edge, t)
-            source_score = filtering_score(
-                self.source_current.query_at(idx_src),
-                self.source_total.query_at(idx_src),
-                t,
-            )
-            dest_score = filtering_score(
-                self.dest_current.query_at(idx_dst),
-                self.dest_total.query_at(idx_dst),
-                t,
-            )
-            self.edge_scores.assign_at(idx_edge, edge_score)
-            self.source_scores.assign_at(idx_src, source_score)
-            self.dest_scores.assign_at(idx_dst, dest_score)
+            # Totals change only at tick boundaries, in _close_tick.
+            for key, (total, current), cache in zip(keys, self.tables, self.score_caches):
+                idx = indexes(key)
+                current.update_at(idx, w)
+                a = current.query_at(idx)
+                s = total.query_at(idx)
+                if not scores:  # the edge
+                    a_edge, s_edge = a, s
+                score = filtering_score(a, s, t)
+                cache.assign_at(idx, score)
+                scores.append(score)
         else:
-            edge_score = chi2_score(a_edge, s_edge, t)
-            if self._with_nodes:
-                source_score = chi2_score(
-                    self.source_current.query_at(idx_src),
-                    self.source_total.query_at(idx_src),
-                    t,
-                )
-                dest_score = chi2_score(
-                    self.dest_current.query_at(idx_dst),
-                    self.dest_total.query_at(idx_dst),
-                    t,
-                )
+            for key, (total, current) in zip(keys, self.tables):
+                idx = indexes(key)
+                current.update_at(idx, w)
+                total.update_at(idx, w)
+                a = current.query_at(idx)
+                s = total.query_at(idx)
+                if not scores:
+                    a_edge, s_edge = a, s
+                scores.append(chi2_score(a, s, t))
 
+        source_score, dest_score = scores[1:] or (None, None)
         return StepStats(
             tick=t,
-            edge_score=edge_score,
+            edge_score=scores[0],
             source_score=source_score,
             dest_score=dest_score,
-            edge_current=a_edge,
-            edge_total=s_edge,
+            current_count=a_edge,
+            total_count=s_edge,
             tick_volume=self.tick_volume,
         )
 
     def score(self, event: EdgeEvent) -> float:
-        """Insert the edge and return the variant's headline score: the edge
-        statistic for plain, the max over edge/source/destination otherwise."""
-        stats = self.process(event)
-        if self._with_nodes:
-            return stats.combined("max")
-        return stats.edge_score
-
-    def combined_score(self, event: EdgeEvent, mode: str = "max") -> float:
-        """Score with an explicit combination mode over edge/node statistics.
-
-        Only relational and filtering detectors maintain node counts, so the
-        plain variant rejects this entry point.
-        """
-        if not self._with_nodes:
-            raise ValueError("plain variant has no node sketches to combine")
-        return self.process(event).combined(mode)
+        """Insert the edge and return the max over its scored keys."""
+        return self.process(event).combined("max")
 
     def score_and_flag(self, event: EdgeEvent, rule: DecisionRule) -> tuple[float, bool]:
         stats = self.process(event)
-        score = stats.combined("max") if self._with_nodes else stats.edge_score
-        return score, rule.is_flagged(stats)
-
-    # -- placement for semi-supervised updates ------------------------------
-
-    def edge_indexes(self, source, dest) -> tuple[int, ...]:
-        return self.family.indexes((source, dest))
+        return stats.combined("max"), rule.is_flagged(stats)
 
     def state_bytes(self) -> int:
-        total = self.edge_total.state_bytes() + self.edge_current.state_bytes()
-        if self._with_nodes:
-            total += (
-                self.source_total.state_bytes()
-                + self.source_current.state_bytes()
-                + self.dest_total.state_bytes()
-                + self.dest_current.state_bytes()
-            )
-        if self.variant == "filtering":
-            total += (
-                self.edge_scores.state_bytes()
-                + self.source_scores.state_bytes()
-                + self.dest_scores.state_bytes()
-            )
-        return total
+        return sum(table.state_bytes() for table in chain(*self.tables, self.score_caches))

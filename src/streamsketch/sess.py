@@ -75,15 +75,10 @@ def apply_feedback(detector, feedback: FeedbackEvent, params: SharpeningParams) 
     if isinstance(detector, MidasDetector):
         if feedback.edge is None:
             raise ValueError("flat-layout detectors only support edge feedback")
-        source, dest = feedback.edge
-        targets = [(detector.edge_total, detector.edge_current, (source, dest))]
-        if detector.variant in ("relational", "filtering"):
-            # Relational detectors score nodes too; feedback must reach every
-            # total/current pair the labelled edge contributed to, or the
-            # max-combination simply reads the untouched component.
-            targets.append((detector.source_total, detector.source_current, source))
-            targets.append((detector.dest_total, detector.dest_current, dest))
-        for total, current, key in targets:
+        # Feedback must reach every (total, current) pair the labelled edge
+        # was scored on, or a max over edge and node scores simply reads an
+        # untouched part.
+        for key, (total, current) in zip(detector.keys(*feedback.edge), detector.tables):
             for row, bucket in enumerate(detector.family.indexes(key)):
                 total.counts[row, bucket] *= total_factor
                 current.counts[row, bucket] *= current_factor

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -187,6 +188,42 @@ def test_non_finite_numeric_attribute_exits_1_with_line_number(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "line 3:" in captured.err
+
+
+HUGE_TICK = "9" * 400  # an integer float() cannot represent
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("midas", f"1,2,1\n1,2,{HUGE_TICK}\n"),
+        ("midas-r", f"1,2,1\n1,2,{HUGE_TICK}\n"),
+        ("mstream", f"cat:a,tick\nu,{HUGE_TICK}\n"),
+    ],
+)
+def test_huge_tick_exits_1_with_line_number(tmp_path, capsys, command, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert run_cli(command, "--input", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: line 2: tick too large" in captured.err
+
+
+def test_largest_float_tick_still_scores(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(f"1,2,1\n1,2,{int(sys.float_info.max)}\n")
+    assert run_cli("midas-r", "--input", str(edges)) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_numeric_value_outside_log_domain_exits_1_with_line_number(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("cat:a,num:x,tick\nu,1.5,1\nv,-2,1\n")
+    assert run_cli("mstream", "--input", str(records)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: line 3: numeric value must be > -1" in captured.err
 
 
 DETECTOR_COMMANDS = [

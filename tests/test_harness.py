@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -161,15 +163,39 @@ def test_record_stream_rejects_non_finite_numeric_values(bad):
     with pytest.raises(ValueError, match="finite"):
         MultiAspectRecord(("v",), (float(bad),), 1)
 
+
+def test_huge_ticks_rejected():
+    huge = 10**400
+    with pytest.raises(ValueError, match="line 2: tick too large"):
+        list(parse_edge_stream(["1,2,1", f"1,2,{huge}"]))
+    _, records = parse_record_stream(["cat:a,tick", f"u,{huge}"])
+    with pytest.raises(ValueError, match="line 2: tick too large"):
+        list(records)
+    with pytest.raises(ValueError, match="tick too large"):
+        EdgeEvent(1, 2, huge)
+    with pytest.raises(ValueError, match="tick too large"):
+        MultiAspectRecord(("u",), (), huge)
+    # The largest tick a float holds still scores.
+    big = int(sys.float_info.max)
+    assert next(iter(parse_edge_stream([f"1,2,{big}"]))).tick == big
+    assert MultiAspectRecord(("u",), (), big).tick == big
+
+
+def test_record_stream_rejects_numeric_values_outside_log_domain():
+    _, records = parse_record_stream(["cat:a,num:x,tick", "u,-0.5,1", "v,-1,1"])
+    with pytest.raises(ValueError, match="line 3: numeric value must be > -1"):
+        list(records)
+
+
 # -- feedback parsing -----------------------------------------------------------------
 
 
 def test_feedback_parsing():
     lines = ["12,1", "40,0", "node,9,1"]
-    parsed = parse_feedback(lines)
-    assert parsed[0].index == 12 and parsed[0].label == 1
-    assert parsed[1].index == 40 and parsed[1].label == 0
-    assert parsed[2].node == 9 and parsed[2].label == 1
+    edge_labels, node_feedback = parse_feedback(lines)
+    assert edge_labels == {12: 1, 40: 0}
+    assert [(f.node, f.label, f.edge) for f in node_feedback] == [(9, 1, None)]
+    assert parse_feedback(["12,1", "12,0"]) == ({12: 0}, [])  # the later line wins
     with pytest.raises(ValueError, match="line 1"):
         parse_feedback(["12,7"])
     with pytest.raises(ValueError, match="line 1"):

@@ -75,8 +75,8 @@ def test_weight_feeds_counts():
     detector = MidasDetector("plain", n_buckets=BIG, seed=1)
     detector.score(EdgeEvent("u", "v", 1, weight=2.0))
     stats = detector.process(EdgeEvent("u", "v", 2, weight=3.0))
-    assert stats.edge_total == 5.0
-    assert stats.edge_current == 3.0  # plain clears on tick change
+    assert stats.total_count == 5.0
+    assert stats.current_count == 3.0  # plain clears on tick change
 
 
 # -- exact-counter oracles ----------------------------------------------------
@@ -231,8 +231,8 @@ def _stats(edge, src, dst):
         edge_score=edge,
         source_score=src,
         dest_score=dst,
-        edge_current=1.0,
-        edge_total=1.0,
+        current_count=1.0,
+        total_count=1.0,
         tick_volume=1.0,
     )
 
@@ -246,18 +246,12 @@ def test_combined_max_and_sum():
         _stats(1.0, 2.0, 3.0).combined("median")
 
 
-def test_sum_mode_rejected_on_plain_variant():
-    detector = MidasDetector("plain", seed=1)
-    with pytest.raises(ValueError, match="node sketches"):
-        detector.combined_score(EdgeEvent("u", "v", 1), mode="sum")
-
-
 def test_max_and_sum_rank_bursts_similarly():
     events, labels = synth_burst_stream(seed=3)
     det_max = MidasDetector("relational", seed=3)
     det_sum = MidasDetector("relational", seed=3)
-    auc_max = roc_auc([det_max.combined_score(e, "max") for e in events], labels)
-    auc_sum = roc_auc([det_sum.combined_score(e, "sum") for e in events], labels)
+    auc_max = roc_auc([det_max.process(e).combined("max") for e in events], labels)
+    auc_sum = roc_auc([det_sum.process(e).combined("sum") for e in events], labels)
     assert abs(auc_max - auc_sum) < 0.05
 
 
@@ -311,8 +305,8 @@ def test_perfectly_expected_count_is_never_flagged():
         edge_score=0.0,
         source_score=None,
         dest_score=None,
-        edge_current=2.0,  # equals total / tick exactly
-        edge_total=8.0,
+        current_count=2.0,  # equals total / tick exactly
+        total_count=8.0,
         tick_volume=0.0,
     )
     for epsilon in (0.01, 0.05, 0.5, 0.99):
@@ -325,6 +319,12 @@ def test_guaranteed_shape_values():
     rows, buckets = guaranteed_shape(0.05, math.e / 1024)
     assert rows == math.ceil(math.log(2 / 0.05))
     assert buckets == 1024
+
+
+@pytest.mark.parametrize("variant, n_tables", [("plain", 2), ("relational", 6), ("filtering", 9)])
+def test_state_bytes_counts_every_table(variant, n_tables):
+    detector = MidasDetector(variant, n_rows=3, n_buckets=64, seed=1)
+    assert detector.state_bytes() == n_tables * 3 * 64 * 8
 
 
 def test_tick_volume_tracks_decayed_residue():

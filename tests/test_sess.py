@@ -33,42 +33,45 @@ def test_feedback_event_validation():
 
 def test_anomalous_label_boosts_current_and_damps_total():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=1)
-    idx = detector.edge_indexes("u", "v")
-    detector.edge_total.assign_at(idx, 10.0)
-    detector.edge_current.assign_at(idx, 4.0)
+    idx = detector.family.indexes(("u", "v"))
+    total, current = detector.tables[0]
+    total.assign_at(idx, 10.0)
+    current.assign_at(idx, 4.0)
     apply_feedback(
         detector,
         FeedbackEvent(1, edge=("u", "v")),
         SharpeningParams(boost=2.0, damp=0.3),
     )
-    assert detector.edge_current.query_at(idx) == pytest.approx(8.0)
-    assert detector.edge_total.query_at(idx) == pytest.approx(3.0)
+    assert current.query_at(idx) == pytest.approx(8.0)
+    assert total.query_at(idx) == pytest.approx(3.0)
 
 
 def test_normal_label_is_the_mirror_image():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=1)
-    idx = detector.edge_indexes("u", "v")
-    detector.edge_total.assign_at(idx, 10.0)
-    detector.edge_current.assign_at(idx, 4.0)
+    idx = detector.family.indexes(("u", "v"))
+    total, current = detector.tables[0]
+    total.assign_at(idx, 10.0)
+    current.assign_at(idx, 4.0)
     apply_feedback(
         detector,
         FeedbackEvent(0, edge=("u", "v")),
         SharpeningParams(boost=2.0, damp=0.3),
     )
-    assert detector.edge_current.query_at(idx) == pytest.approx(4.0 * 0.3)
-    assert detector.edge_total.query_at(idx) == pytest.approx(20.0)
+    assert current.query_at(idx) == pytest.approx(4.0 * 0.3)
+    assert total.query_at(idx) == pytest.approx(20.0)
 
 
 def test_inverse_factors_commute_back_to_original():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=2)
-    idx = detector.edge_indexes("a", "b")
-    detector.edge_total.assign_at(idx, 6.25)
-    detector.edge_current.assign_at(idx, 1.5)
+    idx = detector.family.indexes(("a", "b"))
+    total, current = detector.tables[0]
+    total.assign_at(idx, 6.25)
+    current.assign_at(idx, 1.5)
     params = SharpeningParams(boost=2.0, damp=0.5)  # boost * damp == 1 exactly
     apply_feedback(detector, FeedbackEvent(0, edge=("a", "b")), params)
     apply_feedback(detector, FeedbackEvent(1, edge=("a", "b")), params)
-    assert detector.edge_total.query_at(idx) == 6.25
-    assert detector.edge_current.query_at(idx) == 1.5
+    assert total.query_at(idx) == 6.25
+    assert current.query_at(idx) == 1.5
 
 
 def test_cells_stay_positive_under_any_feedback_sequence():
@@ -79,18 +82,20 @@ def test_cells_stay_positive_under_any_feedback_sequence():
         edge = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
         detector.score(EdgeEvent(edge[0], edge[1], tick))
         apply_feedback(detector, FeedbackEvent(int(rng.random() < 0.5), edge=edge), params)
-    assert (detector.edge_total.counts >= 0).all()
-    assert (detector.edge_current.counts >= 0).all()
-    assert detector.edge_total.counts.max() > 0
+    total, current = detector.tables[0]
+    assert (total.counts >= 0).all()
+    assert (current.counts >= 0).all()
+    assert total.counts.max() > 0
 
 
 def test_relational_feedback_reaches_node_sketches():
     detector = MidasDetector("relational", n_buckets=1 << 16, seed=4)
     detector.score(EdgeEvent("u", "v", 1, weight=4.0))
-    before = detector.source_total.query("u")
+    (_, _), (source_total, _), (dest_total, _) = detector.tables
+    before = source_total.query("u")
     apply_feedback(detector, FeedbackEvent(0, edge=("u", "v")), SharpeningParams())
-    assert detector.source_total.query("u") == pytest.approx(before * 2.0)
-    assert detector.dest_total.query("v") == pytest.approx(before * 2.0)
+    assert source_total.query("u") == pytest.approx(before * 2.0)
+    assert dest_total.query("v") == pytest.approx(before * 2.0)
 
 
 def test_node_feedback_rejected_on_flat_layout():
