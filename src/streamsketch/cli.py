@@ -310,6 +310,11 @@ def _run_sess(args) -> int:
                     label, edge=(event.source, event.dest), index=index
                 )
                 apply_feedback(detector, feedback, params)
+        last = max(edge_labels, default=-1)
+        if last >= len(scores):
+            raise ValueError(
+                f"feedback index {last} is past the end of the stream ({len(scores)} edges)"
+            )
         return scores
 
     return _score_input(args, opts, score_all)

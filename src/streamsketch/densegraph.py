@@ -24,7 +24,7 @@ import numpy as np
 
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
-from .sketch import HigherOrderSketch
+from .sketch import HigherOrderSketch, check_decay
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -219,16 +219,14 @@ class AnoEdgeGlobal:
         n_buckets: int = 32,
         alpha: float = 0.9,
         seed: int = DEFAULT_SEED,
-        distinct_column_seeds: bool = False,
     ):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
-        self.sketch = HigherOrderSketch(n_rows, n_buckets, seed, distinct_column_seeds)
+        check_decay(alpha)
+        self.sketch = HigherOrderSketch(n_rows, n_buckets, seed)
         self.alpha = alpha
         self.clock = TickClock()
         chunk = max(1, SNAPSHOT_BUDGET_BYTES // self.sketch.matrices.nbytes)
         self._snapshots = np.empty((chunk,) + self.sketch.matrices.shape)
-        self._seeds = np.empty((chunk, n_rows, 2), dtype=np.intp)
+        self._seeds = np.empty((chunk, n_rows), dtype=np.intp)  # flat seed cells
 
     def score(self, event: EdgeEvent) -> float:
         return self.score_many((event,))[0]
@@ -265,8 +263,8 @@ class AnoEdgeGlobal:
         n_layers, n_buckets, _ = self.sketch.matrices.shape
         lanes = count * n_layers
         mats = self._snapshots[:count].reshape(lanes, n_buckets, n_buckets)
-        seeds = self._seeds[:count].reshape(lanes, 2)
-        best = expand_many(mats, seeds[:, 0], seeds[:, 1])
+        rows, cols = np.divmod(self._seeds[:count].reshape(lanes), n_buckets)
+        best = expand_many(mats, rows, cols)
         return best.reshape(count, n_layers).min(axis=1).tolist()
 
 
@@ -407,11 +405,9 @@ class AnoEdgeLocal:
         n_buckets: int = 32,
         alpha: float = 0.9,
         seed: int = DEFAULT_SEED,
-        distinct_column_seeds: bool = False,
     ):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
-        self.sketch = HigherOrderSketch(n_rows, n_buckets, seed, distinct_column_seeds)
+        check_decay(alpha)
+        self.sketch = HigherOrderSketch(n_rows, n_buckets, seed)
         self.alpha = alpha
         self.clock = TickClock()
         rng = np.random.default_rng(seed)
@@ -425,7 +421,8 @@ class AnoEdgeLocal:
         cells = self.sketch.indexes(event.source, event.dest)
         self.sketch.update_at(cells, event.weight)
         score = None
-        for layer, (r, c) in enumerate(cells):
+        for layer, cell in enumerate(cells):
+            r, c = divmod(cell, self.sketch.n_buckets)
             state = self.states[layer]
             matrix = self.sketch.matrices[layer]
             state.on_update(r, c, event.weight)

@@ -59,10 +59,6 @@ class EdgeEvent:
             raise ValueError(f"edge weight must be finite and >= 0, got {self.weight}")
         _check_tick(self.tick)
 
-    @property
-    def key(self) -> tuple:
-        return (self.source, self.dest)
-
 
 @dataclass(frozen=True, slots=True)
 class MultiAspectRecord:
@@ -83,7 +79,3 @@ class MultiAspectRecord:
             raise ValueError(f"numeric attributes must be finite, got {numeric}")
         object.__setattr__(self, "numeric", numeric)
         _check_tick(self.tick)
-
-    @property
-    def arity(self) -> int:
-        return len(self.categorical) + len(self.numeric)

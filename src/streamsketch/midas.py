@@ -24,7 +24,7 @@ from itertools import chain
 
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily
-from .sketch import CountMinSketch
+from .sketch import CountMinSketch, check_decay
 
 VARIANTS = ("plain", "relational", "filtering")
 
@@ -180,8 +180,8 @@ class MidasDetector:
     ):
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if variant != "plain" and not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
+        if variant != "plain":
+            check_decay(alpha)
         if merge_threshold <= 0:
             raise ValueError(f"merge threshold must be > 0, got {merge_threshold}")
         self.variant = variant

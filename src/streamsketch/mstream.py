@@ -19,7 +19,7 @@ import numpy as np
 from .events import MultiAspectRecord, TickClock
 from .hashing import DEFAULT_SEED, MERSENNE_P, HashFamily, canonical_key
 from .midas import chi2_score
-from .sketch import CountMinSketch
+from .sketch import CountMinSketch, check_decay
 
 
 @dataclass
@@ -142,8 +142,7 @@ class MstreamDetector:
     ):
         if n_categorical < 0 or n_numeric < 0 or n_categorical + n_numeric == 0:
             raise ValueError("detector needs at least one attribute")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
+        check_decay(alpha)
         self.n_categorical = n_categorical
         self.n_numeric = n_numeric
         self.n_rows = n_rows

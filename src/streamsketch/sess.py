@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
 from .midas import MidasDetector, chi2_score
-from .sketch import HigherOrderSketch
+from .sketch import HigherOrderSketch, check_decay
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,12 +104,9 @@ class Sess3dDetector:
         alpha: float = 0.5,
         seed: int = DEFAULT_SEED,
     ):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
+        check_decay(alpha)
         self.total = HigherOrderSketch(n_rows, n_buckets, seed)
         self.current = HigherOrderSketch(n_rows, n_buckets, seed)
-        self.n_rows = n_rows
-        self.n_buckets = n_buckets
         self.alpha = alpha
         self.clock = TickClock()
 
@@ -119,33 +116,28 @@ class Sess3dDetector:
         cells = self.total.indexes(event.source, event.dest)
         self.current.update_at(cells, event.weight)
         self.total.update_at(cells, event.weight)
-        a = min(self.current.matrices[layer, r, c] for layer, (r, c) in enumerate(cells))
-        s = min(self.total.matrices[layer, r, c] for layer, (r, c) in enumerate(cells))
-        return chi2_score(float(a), float(s), event.tick)
+        return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)
 
     def apply_feedback(self, feedback: FeedbackEvent, params: SharpeningParams) -> None:
         total_factor, current_factor = params.factors(feedback.label)
         if feedback.edge is not None:
-            cells = self.total.indexes(*feedback.edge)
-            for layer, (r, c) in enumerate(cells):
-                self.total.matrices[layer, r, c] *= total_factor
-                self.current.matrices[layer, r, c] *= current_factor
+            for layer, cell in enumerate(self.total.indexes(*feedback.edge)):
+                self.total.counts[layer, cell] *= total_factor
+                self.current.counts[layer, cell] *= current_factor
             return
-        node = feedback.node
-        rows = self.total.row_indexes(node)
-        cols = self.total.col_indexes(node)
-        for layer in range(self.n_rows):
-            r, c = rows[layer], cols[layer]
+        # Sources and destinations share one hash, so the node's bucket is
+        # both its row and its column.
+        for layer, b in enumerate(self.total.family.indexes(feedback.node)):
             for sketch, factor in (
                 (self.total, total_factor),
                 (self.current, current_factor),
             ):
-                sketch.matrices[layer, r, :] *= factor
+                sketch.matrices[layer, b, :] *= factor
                 # Column cells outside the already-scaled row.
-                col = sketch.matrices[layer, :, c]
-                keep = col[r]
+                col = sketch.matrices[layer, :, b]
+                keep = col[b]
                 col *= factor
-                col[r] = keep
+                col[b] = keep
 
     def state_bytes(self) -> int:
         return self.total.state_bytes() + self.current.state_bytes()

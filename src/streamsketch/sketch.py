@@ -1,9 +1,12 @@
 """Counting sketches: the classic count-min table and its higher-order
 variant whose buckets form one matrix per hash row.
 
-Counts are 64-bit floats because temporal decay repeatedly scales them by a
-factor in (0, 1). Queries never underestimate: every update touches every
-row, and estimates take the minimum across rows.
+Both keep their counts in one table, ``counts[row, cell]``: a count-min row
+has ``n_buckets`` cells, a higher-order row ``n_buckets ** 2``, read as an
+``n_buckets x n_buckets`` matrix. Counts are 64-bit floats because temporal
+decay repeatedly scales them by a factor in (0, 1). Queries never
+underestimate: every update touches every row, and estimates take the
+minimum across rows.
 """
 
 from __future__ import annotations
@@ -15,10 +18,119 @@ import numpy as np
 
 from .hashing import DEFAULT_SEED, HashFamily
 
-_HEADER = struct.Struct("<III")  # n_rows, n_buckets, seed
+_HEADER = struct.Struct("<BIIQ")  # version, n_rows, n_buckets, seed
 
 
-class CountMinSketch:
+def check_decay(alpha: float) -> None:
+    """Reject a decay factor outside (0, 1): 0 would clear history entirely
+    and 1 would not scale at all."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
+
+
+class _CountTable:
+    """The count rows under both sketches, addressed by one cell per row.
+
+    Subclasses hash keys to those cells; every count operation, the batch
+    kernels and the snapshot codec live here, once.
+    """
+
+    _order = 1  # a row holds n_buckets ** _order cells
+    _version = 1  # snapshot format version, the first byte of every blob
+
+    def __init__(self, family: HashFamily):
+        self.family = family
+        self.n_rows = family.n_rows
+        self.n_buckets = family.n_buckets
+        self.counts = np.zeros((self.n_rows, self.n_buckets**self._order), dtype=np.float64)
+
+    # -- updates and queries at given cells --------------------------------
+
+    def update_at(self, cells, weight: float = 1.0) -> None:
+        """Add ``weight`` to one cell per row.
+
+        Negative weights are rejected: they would break the guarantee that
+        queries never fall below the true accumulated weight. So are inf
+        and nan, which would poison the cell for good.
+        """
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+        counts = self.counts
+        for row, cell in enumerate(cells):
+            counts[row, cell] += weight
+
+    def query_at(self, cells) -> float:
+        """Smallest of the cells across rows: an upper bound on the true count."""
+        counts = self.counts
+        best = counts[0, cells[0]]
+        for row in range(1, self.n_rows):
+            value = counts[row, cells[row]]
+            if value < best:
+                best = value
+        return float(best)
+
+    def assign_at(self, cells, value: float) -> None:
+        """Overwrite one cell per row with ``value`` (no accumulation).
+
+        This is the cache behaviour used for per-entity score sketches.
+        """
+        counts = self.counts
+        for row, cell in enumerate(cells):
+            counts[row, cell] = value
+
+    def _add_many(self, cells: np.ndarray, weight: float) -> None:
+        """Add ``weight`` at ``cells`` of shape (n_rows, n), as n updates would."""
+        if not (0 <= weight < math.inf):  # also rejects nan
+            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+        for row in range(self.n_rows):
+            np.add.at(self.counts[row], cells[row], weight)
+
+    def _min_many(self, cells: np.ndarray) -> np.ndarray:
+        """Min-of-rows estimates at ``cells`` of shape (n_rows, n)."""
+        return np.take_along_axis(self.counts, cells, axis=1).min(axis=0)
+
+    # -- whole-table operations -------------------------------------------
+
+    def decay(self, alpha: float) -> None:
+        """Scale every cell by ``alpha``; see ``check_decay``."""
+        check_decay(alpha)
+        self.counts *= alpha
+
+    def clear(self) -> None:
+        self.counts.fill(0.0)
+
+    def state_bytes(self) -> int:
+        return int(self.counts.nbytes)
+
+    # -- snapshots ---------------------------------------------------------
+
+    def to_bytes(self) -> bytes:
+        """Version, shape and 64-bit seed, then the counts as row-major
+        little-endian floats."""
+        seed = self.family.seed
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"snapshot seed must fit in 64 bits, got {seed}")
+        head = _HEADER.pack(self._version, self.n_rows, self.n_buckets, seed)
+        return head + self.counts.astype("<f8").tobytes(order="C")
+
+    @classmethod
+    def from_bytes(cls, blob: bytes):
+        """The sketch ``to_bytes`` wrote; any other blob raises ValueError."""
+        if len(blob) < _HEADER.size:
+            raise ValueError(f"snapshot of {len(blob)} bytes is shorter than its header")
+        version, n_rows, n_buckets, seed = _HEADER.unpack_from(blob)
+        if version != cls._version:
+            raise ValueError(f"unsupported snapshot version {version}")
+        size = _HEADER.size + 8 * n_rows * n_buckets**cls._order
+        if len(blob) != size:
+            raise ValueError(f"snapshot has {len(blob)} bytes, its header needs {size}")
+        sketch = cls(n_rows, n_buckets, seed=seed)
+        flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
+        sketch.counts[...] = flat.reshape(sketch.counts.shape)
+        return sketch
+
+
+class CountMinSketch(_CountTable):
     """Approximate counter table: n_rows hash rows over n_buckets buckets.
 
     Supports weighted updates, min-of-rows queries, multiplicative decay,
@@ -37,91 +149,32 @@ class CountMinSketch:
             family = HashFamily(n_rows, n_buckets, seed)
         elif family.n_rows != n_rows or family.n_buckets != n_buckets:
             raise ValueError("supplied hash family does not match sketch shape")
-        self.family = family
-        self.n_rows = n_rows
-        self.n_buckets = n_buckets
-        self.counts = np.zeros((n_rows, n_buckets), dtype=np.float64)
-
-    # -- key hashing ----------------------------------------------------
+        super().__init__(family)
 
     def indexes(self, key) -> tuple[int, ...]:
         """Per-row bucket index for ``key``; reusable across sketches that
         share this sketch's hash family."""
         return self.family.indexes(key)
 
-    # -- updates and queries ---------------------------------------------
-
     def update(self, key, weight: float = 1.0) -> None:
-        """Add ``weight`` to the key's bucket in every row.
-
-        Negative weights are rejected: they would break the guarantee that
-        queries never fall below the true accumulated weight. So are inf
-        and nan, which would poison the bucket for good.
-        """
+        """Add ``weight`` to the key's bucket in every row."""
         self.update_at(self.family.indexes(key), weight)
-
-    def update_at(self, indexes, weight: float = 1.0) -> None:
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
-        counts = self.counts
-        for row, bucket in enumerate(indexes):
-            counts[row, bucket] += weight
 
     def query(self, key) -> float:
         """Smallest bucket value across rows: an upper bound on the true count."""
         return self.query_at(self.family.indexes(key))
 
-    def query_at(self, indexes) -> float:
-        counts = self.counts
-        best = counts[0, indexes[0]]
-        for row in range(1, self.n_rows):
-            value = counts[row, indexes[row]]
-            if value < best:
-                best = value
-        return float(best)
-
     def update_many(self, keys: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer keys; equivalent to updating one by one."""
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
-        buckets = self.family.indexes_many(keys)
-        for row in range(self.n_rows):
-            np.add.at(self.counts[row], buckets[row], weight)
+        self._add_many(self.family.indexes_many(keys), weight)
 
     def query_many(self, keys: np.ndarray) -> np.ndarray:
         """Batch min-of-rows estimates for integer keys."""
-        buckets = self.family.indexes_many(keys)
-        stacked = np.stack(
-            [self.counts[row][buckets[row]] for row in range(self.n_rows)]
-        )
-        return stacked.min(axis=0)
+        return self._min_many(self.family.indexes_many(keys))
 
     def assign(self, key, value: float) -> None:
-        """Overwrite the key's buckets with ``value`` (no accumulation).
-
-        This is the cache behaviour used for per-entity score sketches.
-        """
+        """Overwrite the key's buckets with ``value``."""
         self.assign_at(self.family.indexes(key), value)
-
-    def assign_at(self, indexes, value: float) -> None:
-        counts = self.counts
-        for row, bucket in enumerate(indexes):
-            counts[row, bucket] = value
-
-    # -- whole-table operations -------------------------------------------
-
-    def decay(self, alpha: float) -> None:
-        """Scale every bucket by ``alpha``; alpha must lie strictly in (0, 1).
-
-        0 would clear history entirely and 1 would not scale at all, so both
-        endpoints are rejected.
-        """
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
-        self.counts *= alpha
-
-    def clear(self) -> None:
-        self.counts.fill(0.0)
 
     def merge_conditional(
         self,
@@ -150,126 +203,48 @@ class CountMinSketch:
             rejected = ~accept
             self.counts[rejected] += self.counts[rejected] / (tick - 1)
 
-    # -- snapshots ---------------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """Header (shape, seed) followed by row-major little-endian floats.
-
-        Snapshot format for tests; stability is only promised within a run.
-        """
-        head = _HEADER.pack(self.n_rows, self.n_buckets, self.family.seed & 0xFFFFFFFF)
-        return head + self.counts.astype("<f8").tobytes(order="C")
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CountMinSketch":
-        n_rows, n_buckets, seed = _HEADER.unpack_from(blob)
-        sketch = cls(n_rows, n_buckets, seed=seed)
-        flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-        sketch.counts = flat.reshape(n_rows, n_buckets).astype(np.float64)
-        return sketch
-
-    def state_bytes(self) -> int:
-        return int(self.counts.nbytes)
-
-
-class HigherOrderSketch:
+class HigherOrderSketch(_CountTable):
     """Count sketch whose buckets form an n_buckets x n_buckets matrix per
-    hash row: sources hash to rows, destinations to columns.
+    hash row: one hash family sends sources to matrix rows and destinations
+    to matrix columns.
 
     Dense subgraphs in the input stream land in dense submatrices, which is
-    what the density scorers exploit. By default the row and column hashes
-    share one draw per layer; pass distinct_column_seeds=True for separate
-    draws.
+    what the density scorers exploit. ``matrices`` is a
+    ``(n_rows, n_buckets, n_buckets)`` view of ``counts``, and the cell of
+    matrix entry (r, c) is ``r * n_buckets + c``.
     """
 
-    def __init__(
-        self,
-        n_rows: int = 2,
-        n_buckets: int = 32,
-        seed: int = DEFAULT_SEED,
-        distinct_column_seeds: bool = False,
-    ):
-        self.n_rows = n_rows
-        self.n_buckets = n_buckets
-        self.seed = seed
-        self.row_family = HashFamily(n_rows, n_buckets, seed)
-        if distinct_column_seeds:
-            self.col_family = HashFamily(n_rows, n_buckets, seed + 0x5EED)
-        else:
-            self.col_family = self.row_family
-        self.matrices = np.zeros((n_rows, n_buckets, n_buckets), dtype=np.float64)
+    _order = 2
 
-    def indexes(self, source, dest) -> tuple[tuple[int, int], ...]:
-        rows = self.row_family.indexes(source)
-        cols = self.col_family.indexes(dest)
-        return tuple(zip(rows, cols))
+    def __init__(self, n_rows: int = 2, n_buckets: int = 32, seed: int = DEFAULT_SEED):
+        super().__init__(HashFamily(n_rows, n_buckets, seed))
+        self.matrices = self.counts.reshape(n_rows, n_buckets, n_buckets)
 
-    def row_indexes(self, source) -> tuple[int, ...]:
-        return self.row_family.indexes(source)
-
-    def col_indexes(self, dest) -> tuple[int, ...]:
-        return self.col_family.indexes(dest)
+    def indexes(self, source, dest) -> tuple[int, ...]:
+        """The (source, dest) cell of every row, as ``r * n_buckets + c``."""
+        n_buckets = self.n_buckets
+        rows = self.family.indexes(source)
+        cols = self.family.indexes(dest)
+        return tuple(r * n_buckets + c for r, c in zip(rows, cols))
 
     def update(self, source, dest, weight: float = 1.0) -> None:
         self.update_at(self.indexes(source, dest), weight)
 
-    def update_at(self, cells, weight: float = 1.0) -> None:
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
-        matrices = self.matrices
-        for layer, (r, c) in enumerate(cells):
-            matrices[layer, r, c] += weight
-
     def estimate(self, source, dest) -> float:
-        """Min over layers of the (row-hash, col-hash) cell; never below the
-        true accumulated weight of (source, dest)."""
-        matrices = self.matrices
-        best = None
-        for layer, (r, c) in enumerate(self.indexes(source, dest)):
-            value = matrices[layer, r, c]
-            if best is None or value < best:
-                best = value
-        return float(best)
+        """Min over layers of the (source, dest) cell; never below the true
+        accumulated weight of (source, dest)."""
+        return self.query_at(self.indexes(source, dest))
+
+    def _cells_many(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
+        rows = self.family.indexes_many(sources)
+        return rows * self.n_buckets + self.family.indexes_many(dests)
 
     def update_many(self, sources: np.ndarray, dests: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer node ids; equivalent to one-by-one."""
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
-        rows = self.row_family.indexes_many(sources)
-        cols = self.col_family.indexes_many(dests)
-        for layer in range(self.n_rows):
-            np.add.at(self.matrices[layer], (rows[layer], cols[layer]), weight)
+        self._add_many(self._cells_many(sources, dests), weight)
 
     def estimate_many(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
-        rows = self.row_family.indexes_many(sources)
-        cols = self.col_family.indexes_many(dests)
-        stacked = np.stack(
-            [
-                self.matrices[layer][rows[layer], cols[layer]]
-                for layer in range(self.n_rows)
-            ]
-        )
-        return stacked.min(axis=0)
+        return self._min_many(self._cells_many(sources, dests))
 
-    def decay(self, alpha: float) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
-        self.matrices *= alpha
-
-    def reset(self) -> None:
-        self.matrices.fill(0.0)
-
-    def to_bytes(self) -> bytes:
-        head = _HEADER.pack(self.n_rows, self.n_buckets, self.seed & 0xFFFFFFFF)
-        return head + self.matrices.astype("<f8").tobytes(order="C")
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "HigherOrderSketch":
-        n_rows, n_buckets, seed = _HEADER.unpack_from(blob)
-        sketch = cls(n_rows, n_buckets, seed=seed)
-        flat = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-        sketch.matrices = flat.reshape(n_rows, n_buckets, n_buckets).astype(np.float64)
-        return sketch
-
-    def state_bytes(self) -> int:
-        return int(self.matrices.nbytes)
+    reset = _CountTable.clear  # this sketch's public name for clear

@@ -96,8 +96,8 @@ class OracleAnoEdgeGlobal(AnoEdgeGlobal):
         cells = self.sketch.indexes(event.source, event.dest)
         self.sketch.update_at(cells, event.weight)
         return min(
-            oracle_expand(self.sketch.matrices[layer], r, c)
-            for layer, (r, c) in enumerate(cells)
+            oracle_expand(self.sketch.matrices[layer], *divmod(cell, self.sketch.n_buckets))
+            for layer, cell in enumerate(cells)
         )
 
 
@@ -187,7 +187,8 @@ def test_topk_matches_per_seed_oracle():
 # -- chunked scoring -------------------------------------------------------------
 
 SHAPES = [
-    # (n_rows, n_buckets, distinct_column_seeds)
+    # (n_rows, n_buckets, restored): a restored detector scores the second
+    # half of the stream on a sketch restored from a mid-stream snapshot.
     (1, 4, False),
     (2, 32, False),
     (3, 64, False),
@@ -235,20 +236,24 @@ def _stream(kind, chunk, rng):
     ]
 
 
-@pytest.mark.parametrize("n_rows,n_buckets,distinct", SHAPES)
+@pytest.mark.parametrize("n_rows,n_buckets,restored", SHAPES)
 @pytest.mark.parametrize(
     "kind", ["one_per_tick", "big_tick", "straddle", "three_chunks", "weighted"]
 )
-def test_score_many_matches_per_edge_oracle(kind, n_rows, n_buckets, distinct):
+def test_score_many_matches_per_edge_oracle(kind, n_rows, n_buckets, restored):
     chunk = _chunk(n_rows, n_buckets)
     events = _stream(kind, chunk, np.random.default_rng(n_rows * 100 + n_buckets))
-    params = dict(n_rows=n_rows, n_buckets=n_buckets, alpha=0.8, seed=13,
-                  distinct_column_seeds=distinct)
+    params = dict(n_rows=n_rows, n_buckets=n_buckets, alpha=0.8, seed=13)
     fast = AnoEdgeGlobal(**params)
     assert fast._snapshots.shape[0] == chunk
     oracle = OracleAnoEdgeGlobal(**params)
     want = [oracle.score(event) for event in events]
-    assert fast.score_many(events) == want
+    cut = len(events) // 2 if restored else len(events)
+    got = fast.score_many(events[:cut])
+    if restored:
+        fast.sketch = HigherOrderSketch.from_bytes(fast.sketch.to_bytes())
+    got += fast.score_many(events[cut:])
+    assert got == want
     assert np.array_equal(fast.sketch.matrices, oracle.sketch.matrices)
     assert fast.clock.tick == oracle.clock.tick
 

@@ -310,6 +310,21 @@ def test_sess_node_feedback_needs_3d_layout(tmp_path, capsys):
     ) == 0
 
 
+@pytest.mark.parametrize("layout", ["flat", "3d"])
+def test_sess_feedback_past_the_stream_end_exits_1(tmp_path, capsys, layout):
+    edges = tmp_path / "edges.csv"
+    feedback = tmp_path / "feedback.txt"
+    write_edges(edges, [(1, 2, 1), (2, 3, 1)])
+    feedback.write_text("999999,1\n")
+    argv = ["sess", "--input", str(edges), "--feedback", str(feedback), "--layout", layout]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: feedback index 999999 is past the end of the stream (2 edges)\n"
+    )
+
+
 def test_pomdp_command_reproduces_imitate_row(tmp_path):
     # Estimates default to the true rates when not supplied.
     out = tmp_path / "table.csv"

@@ -255,7 +255,7 @@ def test_anoedge_local_first_edge_covers_three_cells():
     cells = detector.sketch.indexes("u", "v")
     disjoint = all(
         not state.in_rows[r] and not state.in_cols[c]
-        for state, (r, c) in zip(detector.states, cells)
+        for state, (r, c) in zip(detector.states, (divmod(cell, 32) for cell in cells))
     )
     assert disjoint  # holds for this seed; the point of the value below
     assert detector.score(EdgeEvent("u", "v", 1, weight=1.0)) == pytest.approx(1 / 3)

@@ -1,9 +1,12 @@
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import streamsketch
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_public_names_resolve_and_cover_the_readme_import():
@@ -15,3 +18,19 @@ def test_public_names_resolve_and_cover_the_readme_import():
     exec(statement.group(0), namespace)
     imported = {name for name in namespace if name != "__builtins__"}
     assert imported and imported <= set(streamsketch.__all__)
+
+
+def test_benchmark_tracer_targets_resolve():
+    """Every name the benchmark's tracer wraps exists, so a rename in the
+    package fails here and not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [target for group in spans.TARGETS.values() for target in group]
+    assert targets
+    for module_name, path in targets + list(spans.PARSERS):
+        owner, attr = spans._resolve(importlib.import_module(module_name), path)
+        assert callable(getattr(owner, attr)), (module_name, path)
+    sketch = importlib.import_module("streamsketch.sketch")
+    for name in spans.SKETCH_CLASSES:
+        assert isinstance(getattr(sketch, name), type), name

@@ -109,9 +109,9 @@ def test_3d_edge_feedback_scales_single_cells():
     detector.score(EdgeEvent("u", "v", 1, weight=5.0))
     apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams())
     cells = detector.total.indexes("u", "v")
-    for layer, (r, c) in enumerate(cells):
-        assert detector.total.matrices[layer, r, c] == pytest.approx(5.0 * 0.3)
-        assert detector.current.matrices[layer, r, c] == pytest.approx(5.0 * 2.0)
+    for layer, cell in enumerate(cells):
+        assert detector.total.counts[layer, cell] == pytest.approx(5.0 * 0.3)
+        assert detector.current.counts[layer, cell] == pytest.approx(5.0 * 2.0)
 
 
 def test_3d_node_feedback_scales_row_and_column_once():
@@ -119,10 +119,10 @@ def test_3d_node_feedback_scales_row_and_column_once():
     detector.total.matrices[:] = 1.0
     detector.current.matrices[:] = 1.0
     apply_feedback(detector, FeedbackEvent(1, node="n"), SharpeningParams(2.0, 0.3))
-    rows = detector.total.row_indexes("n")
-    cols = detector.total.col_indexes("n")
-    for layer in range(2):
-        r, c = rows[layer], cols[layer]
+    # One hash family: the node's bucket is both its row and its column.
+    for layer, cell in enumerate(detector.total.indexes("n", "n")):
+        r, c = divmod(cell, 8)
+        assert r == c
         m = detector.total.matrices[layer]
         assert m[r, c] == pytest.approx(0.3)  # intersection scaled exactly once
         assert np.allclose(np.delete(m[r, :], c), 0.3)

@@ -213,7 +213,8 @@ def test_shared_source_lands_in_one_row():
     ho = HigherOrderSketch(2, 32, seed=1)
     cells_uv = ho.indexes("u", "v")
     cells_uw = ho.indexes("u", "w")
-    for (r1, c1), (r2, c2) in zip(cells_uv, cells_uw):
+    for cell_uv, cell_uw in zip(cells_uv, cells_uw):
+        (r1, c1), (r2, c2) = divmod(cell_uv, 32), divmod(cell_uw, 32)
         assert r1 == r2
         assert c1 != c2  # different destinations, collision-free here
 
@@ -264,14 +265,6 @@ def test_higher_order_never_underestimates_and_respects_error_bound():
     assert over / len(truth) <= 2 * math.exp(-2)
 
 
-def test_distinct_column_seeds_change_column_hashing_only():
-    shared = HigherOrderSketch(2, 32, seed=8)
-    split = HigherOrderSketch(2, 32, seed=8, distinct_column_seeds=True)
-    assert shared.row_indexes("u") == split.row_indexes("u")
-    assert shared.col_indexes("u") == shared.row_indexes("u")
-    assert split.col_indexes("u") != split.row_indexes("u")
-
-
 def test_batch_updates_match_scalar_loop():
     rng = np.random.default_rng(10)
     keys = rng.integers(0, 400, size=3000)
@@ -317,3 +310,40 @@ def test_snapshot_roundtrip_and_stability():
     ho_clone = HigherOrderSketch.from_bytes(ho.to_bytes())
     assert np.array_equal(ho_clone.matrices, ho.matrices)
     assert ho_clone.estimate(3, 4) == ho.estimate(3, 4)
+
+
+def test_snapshot_keeps_a_seed_wider_than_32_bits():
+    sketch = CountMinSketch(2, 64, seed=2**32 + 7)
+    sketch.update("k", 3.0)
+    clone = CountMinSketch.from_bytes(sketch.to_bytes())
+    assert clone.family.seed == 2**32 + 7
+    assert clone.query("k") == 3.0
+
+
+def test_snapshot_rejects_a_seed_wider_than_64_bits():
+    with pytest.raises(ValueError, match="64 bits"):
+        CountMinSketch(2, 8, seed=2**64).to_bytes()
+
+
+def test_restored_matrices_stay_a_view_of_the_counts():
+    ho = HigherOrderSketch(2, 8, seed=19)
+    ho.update("u", "v", 1.5)
+    clone = HigherOrderSketch.from_bytes(ho.to_bytes())
+    clone.update("u", "v", 2.0)
+    for layer, cell in enumerate(clone.indexes("u", "v")):
+        assert clone.matrices[layer][divmod(cell, 8)] == 3.5
+    assert clone.estimate("u", "v") == 3.5
+
+
+@pytest.mark.parametrize("cls,args", [(CountMinSketch, (2, 16)), (HigherOrderSketch, (2, 4))])
+@pytest.mark.parametrize("damage", ["truncated", "extended", "three_bytes", "wrong_version"])
+def test_malformed_snapshot_raises_value_error(cls, args, damage):
+    blob = cls(*args, seed=3).to_bytes()
+    bad = {
+        "truncated": blob[:-5],
+        "extended": blob + bytes(8),
+        "three_bytes": blob[:3],
+        "wrong_version": bytes([blob[0] + 1]) + blob[1:],
+    }[damage]
+    with pytest.raises(ValueError):
+        cls.from_bytes(bad)
