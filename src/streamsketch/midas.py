@@ -11,6 +11,12 @@ the current tick is compared against its historical per-tick mean.
   conditional merge, so a burst cannot poison its own baseline while it is
   still in progress.
 
+A detector stacks its counts in one array, ``counts[kind, key, row, bucket]``
+(kinds: total, current and, for filtering, the score cache), which its
+``CountMinSketch`` tables view. A tick boundary is then whole-array passes:
+a fill (plain), a multiply (relational), or the scatter-form conditional
+merge and a multiply (filtering).
+
 A separate decision rule turns scores into flags with a bounded
 false-positive probability, using the chi-squared quantile at 1 - eps/2 and
 the sketch overcount allowance nu * N_t.
@@ -20,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+
+import numpy as np
 
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily
-from .sketch import CountMinSketch, check_decay
+from .sketch import CountMinSketch, check_decay, check_weight, conditional_merge
 
 VARIANTS = ("plain", "relational", "filtering")
 
@@ -191,14 +198,16 @@ class MidasDetector:
         self.merge_threshold = merge_threshold
         self.family = HashFamily(n_rows, n_buckets, seed)
 
-        def make() -> CountMinSketch:
-            return CountMinSketch(n_rows, n_buckets, family=self.family)
-
-        # (total, current) per scored key, in the order keys() gives them.
-        n_keys = len(self.keys(None, None))
-        self.tables = [(make(), make()) for _ in range(n_keys)]
         # Filtering caches each key's last score for the conditional merge.
-        self.score_caches = [make() for _ in range(n_keys)] if variant == "filtering" else []
+        n_kinds = 3 if variant == "filtering" else 2
+        self.counts = np.zeros((n_kinds, len(self.keys(None, None)), n_rows, n_buckets))
+        views = [
+            [CountMinSketch(n_rows, n_buckets, family=self.family, counts=c) for c in kind]
+            for kind in self.counts
+        ]
+        # (total, current) per scored key, in the order keys() gives them.
+        self.tables = list(zip(views[0], views[1]))
+        self.score_caches = views[2] if variant == "filtering" else []
 
         self.clock = TickClock()
         self.tick_volume = 0.0  # weight in the current-count sketch, N_t
@@ -213,66 +222,51 @@ class MidasDetector:
     # -- tick bookkeeping --------------------------------------------------
 
     def _close_tick(self, closing: int) -> None:
+        counts = self.counts
         if self.variant == "plain":
-            for _, current in self.tables:
-                current.clear()
+            counts[1].fill(0.0)
             self.tick_volume = 0.0
             return
         # Filtering closes out the tick that just ended: totals absorb current
         # counts (or their own per-tick mean when the cached score crossed the
         # threshold), keeping the mean level unchanged.
-        for (total, current), cache in zip(self.tables, self.score_caches):
-            total.merge_conditional(current, cache, self.merge_threshold, closing)
-        for _, current in self.tables:
-            current.decay(self.alpha)
+        if self.variant == "filtering":
+            conditional_merge(counts[0], counts[1], counts[2], self.merge_threshold, closing)
+        counts[1] *= self.alpha
         self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
 
     # -- scoring -------------------------------------------------------------
 
     def process(self, event: EdgeEvent) -> StepStats:
         """Insert one edge and return its scores and supporting counts."""
+        w = event.weight
+        check_weight(w)  # once here; the table adds below do not check again
         closing = self.clock.advance(event.tick)
         if closing is not None:
             self._close_tick(closing)
         t = event.tick
-        w = event.weight
         self.tick_volume += w
         indexes = self.family.indexes
-        keys = self.keys(event.source, event.dest)
+        filtering = self.variant == "filtering"
         scores = []
-        if self.variant == "filtering":
-            # Totals change only at tick boundaries, in _close_tick.
-            for key, (total, current), cache in zip(keys, self.tables, self.score_caches):
-                idx = indexes(key)
-                current.update_at(idx, w)
-                a = current.query_at(idx)
-                s = total.query_at(idx)
-                if not scores:  # the edge
-                    a_edge, s_edge = a, s
+        for k, key in enumerate(self.keys(event.source, event.dest)):
+            total, current = self.tables[k]
+            idx = indexes(key)
+            current._add_at(idx, w)
+            if not filtering:  # filtering totals change only in _close_tick
+                total._add_at(idx, w)
+            a, s = current.query_at(idx), total.query_at(idx)
+            if not scores:  # the edge
+                a_edge, s_edge = a, s
+            if filtering:
                 score = filtering_score(a, s, t)
-                cache.assign_at(idx, score)
-                scores.append(score)
-        else:
-            for key, (total, current) in zip(keys, self.tables):
-                idx = indexes(key)
-                current.update_at(idx, w)
-                total.update_at(idx, w)
-                a = current.query_at(idx)
-                s = total.query_at(idx)
-                if not scores:
-                    a_edge, s_edge = a, s
-                scores.append(chi2_score(a, s, t))
+                self.score_caches[k].assign_at(idx, score)
+            else:
+                score = chi2_score(a, s, t)
+            scores.append(score)
 
-        source_score, dest_score = scores[1:] or (None, None)
-        return StepStats(
-            tick=t,
-            edge_score=scores[0],
-            source_score=source_score,
-            dest_score=dest_score,
-            current_count=a_edge,
-            total_count=s_edge,
-            tick_volume=self.tick_volume,
-        )
+        node_scores = scores[1:] or (None, None)  # source, dest
+        return StepStats(t, scores[0], *node_scores, a_edge, s_edge, self.tick_volume)
 
     def score(self, event: EdgeEvent) -> float:
         """Insert the edge and return the max over its scored keys."""
@@ -283,4 +277,4 @@ class MidasDetector:
         return stats.combined("max"), rule.is_flagged(stats)
 
     def state_bytes(self) -> int:
-        return sum(table.state_bytes() for table in chain(*self.tables, self.score_caches))
+        return int(self.counts.nbytes)

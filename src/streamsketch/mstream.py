@@ -6,13 +6,14 @@ log/min-max bucketizer) and the whole record jointly (categorical linear
 hashes summed with a random-hyperplane signature of the numeric part). Each
 hash feeds a pair of count tables, current tick vs all time, and the record
 score is the sum of the d+1 chi-squared statistics. The per-attribute terms
-double as an explanation of which attribute burst.
+double as an explanation of which attribute burst. All 2(d+1) tables view
+one array, so a tick boundary decays every current table in one multiply.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,27 +169,24 @@ class MstreamDetector:
         ]
         self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
 
-        # The tables take their buckets from the hashes above; the family
-        # only fixes their shape.
+        # counts[kind, attr, row, bucket]: kind 0 totals, kind 1 current; the
+        # last attr is the whole record. The tables view it and take their
+        # buckets from the hashes above; the family only fixes their shape.
         family = HashFamily(n_rows, n_buckets, seed)
-
-        def make() -> CountMinSketch:
-            return CountMinSketch(n_rows, n_buckets, family=family)
-
-        # (total, current) per attribute, then the pair for the whole record.
-        self._tables = [(make(), make()) for _ in range(n_categorical + n_numeric + 1)]
+        self.counts = np.zeros((2, n_categorical + n_numeric + 1, n_rows, n_buckets))
+        totals, currents = (
+            [CountMinSketch(n_rows, n_buckets, family=family, counts=c) for c in kind]
+            for kind in self.counts
+        )
+        self._tables = list(zip(totals, currents))
         self.clock = TickClock()
 
     def _feature_buckets(self, record: MultiAspectRecord) -> list[list[int]]:
         """Per-attribute bucket list, one entry per hash row."""
         buckets = []
         for j, value in enumerate(record.categorical):
-            buckets.append(
-                [
-                    hash_categorical(value, self._feature_cat_pairs[row][j], self.n_buckets)
-                    for row in range(self.n_rows)
-                ]
-            )
+            pairs = (row_pairs[j] for row_pairs in self._feature_cat_pairs)
+            buckets.append([hash_categorical(value, pair, self.n_buckets) for pair in pairs])
         for j, value in enumerate(record.numeric):
             # The bucketizer is deterministic, so rows share one bucket; the
             # min/max state absorbs the value exactly once.
@@ -197,15 +195,8 @@ class MstreamDetector:
         return buckets
 
     def _record_buckets(self, record: MultiAspectRecord) -> list[int]:
-        return [
-            record_hash(
-                record,
-                self._hyperplanes[row],
-                self.n_buckets,
-                self._record_cat_pairs[row],
-            )
-            for row in range(self.n_rows)
-        ]
+        hashes = zip(self._hyperplanes, self._record_cat_pairs)  # one per row
+        return [record_hash(record, planes, self.n_buckets, pairs) for planes, pairs in hashes]
 
     def score(self, record: MultiAspectRecord) -> RecordScore:
         """Insert one record; return its total score and per-attribute terms.
@@ -223,19 +214,18 @@ class MstreamDetector:
                 f"does not match detector ({self.n_categorical} cat, {self.n_numeric} num)"
             )
         if self.clock.advance(record.tick) is not None:
-            for _, current in self._tables:
-                current.decay(self.alpha)
+            self.counts[1] *= self.alpha
         t = record.tick
 
         buckets = self._feature_buckets(record)
         buckets.append(self._record_buckets(record))
         terms = []
         for (total, current), indexes in zip(self._tables, buckets):
-            current.update_at(indexes)
-            total.update_at(indexes)
+            current._add_at(indexes, 1.0)
+            total._add_at(indexes, 1.0)
             terms.append(chi2_score(current.query_at(indexes), total.query_at(indexes), t))
         record_term = terms.pop()
         return RecordScore(record_term + sum(terms), record_term, tuple(terms))
 
     def state_bytes(self) -> int:
-        return sum(t.state_bytes() + c.state_bytes() for t, c in self._tables)
+        return int(self.counts.nbytes)

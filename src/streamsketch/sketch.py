@@ -3,10 +3,12 @@ variant whose buckets form one matrix per hash row.
 
 Both keep their counts in one table, ``counts[row, cell]``: a count-min row
 has ``n_buckets`` cells, a higher-order row ``n_buckets ** 2``, read as an
-``n_buckets x n_buckets`` matrix. Counts are 64-bit floats because temporal
-decay repeatedly scales them by a factor in (0, 1). Queries never
-underestimate: every update touches every row, and estimates take the
-minimum across rows.
+``n_buckets x n_buckets`` matrix. A table may own its counts or view a slice
+of a larger array its caller owns, so a detector can stack all its tables in
+one array and handle a tick boundary in a few whole-array passes. Counts are
+64-bit floats because temporal decay repeatedly scales them by a factor in
+(0, 1). Queries never underestimate: every update touches every row, and
+estimates take the minimum across rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,31 @@ def check_decay(alpha: float) -> None:
         raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
 
 
+def check_weight(weight: float) -> None:
+    """Reject a weight below 0, which would let queries underestimate, and
+    inf or nan, which would poison a cell for good."""
+    if not (0 <= weight < math.inf):  # also rejects nan
+        raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+
+
+def conditional_merge(total, current, scores, epsilon: float, tick: int) -> None:
+    """Fold ``current`` into ``total`` in place, for C-contiguous arrays of
+    one shape.
+
+    Cells whose cached score is below ``epsilon`` receive the current count;
+    the rest, nan scores included, their own per-tick mean total/(tick - 1),
+    so the mean level stays unchanged; at tick 1 they are left alone. The
+    rejected cells are saved, all cells added, the saved ones written back.
+    """
+    flat = total.reshape(-1)  # a view, as total is contiguous
+    rejected = np.flatnonzero(~(scores < epsilon))
+    kept = flat[rejected]
+    total += current
+    if tick != 1:
+        kept += kept / (tick - 1)
+    flat[rejected] = kept
+
+
 class _CountTable:
     """The count rows under both sketches, addressed by one cell per row.
 
@@ -38,23 +65,26 @@ class _CountTable:
     _order = 1  # a row holds n_buckets ** _order cells
     _version = 1  # snapshot format version, the first byte of every blob
 
-    def __init__(self, family: HashFamily):
+    def __init__(self, family: HashFamily, counts: np.ndarray | None = None):
         self.family = family
         self.n_rows = family.n_rows
         self.n_buckets = family.n_buckets
-        self.counts = np.zeros((self.n_rows, self.n_buckets**self._order), dtype=np.float64)
+        shape = (self.n_rows, self.n_buckets**self._order)
+        if counts is None:
+            counts = np.zeros(shape)
+        elif counts.shape != shape or counts.dtype != np.float64 or not counts.flags.c_contiguous:
+            raise ValueError(f"counts must be a C-contiguous float64 array of shape {shape}")
+        self.counts = counts
 
     # -- updates and queries at given cells --------------------------------
 
     def update_at(self, cells, weight: float = 1.0) -> None:
-        """Add ``weight`` to one cell per row.
+        """Add ``weight`` to one cell per row; see ``check_weight``."""
+        check_weight(weight)
+        self._add_at(cells, weight)
 
-        Negative weights are rejected: they would break the guarantee that
-        queries never fall below the true accumulated weight. So are inf
-        and nan, which would poison the cell for good.
-        """
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+    def _add_at(self, cells, weight: float) -> None:
+        """``update_at`` for a weight the caller has already checked."""
         counts = self.counts
         for row, cell in enumerate(cells):
             counts[row, cell] += weight
@@ -80,8 +110,7 @@ class _CountTable:
 
     def _add_many(self, cells: np.ndarray, weight: float) -> None:
         """Add ``weight`` at ``cells`` of shape (n_rows, n), as n updates would."""
-        if not (0 <= weight < math.inf):  # also rejects nan
-            raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+        check_weight(weight)
         for row in range(self.n_rows):
             np.add.at(self.counts[row], cells[row], weight)
 
@@ -144,12 +173,15 @@ class CountMinSketch(_CountTable):
         n_buckets: int = 1024,
         seed: int = DEFAULT_SEED,
         family: HashFamily | None = None,
+        counts: np.ndarray | None = None,
     ):
+        """``counts`` is the (n_rows, n_buckets) float64 array to count in,
+        typically a view its caller owns; by default the sketch makes one."""
         if family is None:
             family = HashFamily(n_rows, n_buckets, seed)
         elif family.n_rows != n_rows or family.n_buckets != n_buckets:
             raise ValueError("supplied hash family does not match sketch shape")
-        super().__init__(family)
+        super().__init__(family, counts)
 
     def indexes(self, key) -> tuple[int, ...]:
         """Per-row bucket index for ``key``; reusable across sketches that
@@ -177,31 +209,15 @@ class CountMinSketch(_CountTable):
         self.assign_at(self.family.indexes(key), value)
 
     def merge_conditional(
-        self,
-        current: "CountMinSketch",
-        scores: "CountMinSketch",
-        epsilon: float,
-        tick: int,
+        self, current: "CountMinSketch", scores: "CountMinSketch", epsilon: float, tick: int
     ) -> None:
-        """Fold ``current`` into this total sketch, bucket by bucket.
-
-        Buckets whose cached score is below ``epsilon`` receive the current
-        count; the rest receive their own per-tick mean, total/(tick - 1),
-        so the mean level stays unchanged. At tick 1 there is no history to
-        take a mean over and flagged buckets are left alone.
-        """
+        """``conditional_merge`` of the ``current`` sketch into this total
+        sketch, on the scores cached in the ``scores`` sketch."""
         if epsilon <= 0:
             raise ValueError(f"merge threshold must be > 0, got {epsilon}")
-        if not (
-            self.family.same_layout(current.family)
-            and self.family.same_layout(scores.family)
-        ):
+        if not all(self.family.same_layout(o.family) for o in (current, scores)):
             raise ValueError("conditional merge requires sketches with one shared layout")
-        accept = scores.counts < epsilon
-        self.counts[accept] += current.counts[accept]
-        if tick != 1:
-            rejected = ~accept
-            self.counts[rejected] += self.counts[rejected] / (tick - 1)
+        conditional_merge(self.counts, current.counts, scores.counts, epsilon, tick)
 
 
 class HigherOrderSketch(_CountTable):

@@ -1,9 +1,11 @@
 import importlib
 import importlib.util
+import math
 import re
 from pathlib import Path
 
 import streamsketch
+from streamsketch.midas import guaranteed_shape
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -34,3 +36,18 @@ def test_benchmark_tracer_targets_resolve():
     sketch = importlib.import_module("streamsketch.sketch")
     for name in spans.SKETCH_CLASSES:
         assert isinstance(getattr(sketch, name), type), name
+
+
+def test_readme_flag_examples_use_the_guaranteed_shape():
+    """A README command that claims a false-positive target runs at the sketch
+    shape under which the decision rule's bound holds."""
+    commands = [
+        line.split()
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("streamsketch ") and "--flag-epsilon" in line
+    ]
+    assert commands
+    for argv in commands:
+        value = {flag: argv[argv.index(flag) + 1] for flag in ("--flag-epsilon", "--rows", "--buckets")}
+        rows, buckets = int(value["--rows"]), int(value["--buckets"])
+        assert guaranteed_shape(float(value["--flag-epsilon"]), math.e / buckets) == (rows, buckets)

@@ -1,0 +1,186 @@
+"""Stacked detector state: every table of a detector views one array, and
+the whole-array tick close matches the per-table close exactly."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from streamsketch.events import EdgeEvent, MultiAspectRecord
+from streamsketch.midas import VARIANTS, MidasDetector
+from streamsketch.mstream import MstreamDetector
+from streamsketch.sess import FeedbackEvent, SharpeningParams, apply_feedback
+from streamsketch.sketch import CountMinSketch
+
+SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
+
+
+# -- the per-table close, kept as the oracle ------------------------------------
+
+
+def masked_merge(total, current, scores, epsilon, tick):
+    """Conditional merge of one table through boolean masks."""
+    accept = scores.counts < epsilon
+    total.counts[accept] += current.counts[accept]
+    if tick != 1:
+        rejected = ~accept
+        total.counts[rejected] += total.counts[rejected] / (tick - 1)
+
+
+class PerTableDetector(MidasDetector):
+    """MidasDetector whose tick close handles one table at a time: a masked
+    merge per scored key, then one clear or decay per current table."""
+
+    def _close_tick(self, closing):
+        if self.variant == "plain":
+            for _, current in self.tables:
+                current.clear()
+            self.tick_volume = 0.0
+            return
+        for (total, current), cache in zip(self.tables, self.score_caches):
+            masked_merge(total, current, cache, self.merge_threshold, closing)
+        for _, current in self.tables:
+            current.decay(self.alpha)
+        self.tick_volume *= self.alpha
+
+
+# One step: (tick increment, source, dest, weight, cache poke or None). A poke
+# overwrites one score-cache cell before the step, with nan or a value on
+# either side of the merge threshold.
+WEIGHTS = st.sampled_from([1.0, 1.0, 0.0, 0.5, 2.5, 7.0]) | st.floats(0.0, 50.0)
+POKES = st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from([math.nan, 0.5, 3.0, 1e9]))
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 1, 1, 2]),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        WEIGHTS,
+        POKES,
+    ),
+    min_size=1,
+    max_size=60,
+)
+THRESHOLD = 2.0  # low enough that cached scores cross it
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@SETTINGS
+@given(steps=STEPS, alpha=st.sampled_from([0.5, 0.3, 0.9]))
+# A nan cache cell at tick 1 is rejected by the close of tick 1.
+@example(steps=[(0, 1, 2, 1.0, (0, math.nan)), (1, 1, 2, 1.0, None), (1, 1, 2, 3.0, None)], alpha=0.5)
+# One-edge ticks, each with a weight, then a same-tick burst.
+@example(steps=[(1, 0, 1, 2.5, None)] * 6 + [(0, 0, 1, 1.0, None)] * 8 + [(1, 0, 1, 1.0, None)], alpha=0.5)
+def test_stacked_close_matches_the_per_table_close(variant, steps, alpha):
+    kwargs = dict(n_rows=2, n_buckets=4, alpha=alpha, merge_threshold=THRESHOLD, seed=7)
+    fast = MidasDetector(variant, **kwargs)
+    oracle = PerTableDetector(variant, **kwargs)
+    tick = 1
+    for dtick, source, dest, weight, poke in steps:
+        tick += dtick
+        if poke is not None and variant == "filtering":
+            cell, value = poke
+            for detector in (fast, oracle):
+                caches = detector.counts[2]
+                caches.flat[cell % caches.size] = value
+        event = EdgeEvent(source, dest, tick, weight)
+        assert fast.process(event) == oracle.process(event)
+        assert np.array_equal(fast.counts, oracle.counts, equal_nan=True)
+        assert fast.tick_volume == oracle.tick_volume
+
+
+# -- views stay views ---------------------------------------------------------------
+
+
+def midas_tables(detector):
+    return [t for pair in detector.tables for t in pair] + list(detector.score_caches)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_midas_tables_view_the_stacked_array(variant):
+    detector = MidasDetector(variant, n_rows=3, n_buckets=16, seed=1)
+    tables = midas_tables(detector)
+    assert all(np.shares_memory(t.counts, detector.counts) for t in tables)
+    assert sum(t.counts.nbytes for t in tables) == detector.counts.nbytes
+    # The views are disjoint and together cover the array.
+    for i, table in enumerate(tables):
+        table.counts[...] = i
+    assert np.bincount(detector.counts.ravel().astype(int)).tolist() == [3 * 16] * len(tables)
+
+
+def test_mstream_tables_view_the_stacked_array():
+    detector = MstreamDetector(2, 1, n_rows=2, n_buckets=16, alpha=0.5, seed=3)
+    tables = [t for pair in detector._tables for t in pair]
+    assert len(tables) == 2 * (2 + 1 + 1)
+    assert all(np.shares_memory(t.counts, detector.counts) for t in tables)
+    assert sum(t.counts.nbytes for t in tables) == detector.counts.nbytes
+    detector.score(MultiAspectRecord(("a", "b"), (3.0,), tick=1))
+    currents = [current.counts.copy() for _, current in detector._tables]
+    detector.score(MultiAspectRecord(("c", "d"), (9.0,), tick=2))
+    # The tick change decays every current table; the new record adds 1 per row.
+    for (_, current), before in zip(detector._tables, currents):
+        added = current.counts - before * 0.5
+        assert sorted(added[added != 0].tolist()) == [1.0, 1.0]
+
+
+def test_flat_feedback_writes_reach_the_stacked_array():
+    detector = MidasDetector("relational", n_rows=2, n_buckets=1 << 12, seed=1)
+    detector.process(EdgeEvent("u", "v", 1, 3.0))
+    before = detector.counts.copy()
+    apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams(2.0, 0.3))
+    expected = before.copy()
+    for k, key in enumerate(detector.keys("u", "v")):
+        for row, bucket in enumerate(detector.family.indexes(key)):
+            expected[0, k, row, bucket] *= 0.3
+            expected[1, k, row, bucket] *= 2.0
+    assert np.array_equal(detector.counts, expected)
+    assert (detector.counts != before).sum() == 2 * 3 * 2
+
+
+def test_view_backed_table_snapshot_roundtrips():
+    detector = MidasDetector("filtering", n_rows=2, n_buckets=32, seed=5)
+    for tick, (u, v) in enumerate([(1, 2), (1, 3), (2, 3), (1, 2)], start=1):
+        detector.process(EdgeEvent(u, v, tick, 1.5))
+    for table in midas_tables(detector):
+        clone = CountMinSketch.from_bytes(table.to_bytes())
+        assert np.array_equal(clone.counts, table.counts)
+        assert clone.family.same_layout(table.family)
+        assert not np.shares_memory(clone.counts, detector.counts)
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [np.zeros((2, 4)), np.zeros((2, 8), dtype=np.float32), np.zeros((8, 2)).T],
+    ids=["shape", "dtype", "strided"],
+)
+def test_counts_the_kernels_cannot_use_are_rejected(counts):
+    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
+        CountMinSketch(2, 8, counts=counts)
+
+
+# -- the weight is checked once, on every path ------------------------------------
+
+
+@dataclass
+class LooseEdge:
+    """Has the fields of an EdgeEvent but checks none of them."""
+
+    source: object
+    dest: object
+    tick: int
+    weight: float
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_bad_weight_of_a_duck_typed_event_reaches_no_table(variant, bad):
+    detector = MidasDetector(variant, n_rows=2, n_buckets=16, seed=2)
+    detector.process(LooseEdge("u", "v", 1, 1.0))
+    before = detector.counts.copy()
+    with pytest.raises(ValueError, match="weight"):
+        detector.process(LooseEdge("u", "v", 2, bad))
+    assert np.array_equal(detector.counts, before)
+    assert detector.tick_volume == 1.0
+    assert detector.clock.tick == 1
