@@ -2,12 +2,23 @@
 
 One score is written per input line (per window for the graph scorers) as
 decimal text with 9 significant digits; ``--eval`` swaps the score listing
-for a metrics JSON object. Flags beat config-file entries, which beat
-built-in defaults; the environment variable STREAMSKETCH_SEED overrides the
-default RNG seed 42.
+for a metrics JSON object.
+
+Each option is declared once, on its command's parser. A ``--config FILE``
+of ``key=value`` lines (``#`` starts a comment) is read as ``--key=value``
+arguments placed before the command line, so flags beat the file and
+argparse converts and checks a file value exactly as it does the flag.
+``key`` is the flag's name without the leading dashes, with ``_`` or ``-``
+between words. The file can set every value option of the command; entries
+for options the command lacks are ignored, so one file can serve several
+commands, and an entry for a switch such as ``has_weight`` is a usage
+error. Flags are never abbreviated, so a key cannot land on a longer
+option. ``--seed`` defaults to the environment variable STREAMSKETCH_SEED,
+else 42. A detector, window, sharpening or ``synth`` parameter left unset
+is not passed, so the library signature holds its only default.
 
 Exit codes: 0 success, 1 validation or I/O failure (message names the
-location), 2 usage errors.
+location), 2 usage errors, config values and STREAMSKETCH_SEED included.
 """
 
 from __future__ import annotations
@@ -15,10 +26,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 from .densegraph import AnoEdgeGlobal, AnoEdgeLocal, anograph_score
 from .hashing import DEFAULT_SEED
@@ -47,10 +60,16 @@ FORMAT = "{:.9g}"
 # -- option plumbing ---------------------------------------------------------
 
 
-def _load_config(path: str | None) -> dict:
+def _config_args(argv: list[str]) -> list[str]:
+    """The entries of the ``--config`` file in ``argv``, as ``--key=value`` arguments."""
+    finder = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    finder.add_argument("--config")
+    path = None
+    with contextlib.suppress(argparse.ArgumentError):  # the full parse reports it
+        path = finder.parse_known_args(argv)[0].config
     if path is None:
-        return {}
-    config = {}
+        return []
+    entries = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -59,35 +78,13 @@ def _load_config(path: str | None) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            config[key.strip().replace("-", "_")] = value.strip()
-    return config
+            entries.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return entries
 
 
-class Options:
-    """Resolves each option as flag > config file > built-in default."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _load_config(getattr(args, "config", None))
-
-    def get(self, name: str, default, cast):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            return flag
-        if name in self.config:
-            return cast(self.config[name])
-        return default
-
-    def seed(self) -> int:
-        flag = getattr(self.args, "seed", None)
-        if flag is not None:
-            return flag
-        if "seed" in self.config:
-            return int(self.config["seed"])
-        env = os.environ.get("STREAMSKETCH_SEED")
-        if env is not None:
-            return int(env)
-        return DEFAULT_SEED
+def _given(args, *names) -> dict:
+    """The named options that were set; the library keeps the others' defaults."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 @contextlib.contextmanager
@@ -121,7 +118,7 @@ def _read_labels(path: str) -> list[int]:
     return labels
 
 
-def _score_input(args, opts: Options, score_all, read=None, flags=None, labels=None) -> int:
+def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
     """The pipeline behind every detector command: read all input, score
     it, then write the scores and the ``--time`` line.
 
@@ -135,7 +132,7 @@ def _score_input(args, opts: Options, score_all, read=None, flags=None, labels=N
     """
     if args.eval and args.labels is None:
         raise ValueError("--eval requires --labels")
-    with _open_input(opts.get("input", "-", str)) as handle:
+    with _open_input(args.input) as handle:
         if read is None:
             items = list(parse_edge_stream(handle, has_weight=args.has_weight))
         else:
@@ -149,7 +146,7 @@ def _score_input(args, opts: Options, score_all, read=None, flags=None, labels=N
         if len(truth) != len(scores):
             raise ValueError(f"labels file has {len(truth)} entries for {len(scores)} scores")
         auc = roc_auc(scores, truth)
-    with _open_output(opts.get("output", "-", str)) as out:
+    with _open_output(args.output) as out:
         if args.eval:
             json.dump({"auc": auc}, out)
             out.write("\n")
@@ -167,17 +164,12 @@ def _score_input(args, opts: Options, score_all, read=None, flags=None, labels=N
 # -- detector subcommands ----------------------------------------------------
 
 
+SKETCH = ("n_rows", "n_buckets", "alpha")
+BURST_SHAPE = ("n_background", "n_burst", "n_nodes", "burst_tick", "n_ticks", "burst_span")
+
+
 def _run_midas(args, variant: str) -> int:
-    opts = Options(args)
-    detector = MidasDetector(
-        variant=variant,
-        n_rows=opts.get("rows", 2, int),
-        n_buckets=opts.get("buckets", 1024, int),
-        alpha=opts.get("alpha", 0.5, float),
-        merge_threshold=opts.get("merge_threshold", 1000.0, float),
-        seed=opts.seed(),
-    )
-    mode = opts.get("score_mode", "max", str)
+    detector = MidasDetector(variant, seed=args.seed, **_given(args, *SKETCH, "merge_threshold"))
     flag_eps = args.flag_epsilon
     rule = DecisionRule.for_detector(flag_eps, detector) if flag_eps is not None else None
     flags = [] if rule is not None else None
@@ -186,36 +178,26 @@ def _run_midas(args, variant: str) -> int:
         scores = []
         for event in events:
             stats = detector.process(event)
-            scores.append(stats.combined(mode))
+            scores.append(stats.combined(args.score_mode))
             if rule is not None:
                 flags.append(rule.is_flagged(stats))
         return scores
 
-    return _score_input(args, opts, score_all, flags=flags)
+    return _score_input(args, score_all, flags=flags)
 
 
 def _run_anoedge(args, which: str) -> int:
-    opts = Options(args)
     cls = AnoEdgeGlobal if which == "global" else AnoEdgeLocal
-    detector = cls(
-        n_rows=opts.get("rows", 2, int),
-        n_buckets=opts.get("buckets", 32, int),
-        alpha=opts.get("alpha", 0.9, float),
-        seed=opts.seed(),
-    )
+    detector = cls(seed=args.seed, **_given(args, *SKETCH))
     if which == "global":
-        return _score_input(args, opts, detector.score_many)
+        return _score_input(args, detector.score_many)
     # The local scorer's maintained submatrix is sequential state.
-    return _score_input(args, opts, lambda events: [detector.score(e) for e in events])
+    return _score_input(args, lambda events: [detector.score(e) for e in events])
 
 
 def _run_anograph(args, variant: str) -> int:
-    opts = Options(args)
-    spec = WindowSpec(
-        window_ticks=opts.get("window_ticks", 30, int),
-        anomaly_edge_threshold=opts.get("tau", 50, int),
-    )
-    k = opts.get("k", 5, int)
+    spec = WindowSpec(**_given(args, "window_ticks", "anomaly_edge_threshold"))
+    k = _given(args, "k")
 
     def read(handle) -> list:
         """Sealed windows with their labels, one per ``window_ticks``."""
@@ -226,75 +208,41 @@ def _run_anograph(args, variant: str) -> int:
                 f"labels file has {len(edge_labels)} entries for {len(events)} edges"
             )
         return window_aggregate(
-            events,
-            edge_labels,
-            spec,
-            n_rows=opts.get("rows", 2, int),
-            n_buckets=opts.get("buckets", 32, int),
-            seed=opts.seed(),
+            events, edge_labels, spec, seed=args.seed, **_given(args, "n_rows", "n_buckets")
         )
 
     return _score_input(
         args,
-        opts,
-        lambda windows: [anograph_score(w, variant=variant, k=k) for w, _ in windows],
+        lambda windows: [anograph_score(w, variant=variant, **k) for w, _ in windows],
         read=read,
         labels=lambda windows: [label for _, label in windows],
     )
 
 
 def _run_mstream(args) -> int:
-    opts = Options(args)
-
     def read(handle):
-        schema, records = parse_record_stream(
-            handle, tick_every=opts.get("decay_every", 1000, int)
-        )
+        schema, records = parse_record_stream(handle, **_given(args, "tick_every"))
         return schema, list(records)
 
     def score_all(parsed) -> list[float]:
         schema, records = parsed
         # The attribute split comes from the file's header.
         detector = MstreamDetector(
-            n_categorical=schema.n_categorical,
-            n_numeric=schema.n_numeric,
-            n_rows=opts.get("rows", 2, int),
-            n_buckets=opts.get("buckets", 1024, int),
-            alpha=opts.get("alpha", 0.85, float),
-            seed=opts.seed(),
+            schema.n_categorical, schema.n_numeric, seed=args.seed, **_given(args, *SKETCH)
         )
         return [detector.score(record).total for record in records]
 
-    return _score_input(args, opts, score_all, read=read)
+    return _score_input(args, score_all, read=read)
 
 
 def _run_sess(args) -> int:
-    opts = Options(args)
-    layout = opts.get("layout", "flat", str)
-    params = SharpeningParams(
-        boost=opts.get("boost", 2.0, float), damp=opts.get("damp", 0.3, float)
-    )
-    if layout == "flat":
-        detector = MidasDetector(
-            variant="relational",
-            n_rows=opts.get("rows", 2, int),
-            n_buckets=opts.get("buckets", 1024, int),
-            alpha=opts.get("alpha", 0.5, float),
-            seed=opts.seed(),
-        )
-    elif layout == "3d":
-        detector = Sess3dDetector(
-            n_rows=opts.get("rows", 2, int),
-            n_buckets=opts.get("buckets", 32, int),
-            alpha=opts.get("alpha", 0.5, float),
-            seed=opts.seed(),
-        )
-    else:
-        raise ValueError(f"layout must be 'flat' or '3d', got {layout!r}")
+    params = SharpeningParams(**_given(args, "boost", "damp"))
+    make = Sess3dDetector if args.layout == "3d" else partial(MidasDetector, "relational")
+    detector = make(seed=args.seed, **_given(args, *SKETCH))
 
     with open(args.feedback, "r", encoding="utf-8") as handle:
         edge_labels, node_feedback = parse_feedback(handle)
-    if node_feedback and layout != "3d":
+    if node_feedback and args.layout != "3d":
         raise ValueError("node feedback requires --layout 3d")
     # Node labels carry no stream position; they apply before scoring starts.
     for feedback in node_feedback:
@@ -317,13 +265,12 @@ def _run_sess(args) -> int:
             )
         return scores
 
-    return _score_input(args, opts, score_all)
+    return _score_input(args, score_all)
 
 
 def _run_pomdp(args) -> int:
-    opts = Options(args)
     process = TwoStateProcess(
-        p=args.p, q=args.q, start_anomalous=bool(args.start_anomalous), seed=opts.seed()
+        p=args.p, q=args.q, start_anomalous=bool(args.start_anomalous), seed=args.seed
     )
     phis = [float(x) for x in str(args.phi).split(",")]
     if args.predictor == "imitate":
@@ -333,11 +280,8 @@ def _run_pomdp(args) -> int:
     else:
         sweep_values = [int(x) for x in str(args.wait).split(",")] if args.wait else [None]
         param_name = "L"
-    base_seed = opts.seed()
-    seeds = [base_seed + i for i in range(args.seeds)]
-    jobs = max(1, args.jobs)
+    seeds = [args.seed + i for i in range(args.seeds)]
 
-    rows = []
     tasks = []
     for value in sweep_values:
         for phi in phis:
@@ -366,13 +310,13 @@ def _run_pomdp(args) -> int:
         mean, std = accuracy_sweep(process, config, args.steps, seeds)
         return shown, phi, mean, std
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(run, tasks))
     else:
         rows = [run(task) for task in tasks]
 
-    with _open_output(opts.get("output", "-", str)) as out:
+    with _open_output(args.output) as out:
         out.write(f"{param_name},phi,mean_accuracy,std_accuracy\n")
         for shown, phi, mean, std in rows:
             out.write(f"{shown},{FORMAT.format(phi)},{mean:.6f},{std:.6f}\n")
@@ -380,30 +324,16 @@ def _run_pomdp(args) -> int:
 
 
 def _run_synth(args) -> int:
-    opts = Options(args)
-    seed = opts.seed()
-    kind = args.kind
-    if kind == "burst":
-        events, labels = synth_burst_stream(
-            seed=seed,
-            n_background=opts.get("n_background", 10_000, int),
-            n_burst=opts.get("n_burst", 500, int),
-            n_nodes=opts.get("n_nodes", 50, int),
-            burst_tick=opts.get("burst_tick", 50, int),
-            n_ticks=opts.get("n_ticks", 100, int),
-            burst_span=opts.get("burst_span", 5, int),
-        )
-    elif kind == "attack":
-        events, labels = synth_attack_stream(seed=seed)
-    elif kind == "windows":
-        events, labels, _ = synth_graph_windows(seed=seed)
-    elif kind == "stationary":
-        events, pair = synth_stationary_stream(seed=seed)
-        labels = [
-            1 if (e.source, e.dest) == pair else 0 for e in events
-        ]  # marks the monitored pair, not anomalies
+    if args.kind == "burst":
+        events, labels = synth_burst_stream(seed=args.seed, **_given(args, *BURST_SHAPE))
+    elif args.kind == "attack":
+        events, labels = synth_attack_stream(seed=args.seed)
+    elif args.kind == "windows":
+        events, labels, _ = synth_graph_windows(seed=args.seed)
     else:
-        raise ValueError(f"unknown synthetic stream kind: {kind!r}")
+        events, pair = synth_stationary_stream(seed=args.seed)
+        # The labels mark the monitored pair, not anomalies.
+        labels = [1 if (e.source, e.dest) == pair else 0 for e in events]
 
     with _open_output(args.out_edges) as out:
         for event in events:
@@ -423,9 +353,12 @@ def _run_eval(args) -> int:
             if not line:
                 continue
             try:
-                scores.append(float(line.split(",")[0]))
+                score = float(line.split(",")[0])
             except ValueError:
                 raise ValueError(f"{args.scores}:{lineno}: non-numeric score") from None
+            if math.isnan(score):  # roc_auc would rank it above every number
+                raise ValueError(f"{args.scores}:{lineno}: score is nan")
+            scores.append(score)
     labels = _read_labels(args.labels)
     if len(labels) != len(scores):
         raise ValueError(
@@ -438,16 +371,22 @@ def _run_eval(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _add_seed_and_config(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--seed", type=int, default=os.environ.get("STREAMSKETCH_SEED", DEFAULT_SEED))
+    sub.add_argument("--config", help="key=value config file")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", default=None, help="edge CSV path, or - for stdin")
-    sub.add_argument("--output", default=None, help="score file path, or - for stdout")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--rows", type=int, default=None, help="hash rows per sketch")
-    sub.add_argument("--buckets", type=int, default=None, help="buckets per hash row")
+    sub.add_argument("--input", default="-", help="edge CSV path, or - for stdin")
+    sub.add_argument("--output", default="-", help="score file path, or - for stdout")
+    _add_seed_and_config(sub)
+    sub.add_argument("--rows", dest="n_rows", metavar="ROWS", type=int, help="hash rows per sketch")
+    sub.add_argument(
+        "--buckets", dest="n_buckets", metavar="BUCKETS", type=int, help="buckets per hash row"
+    )
     sub.add_argument("--has-weight", action="store_true", help="rows are u,v,w,t")
     sub.add_argument("--eval", action="store_true", help="emit metrics JSON instead of scores")
-    sub.add_argument("--labels", default=None, help="ground-truth labels, one 0/1 per line")
+    sub.add_argument("--labels", help="ground-truth labels, one 0/1 per line")
     sub.add_argument("--time", action="store_true", help="report scoring-loop seconds on stderr")
 
 
@@ -456,85 +395,82 @@ def build_parser() -> argparse.ArgumentParser:
         prog="streamsketch",
         description="Sketch-based streaming anomaly detection toolkit",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     for name, variant in (("midas", "plain"), ("midas-r", "relational"), ("midas-f", "filtering")):
         sub = subs.add_parser(name, help=f"{variant} edge scorer")
         _add_common(sub)
-        sub.add_argument("--alpha", type=float, default=None, help="temporal decay factor")
-        sub.add_argument("--merge-threshold", type=float, default=None)
-        sub.add_argument("--score-mode", choices=("max", "sum"), default=None)
+        sub.add_argument("--alpha", type=float, help="temporal decay factor")
+        sub.add_argument("--merge-threshold", type=float)
+        sub.add_argument("--score-mode", choices=("max", "sum"), default="max")
         sub.add_argument(
-            "--flag-epsilon",
-            type=float,
-            default=None,
-            help="emit score,flag pairs at this false-positive level",
+            "--flag-epsilon", type=float, help="emit score,flag pairs at this false-positive level"
         )
         sub.set_defaults(handler=lambda a, v=variant: _run_midas(a, v))
 
     for name, which in (("anoedge-g", "global"), ("anoedge-l", "local")):
         sub = subs.add_parser(name, help=f"dense-submatrix edge scorer ({which})")
         _add_common(sub)
-        sub.add_argument("--alpha", type=float, default=None)
+        sub.add_argument("--alpha", type=float)
         sub.set_defaults(handler=lambda a, w=which: _run_anoedge(a, w))
 
     for name, variant in (("anograph", "full"), ("anograph-k", "topk")):
         sub = subs.add_parser(name, help=f"dense-submatrix graph scorer ({variant})")
         _add_common(sub)
-        sub.add_argument("--window-ticks", type=int, default=None)
-        sub.add_argument("--tau", type=int, default=None, help="attack edges per anomalous window")
-        sub.add_argument("--k", type=int, default=None)
+        sub.add_argument("--window-ticks", type=int)
+        sub.add_argument(
+            "--tau", dest="anomaly_edge_threshold", metavar="TAU", type=int,
+            help="attack edges per anomalous window",
+        )
+        sub.add_argument("--k", type=int)
         sub.set_defaults(handler=lambda a, v=variant: _run_anograph(a, v))
 
     sub = subs.add_parser("mstream", help="multi-aspect record scorer")
     _add_common(sub)
-    sub.add_argument("--alpha", type=float, default=None)
+    sub.add_argument("--alpha", type=float)
     sub.add_argument(
-        "--decay-every", type=int, default=None, help="synthetic tick length for tick-less data"
+        "--decay-every", dest="tick_every", metavar="DECAY_EVERY", type=int,
+        help="synthetic tick length for tick-less data",
     )
     sub.set_defaults(handler=_run_mstream)
 
     sub = subs.add_parser("sess", help="edge scorer with labelled feedback")
     _add_common(sub)
     sub.add_argument("--feedback", required=True, help="feedback file (index,label lines)")
-    sub.add_argument("--layout", choices=("flat", "3d"), default=None)
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--boost", type=float, default=None)
-    sub.add_argument("--damp", type=float, default=None)
+    sub.add_argument("--layout", choices=("flat", "3d"), default="flat")
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--boost", type=float)
+    sub.add_argument("--damp", type=float)
     sub.set_defaults(handler=_run_sess)
 
     sub = subs.add_parser("pomdp", help="two-state feedback simulator")
     sub.add_argument("--p", type=float, required=True)
     sub.add_argument("--q", type=float, required=True)
     sub.add_argument("--predictor", choices=("imitate", "opt"), required=True)
-    sub.add_argument("--p-hat", type=float, default=None)
-    sub.add_argument("--q-hat", dest="q_hat", default=None, help="estimate(s), comma separated")
+    sub.add_argument("--p-hat", type=float)
+    sub.add_argument("--q-hat", help="estimate(s), comma separated")
     sub.add_argument(
-        "--q-hat-single",
-        type=float,
-        default=None,
-        help="opt: derive the wait length from this estimate",
+        "--q-hat-single", type=float, help="opt: derive the wait length from this estimate"
     )
-    sub.add_argument("--wait", default=None, help="opt wait length(s) L, comma separated")
+    sub.add_argument("--wait", help="opt wait length(s) L, comma separated")
     sub.add_argument("--phi", default="0", help="feedback probability(ies), comma separated")
     sub.add_argument("--steps", type=int, default=1_000_000)
     sub.add_argument("--seeds", type=int, default=1, help="number of independent runs")
     sub.add_argument("--one-sided", action="store_true")
     sub.add_argument("--start-anomalous", action="store_true")
     sub.add_argument("--jobs", type=int, default=1, help="parallel runs (threads)")
-    sub.add_argument("--output", default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None)
+    sub.add_argument("--output", default="-")
+    _add_seed_and_config(sub)
     sub.set_defaults(handler=_run_pomdp)
 
     sub = subs.add_parser("synth", help="write a seeded synthetic stream")
     sub.add_argument("--kind", choices=("burst", "attack", "windows", "stationary"), default="burst")
     sub.add_argument("--out-edges", required=True)
-    sub.add_argument("--out-labels", default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None)
-    for flag in ("n-background", "n-burst", "n-nodes", "burst-tick", "n-ticks", "burst-span"):
-        sub.add_argument(f"--{flag}", type=int, default=None)
+    sub.add_argument("--out-labels")
+    _add_seed_and_config(sub)
+    for name in BURST_SHAPE:
+        sub.add_argument("--" + name.replace("_", "-"), type=int)
     sub.set_defaults(handler=_run_synth)
 
     sub = subs.add_parser("eval", help="score a run against ground truth")
@@ -546,9 +482,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            config = _config_args(argv)
+        except (ValueError, OSError):
+            parser.parse_args(argv)  # a usage error on the command line is reported first
+            raise
+        args, unknown = parser.parse_known_args(argv[:1] + config + argv[1:])
+        unknown = [arg for arg in unknown if arg not in config]  # options the command lacks
+        if unknown:
+            parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,8 @@ from .hashing import DEFAULT_SEED
 from .sess import FeedbackEvent
 from .sketch import HigherOrderSketch
 
+DELIMITER = ","
+
 
 def _parse_node(text: str):
     """Node ids are integers when they look like integers, else raw strings."""
@@ -35,9 +37,7 @@ def _parse_node(text: str):
         return stripped
 
 
-def parse_edge_stream(
-    lines: Iterable[str], has_weight: bool = False, delimiter: str = ","
-) -> Iterator[EdgeEvent]:
+def parse_edge_stream(lines: Iterable[str], has_weight: bool = False) -> Iterator[EdgeEvent]:
     """Yield EdgeEvents from CSV rows, validating arity and tick order."""
     arity = 4 if has_weight else 3
     last_tick = None
@@ -45,7 +45,7 @@ def parse_edge_stream(
         line = raw.strip()
         if not line:
             continue
-        parts = line.split(delimiter)
+        parts = line.split(DELIMITER)
         if len(parts) != arity:
             raise ValueError(
                 f"line {lineno}: expected {arity} fields, got {len(parts)}"
@@ -86,10 +86,10 @@ class RecordSchema:
         return "tick" in self.kinds
 
 
-def parse_record_header(header: str, delimiter: str = ",") -> RecordSchema:
+def parse_record_header(header: str) -> RecordSchema:
     names, kinds = [], []
     tick_seen = False
-    for field in header.strip().split(delimiter):
+    for field in header.strip().split(DELIMITER):
         field = field.strip()
         if field == "tick":
             if tick_seen:
@@ -113,21 +113,21 @@ def parse_record_header(header: str, delimiter: str = ",") -> RecordSchema:
 
 
 def parse_record_stream(
-    lines: Iterable[str],
-    delimiter: str = ",",
-    tick_every: int = 1000,
+    lines: Iterable[str], tick_every: int = 1000
 ) -> tuple[RecordSchema, Iterator[MultiAspectRecord]]:
     """Parse a record CSV; returns the schema and a lazy record iterator.
 
     Files without a tick column get synthetic ticks advancing once every
     ``tick_every`` records so temporal decay still applies periodically.
     """
+    if tick_every < 1:
+        raise ValueError(f"tick_every (records per synthetic tick) must be >= 1, got {tick_every}")
     iterator = iter(lines)
     try:
         header = next(iterator)
     except StopIteration:
         raise ValueError("record file is empty") from None
-    schema = parse_record_header(header, delimiter)
+    schema = parse_record_header(header)
 
     def generate() -> Iterator[MultiAspectRecord]:
         last_tick = None
@@ -136,7 +136,7 @@ def parse_record_stream(
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split(delimiter)
+            parts = line.split(DELIMITER)
             if len(parts) != len(schema.kinds):
                 raise ValueError(
                     f"line {lineno}: expected {len(schema.kinds)} fields, got {len(parts)}"
@@ -184,9 +184,7 @@ def parse_record_stream(
     return schema, generate()
 
 
-def parse_feedback(
-    lines: Iterable[str], delimiter: str = ","
-) -> tuple[dict[int, int], list[FeedbackEvent]]:
+def parse_feedback(lines: Iterable[str]) -> tuple[dict[int, int], list[FeedbackEvent]]:
     """Edge labels by 0-based stream position, and node feedback in file order.
 
     An edge is resolved when its position is reached; when a position is
@@ -198,7 +196,7 @@ def parse_feedback(
         line = raw.strip()
         if not line:
             continue
-        parts = line.split(delimiter)
+        parts = line.split(DELIMITER)
         try:
             if parts[0] == "node":
                 if len(parts) != 3:
@@ -231,7 +229,7 @@ class WindowSpec:
     positively-labelled edges.
     """
 
-    window_ticks: int
+    window_ticks: int = 30
     anomaly_edge_threshold: int = 50
 
     def __post_init__(self):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -57,41 +58,10 @@ def filtering_score(current: float, total: float, tick: int) -> float:
 
 
 def standard_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, accurate to well under 1e-9.
-
-    Rational (Acklam-style) initial estimate refined by one Newton step
-    against the erf-based CDF.
-    """
+    """Inverse standard normal CDF, from the standard library."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-         1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-         -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-        x /= (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-        x /= ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-        x /= (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    # One Newton refinement: Phi and its density are exact to double precision.
-    cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if pdf > 0.0:
-        x -= (cdf - p) / pdf
-    return x
+    return NormalDist().inv_cdf(p)
 
 
 def chi2_quantile_1dof(p: float) -> float:

@@ -214,6 +214,8 @@ def accuracy_sweep(
 ) -> tuple[float, float]:
     """Mean and standard deviation of run accuracy across seeds."""
     values = [run_predictor(process, config, steps, seed=s) for s in seeds]
+    if not values:
+        raise ValueError("accuracy_sweep needs at least one seed")
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std())
 

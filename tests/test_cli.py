@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import re
 import sys
 
 import pytest
@@ -91,6 +94,59 @@ def test_config_file_is_weaker_than_flags(tmp_path):
     assert out3.read_bytes() == out2.read_bytes()
 
 
+def test_config_file_beats_the_seed_environment_variable(tmp_path, monkeypatch):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(i % 5, (i + 1) % 5, 1 + i // 10) for i in range(50)])
+    config = tmp_path / "run.conf"
+    config.write_text("seed=123\n")
+    out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+    monkeypatch.setenv("STREAMSKETCH_SEED", "124")
+    run_cli("midas", "--input", str(edges), "--output", str(out1), "--config", str(config))
+    run_cli("midas", "--input", str(edges), "--output", str(out2), "--seed", "123")
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "entry, seed_env, message",
+    [
+        ("rows=abc", None, "argument --rows: invalid int value: 'abc'"),
+        ("score_mode=avg", None, "argument --score-mode: invalid choice: 'avg'"),
+        ("has_weight=1", None, "argument --has-weight: ignored explicit argument '1'"),
+        ("", "abc", "argument --seed: invalid int value: 'abc'"),
+    ],
+)
+def test_bad_config_value_or_seed_variable_exits_2_naming_the_option(
+    tmp_path, capsys, monkeypatch, entry, seed_env, message
+):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(1, 2, 1)])
+    config = tmp_path / "run.conf"
+    config.write_text(entry + "\n")
+    if seed_env is not None:
+        monkeypatch.setenv("STREAMSKETCH_SEED", seed_env)
+    with pytest.raises(SystemExit) as err:
+        run_cli("midas", "--input", str(edges), "--config", str(config))
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_config_entries_for_options_the_command_lacks_are_ignored(tmp_path, capsys):
+    # One file serves several commands; k belongs to anograph and must not be
+    # taken for synth's --kind.
+    config = tmp_path / "shared.conf"
+    config.write_text("k=3\nalpha=0.3\nwindow_ticks=5\n")
+    argv = ["synth", "--out-edges", "-", "--n-background", "50"]
+    assert run_cli(*argv) == 0
+    plain = capsys.readouterr().out
+    assert run_cli(*argv, "--config", str(config)) == 0
+    assert capsys.readouterr().out == plain
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--config", str(config), "--no-such-flag")
+    assert err.value.code == 2
+
+
 def test_flag_epsilon_adds_flag_column(tmp_path):
     edges = tmp_path / "edges.csv"
     write_edges(edges, [(1, 2, t) for t in (1, 2, 3, 4)])
@@ -133,6 +189,20 @@ def test_eval_subcommand_rejects_misaligned_files(tmp_path, capsys):
     scores.write_text("1\n2\n")
     labels.write_text("0\n")
     assert run_cli("eval", "--scores", str(scores), "--labels", str(labels)) == 1
+
+
+def test_eval_subcommand_rejects_nan_scores_and_orders_inf(tmp_path, capsys):
+    scores = tmp_path / "scores.txt"
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n0\n")
+    scores.write_text("0.1\nnan\n0.3\n")
+    assert run_cli("eval", "--scores", str(scores), "--labels", str(labels)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {scores}:2: score is nan\n"
+    scores.write_text("0.1\ninf\n0.3\n")
+    assert run_cli("eval", "--scores", str(scores), "--labels", str(labels)) == 0
+    assert json.loads(capsys.readouterr().out) == {"auc": 1.0}
 
 
 def test_synth_roundtrips_through_midas_eval(tmp_path):
@@ -270,6 +340,78 @@ def test_eval_without_labels_is_rejected_on_every_detector_command(tmp_path, cap
     assert captured.out == ""
     assert captured.err == "error: --eval requires --labels\n"
 
+def _value_options(command: str) -> list[str]:
+    """The options of ``command`` that take a value, as its usage lists them."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), contextlib.suppress(SystemExit):
+        main([command, "--help"])
+    usage = text.getvalue().split("\n\n")[0]
+    return re.findall(r"(--[a-z-]+) (?:[A-Z_]+|\{[^}]*\})", usage)
+
+
+OPTION_VALUES = {
+    "--seed": "7", "--rows": "3", "--buckets": "16", "--alpha": "0.7",
+    "--merge-threshold": "5", "--score-mode": "sum", "--flag-epsilon": "0.05",
+    "--window-ticks": "2", "--tau": "2", "--k": "1", "--decay-every": "2",
+    "--layout": "3d", "--boost": "4", "--damp": "0.1",
+}
+CONFIG_CASES = [
+    (command, option)
+    for command in DETECTOR_COMMANDS
+    for option in _value_options(command)
+    if option != "--config"
+]
+
+
+def test_every_value_option_has_a_config_case():
+    assert {option for _, option in CONFIG_CASES} == set(OPTION_VALUES) | {
+        "--input", "--output", "--labels", "--feedback",
+    }
+
+
+@pytest.mark.parametrize("command, option", CONFIG_CASES)
+def test_config_entry_acts_like_its_flag(tmp_path, capsys, command, option):
+    argv = detector_argv(tmp_path, command)
+    out = tmp_path / "out.txt"
+    if option in argv:  # --input, --feedback: move the value to the option under test
+        at = argv.index(option)
+        value = argv[at + 1]
+        del argv[at : at + 2]
+    elif option == "--output":
+        value = str(out)
+    elif option == "--labels":
+        value = str(tmp_path / "labels.txt")
+        (tmp_path / "labels.txt").write_text("0\n" * 4 + "1\n" * 8)
+        argv += ["--eval"]
+        if command.startswith("anograph"):
+            argv += ["--window-ticks", "1", "--tau", "1"]  # windows of both labels
+    else:
+        value = OPTION_VALUES[option]
+    config = tmp_path / "run.conf"
+    config.write_text(f"{option[2:].replace('-', '_')}={value}\n")
+    runs = []
+    for given in ([option, value], ["--config", str(config)]):
+        code = run_cli(*argv, *given)
+        captured = capsys.readouterr()
+        written = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        runs.append((code, captured.out, captured.err, written))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_mstream_rejects_decay_every_below_1(tmp_path, capsys, value):
+    records = tmp_path / "records.csv"
+    records.write_text("cat:a,num:x\n" + "".join(f"c{i % 3},{i}\n" for i in range(5)))
+    assert run_cli("mstream", "--input", str(records), "--decay-every", value) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: tick_every (records per synthetic tick) must be >= 1, got {value}\n"
+    )
+
+
 def test_mstream_command(tmp_path):
     records = tmp_path / "records.csv"
     out = tmp_path / "scores.txt"
@@ -348,3 +490,13 @@ def test_pomdp_sweep_emits_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,phi,mean_accuracy,std_accuracy"
     assert len(lines) == 5
+
+
+def test_pomdp_rejects_zero_seeds(capsys):
+    assert run_cli(
+        "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "imitate",
+        "--steps", "100", "--seeds", "0",
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: accuracy_sweep needs at least one seed\n"

@@ -278,6 +278,26 @@ def test_normal_quantile_accuracy_against_bisection():
         standard_normal_quantile(0.0)
 
 
+def test_normal_quantile_tails_against_erfc_bisection():
+    # erf rounds 1 - 2p to 1 below p ~ 1e-17 and loses digits well before, so
+    # the reference bisects the lower tail 0.5 * erfc(-x / sqrt 2). An upper
+    # level p uses the symmetry z(p) = -z(1 - p), 1 - p being exact in floats.
+    def lower_quantile(p):
+        lo, hi = -40.0, 0.0
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < p:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+    for p in (1e-12, 1e-15):
+        assert standard_normal_quantile(p) == pytest.approx(lower_quantile(p), rel=1e-12)
+    p = 1 - 1e-12
+    assert standard_normal_quantile(p) == pytest.approx(-lower_quantile(1 - p), rel=1e-12)
+
+
 def test_chi2_threshold_value():
     assert chi2_quantile_1dof(0.975) == pytest.approx(5.023886, abs=1e-4)
     z = _normal_quantile_by_bisection(0.9875)

@@ -226,3 +226,10 @@ def test_closed_form_rejects_out_of_regime_arguments():
         expected_accuracy_one_sided(0.001, 0.02, 0, 0.005)
     with pytest.raises(ValueError):
         expected_accuracy_one_sided(0.0, 0.02, 10, 0.005)
+
+
+def test_accuracy_sweep_rejects_an_empty_seed_list():
+    process = TwoStateProcess(p=0.01, q=0.1, seed=1)
+    config = PredictorConfig(kind="imitate", p_hat=0.01, q_hat=0.1)
+    with pytest.raises(ValueError, match="at least one seed"):
+        accuracy_sweep(process, config, 100, seeds=[])
