@@ -83,8 +83,10 @@ def _config_args(argv: list[str]) -> list[str]:
 
 
 def _given(args, *names) -> dict:
-    """The named options that were set; the library keeps the others' defaults."""
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    """The named options that were set; the library keeps the others'
+    defaults, including those of options the command lacks."""
+    values = {name: getattr(args, name, None) for name in names}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 @contextlib.contextmanager
@@ -384,10 +386,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--buckets", dest="n_buckets", metavar="BUCKETS", type=int, help="buckets per hash row"
     )
-    sub.add_argument("--has-weight", action="store_true", help="rows are u,v,w,t")
     sub.add_argument("--eval", action="store_true", help="emit metrics JSON instead of scores")
     sub.add_argument("--labels", help="ground-truth labels, one 0/1 per line")
     sub.add_argument("--time", action="store_true", help="report scoring-loop seconds on stderr")
+
+
+def _add_edge_common(sub: argparse.ArgumentParser) -> None:
+    _add_common(sub)
+    sub.add_argument("--has-weight", action="store_true", help="rows are u,v,w,t")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,30 +406,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, variant in (("midas", "plain"), ("midas-r", "relational"), ("midas-f", "filtering")):
         sub = subs.add_parser(name, help=f"{variant} edge scorer")
-        _add_common(sub)
-        sub.add_argument("--alpha", type=float, help="temporal decay factor")
-        sub.add_argument("--merge-threshold", type=float)
-        sub.add_argument("--score-mode", choices=("max", "sum"), default="max")
+        _add_edge_common(sub)
+        if variant != "plain":  # plain never decays and scores the edge alone
+            sub.add_argument("--alpha", type=float, help="temporal decay factor")
+            sub.add_argument("--score-mode", choices=("max", "sum"))
+        if variant == "filtering":
+            sub.add_argument("--merge-threshold", type=float)
         sub.add_argument(
             "--flag-epsilon", type=float, help="emit score,flag pairs at this false-positive level"
         )
-        sub.set_defaults(handler=lambda a, v=variant: _run_midas(a, v))
+        sub.set_defaults(handler=lambda a, v=variant: _run_midas(a, v), score_mode="max")
 
     for name, which in (("anoedge-g", "global"), ("anoedge-l", "local")):
         sub = subs.add_parser(name, help=f"dense-submatrix edge scorer ({which})")
-        _add_common(sub)
+        _add_edge_common(sub)
         sub.add_argument("--alpha", type=float)
         sub.set_defaults(handler=lambda a, w=which: _run_anoedge(a, w))
 
     for name, variant in (("anograph", "full"), ("anograph-k", "topk")):
         sub = subs.add_parser(name, help=f"dense-submatrix graph scorer ({variant})")
-        _add_common(sub)
+        _add_edge_common(sub)
         sub.add_argument("--window-ticks", type=int)
         sub.add_argument(
             "--tau", dest="anomaly_edge_threshold", metavar="TAU", type=int,
             help="attack edges per anomalous window",
         )
-        sub.add_argument("--k", type=int)
+        if variant == "topk":  # only the top-k peel has seeds to count
+            sub.add_argument("--k", type=int)
         sub.set_defaults(handler=lambda a, v=variant: _run_anograph(a, v))
 
     sub = subs.add_parser("mstream", help="multi-aspect record scorer")
@@ -436,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_run_mstream)
 
     sub = subs.add_parser("sess", help="edge scorer with labelled feedback")
-    _add_common(sub)
+    _add_edge_common(sub)
     sub.add_argument("--feedback", required=True, help="feedback file (index,label lines)")
     sub.add_argument("--layout", choices=("flat", "3d"), default="flat")
     sub.add_argument("--alpha", type=float)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
-from .sketch import HigherOrderSketch, check_decay
+from .sketch import HigherOrderSketch, check_decay, check_weight
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -245,9 +245,10 @@ class AnoEdgeGlobal:
         scores: list[float] = []
         filled = 0
         for event in events:
+            check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
+            cells = self.sketch.indexes(event.source, event.dest)
             if self.clock.advance(event.tick) is not None:
                 self.sketch.decay(self.alpha)
-            cells = self.sketch.indexes(event.source, event.dest)
             self.sketch.update_at(cells, event.weight)
             snapshots[filled] = self.sketch.matrices
             seeds[filled] = cells
@@ -414,11 +415,12 @@ class AnoEdgeLocal:
         self.states = [_LocalSubmatrix.seeded(n_buckets, rng) for _ in range(n_rows)]
 
     def score(self, event: EdgeEvent) -> float:
+        check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
+        cells = self.sketch.indexes(event.source, event.dest)
         if self.clock.advance(event.tick) is not None:
             self.sketch.decay(self.alpha)
             for state in self.states:
                 state.on_decay(self.alpha)
-        cells = self.sketch.indexes(event.source, event.dest)
         self.sketch.update_at(cells, event.weight)
         score = None
         for layer, cell in enumerate(cells):

@@ -55,6 +55,14 @@ def canonical_key(key) -> int:
     raise TypeError(f"unhashable stream key type: {type(key).__name__}")
 
 
+def draw_rows(rng: np.random.Generator, n_rows: int) -> tuple[tuple[int, int], ...]:
+    """``n_rows`` hash rows ``(a, b)`` from ``rng``: a random odd multiplier and offset mod P."""
+    return tuple(
+        ((int(rng.integers(1, MERSENNE_P)) | 1) % MERSENNE_P, int(rng.integers(0, MERSENNE_P)))
+        for _ in range(n_rows)
+    )
+
+
 class HashFamily:
     """A bank of pairwise-independent hash rows over a fixed bucket count.
 
@@ -70,13 +78,14 @@ class HashFamily:
         self.n_rows = n_rows
         self.n_buckets = n_buckets
         self.seed = seed
-        rng = np.random.default_rng(seed)
-        params = []
-        for _ in range(n_rows):
-            a = (int(rng.integers(1, MERSENNE_P)) | 1) % MERSENNE_P
-            b = int(rng.integers(0, MERSENNE_P))
-            params.append((a, b))
-        self._params = tuple(params)
+        self._params = draw_rows(np.random.default_rng(seed), n_rows)
+
+    @classmethod
+    def from_rows(cls, rows, n_buckets: int) -> "HashFamily":
+        """A family over ``(a, b)`` rows its caller drew; it has no seed."""
+        family = cls(len(rows), n_buckets)
+        family.seed, family._params = None, tuple(rows)
+        return family
 
     def indexes(self, key) -> tuple[int, ...]:
         """Bucket index of ``key`` in every row."""

@@ -1,13 +1,14 @@
 """Multi-aspect record scorer.
 
 Each record is hashed d+1 ways: every attribute individually (categorical
-values through a linear hash, numeric values through a streaming
-log/min-max bucketizer) and the whole record jointly (categorical linear
-hashes summed with a random-hyperplane signature of the numeric part). Each
-hash feeds a pair of count tables, current tick vs all time, and the record
-score is the sum of the d+1 chi-squared statistics. The per-attribute terms
-double as an explanation of which attribute burst. All 2(d+1) tables view
-one array, so a tick boundary decays every current table in one multiply.
+values through a ``HashFamily`` per column, numeric values through a
+streaming log/min-max bucketizer) and the whole record jointly (a second
+family per categorical column, summed with a random-hyperplane signature
+of the numeric part). Each hash feeds a pair of count tables, current tick
+vs all time, and the record score is the sum of the d+1 chi-squared
+statistics. The per-attribute terms double as an explanation of which
+attribute burst. All 2(d+1) tables view one array, so a tick boundary
+decays every current table in one multiply.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import MultiAspectRecord, TickClock
-from .hashing import DEFAULT_SEED, MERSENNE_P, HashFamily, canonical_key
+from .hashing import DEFAULT_SEED, HashFamily, canonical_key, draw_rows
 from .midas import chi2_score
 from .sketch import CountMinSketch, check_decay
 
@@ -43,6 +44,11 @@ class StreamingMinMax:
         return (value - self.lo) / (self.hi - self.lo)
 
 
+def _check_log_domain(value: float) -> None:
+    if value <= -1.0:
+        raise ValueError(f"numeric value must be > -1 for log1p, got {value}")
+
+
 def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> int:
     """Log-transform, min-max normalize, then split into n_buckets.
 
@@ -50,18 +56,18 @@ def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> i
     lands inside [min, max]. The floor(x * b) mod b rule wraps the running
     maximum itself into bucket 0.
     """
-    if value <= -1.0:
-        raise ValueError(f"numeric value must be > -1 for log1p, got {value}")
+    _check_log_domain(value)
     shifted = math.log1p(value)
     state.absorb(shifted)
     scaled = state.normalize(shifted)
     return int(scaled * n_buckets) % n_buckets
 
 
-def hash_categorical(value, seed_pair: tuple[int, int], n_buckets: int) -> int:
-    """Linear hash of an opaque categorical value into n_buckets."""
-    a, b = seed_pair
-    return ((a * canonical_key(value) + b) % MERSENNE_P) % n_buckets
+def hash_categorical(value, families) -> list[tuple[int, ...]]:
+    """Buckets of an opaque categorical value in every row of each family;
+    the value is canonicalised once for all of them."""
+    key = canonical_key(value)
+    return [family.indexes(key) for family in families]
 
 
 @dataclass
@@ -99,21 +105,14 @@ def record_hash(
     record: MultiAspectRecord,
     hyperplanes: HyperplaneHash | None,
     n_buckets: int,
-    cat_seed_pairs: tuple[tuple[int, int], ...] = (),
+    cat_buckets: tuple[int, ...] = (),
 ) -> int:
-    """Whole-record bucket: summed categorical linear hashes plus the
-    hyperplane signature of the numeric part, mod n_buckets."""
-    if len(cat_seed_pairs) < len(record.categorical):
-        raise ValueError("need one linear-hash seed pair per categorical attribute")
-    bucket_cat = 0
-    for value, pair in zip(record.categorical, cat_seed_pairs):
-        bucket_cat += hash_categorical(value, pair, n_buckets)
-    bucket_num = 0
+    """Whole-record bucket in one hash row: the categorical values' buckets in
+    that row plus the hyperplane signature of the numeric part, mod n_buckets."""
+    bucket = sum(cat_buckets)
     if record.numeric:
-        if hyperplanes is None:
-            raise ValueError("records with numeric attributes need hyperplanes")
-        bucket_num = hyperplanes.signature(record.numeric)
-    return (bucket_cat + bucket_num) % n_buckets
+        bucket += hyperplanes.signature(record.numeric)
+    return bucket % n_buckets
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,18 +149,12 @@ class MstreamDetector:
         self.n_buckets = n_buckets
         self.alpha = alpha
         rng = np.random.default_rng(seed)
-
-        def draw_pair() -> tuple[int, int]:
-            a = (int(rng.integers(1, MERSENNE_P)) | 1) % MERSENNE_P
-            return a, int(rng.integers(0, MERSENNE_P))
-
-        # Independent linear-hash copies: one per row per categorical column,
-        # and a separate set per row for the record-level hash.
-        self._feature_cat_pairs = [
-            tuple(draw_pair() for _ in range(n_categorical)) for _ in range(n_rows)
-        ]
-        self._record_cat_pairs = [
-            tuple(draw_pair() for _ in range(n_categorical)) for _ in range(n_rows)
+        # Two families per categorical column, for its own buckets and its share
+        # of the record bucket; rows are drawn row-major, all own rows first.
+        own, share = draw_rows(rng, n_rows * n_categorical), draw_rows(rng, n_rows * n_categorical)
+        self._cat_families = [
+            [HashFamily.from_rows(rows[j::n_categorical], n_buckets) for rows in (own, share)]
+            for j in range(n_categorical)
         ]
         self._hyperplanes = [
             HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
@@ -181,29 +174,25 @@ class MstreamDetector:
         self._tables = list(zip(totals, currents))
         self.clock = TickClock()
 
-    def _feature_buckets(self, record: MultiAspectRecord) -> list[list[int]]:
-        """Per-attribute bucket list, one entry per hash row."""
-        buckets = []
-        for j, value in enumerate(record.categorical):
-            pairs = (row_pairs[j] for row_pairs in self._feature_cat_pairs)
-            buckets.append([hash_categorical(value, pair, self.n_buckets) for pair in pairs])
+    def _buckets(self, record: MultiAspectRecord, categorical: list) -> list[list[int]]:
+        """Bucket of each attribute, then of the whole record, in every row."""
+        buckets = [own for own, _ in categorical]
         for j, value in enumerate(record.numeric):
             # The bucketizer is deterministic, so rows share one bucket; the
             # min/max state absorbs the value exactly once.
-            bucket = bucketize_numeric(value, self.minmax[j], self.n_buckets)
-            buckets.append([bucket] * self.n_rows)
+            buckets.append([bucketize_numeric(value, self.minmax[j], self.n_buckets)] * self.n_rows)
+        buckets.append([
+            record_hash(record, planes, self.n_buckets, [share[row] for _, share in categorical])
+            for row, planes in enumerate(self._hyperplanes)
+        ])
         return buckets
-
-    def _record_buckets(self, record: MultiAspectRecord) -> list[int]:
-        hashes = zip(self._hyperplanes, self._record_cat_pairs)  # one per row
-        return [record_hash(record, planes, self.n_buckets, pairs) for planes, pairs in hashes]
 
     def score(self, record: MultiAspectRecord) -> RecordScore:
         """Insert one record; return its total score and per-attribute terms.
 
         The total is exactly the record-level term plus the sum of attribute
         terms, so the argmax of ``per_feature`` names the attribute that
-        contributed most.
+        contributed most. A record rejected with an error changes no state.
         """
         if (
             len(record.categorical) != self.n_categorical
@@ -213,17 +202,18 @@ class MstreamDetector:
                 f"record arity ({len(record.categorical)} cat, {len(record.numeric)} num) "
                 f"does not match detector ({self.n_categorical} cat, {self.n_numeric} num)"
             )
+        for value in record.numeric:
+            _check_log_domain(value)
+        families = zip(record.categorical, self._cat_families)
+        categorical = [hash_categorical(value, pair) for value, pair in families]
         if self.clock.advance(record.tick) is not None:
             self.counts[1] *= self.alpha
-        t = record.tick
 
-        buckets = self._feature_buckets(record)
-        buckets.append(self._record_buckets(record))
         terms = []
-        for (total, current), indexes in zip(self._tables, buckets):
+        for (total, current), indexes in zip(self._tables, self._buckets(record, categorical)):
             current._add_at(indexes, 1.0)
             total._add_at(indexes, 1.0)
-            terms.append(chi2_score(current.query_at(indexes), total.query_at(indexes), t))
+            terms.append(chi2_score(current.query_at(indexes), total.query_at(indexes), record.tick))
         record_term = terms.pop()
         return RecordScore(record_term + sum(terms), record_term, tuple(terms))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED
 from .midas import MidasDetector, chi2_score
-from .sketch import HigherOrderSketch, check_decay
+from .sketch import HigherOrderSketch, check_decay, check_weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,9 +111,10 @@ class Sess3dDetector:
         self.clock = TickClock()
 
     def score(self, event: EdgeEvent) -> float:
+        check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
+        cells = self.total.indexes(event.source, event.dest)
         if self.clock.advance(event.tick) is not None:
             self.current.decay(self.alpha)
-        cells = self.total.indexes(event.source, event.dest)
         self.current.update_at(cells, event.weight)
         self.total.update_at(cells, event.weight)
         return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)

@@ -26,6 +26,13 @@ def _events_from_arrays(src, dst, ticks, order) -> list[EdgeEvent]:
     ]
 
 
+def _at_least(minimum: int, **params) -> None:
+    """Reject the first parameter below ``minimum``, by name."""
+    for name, value in params.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def synth_burst_stream(
     seed: int = DEFAULT_SEED,
     n_background: int = 10_000,
@@ -43,8 +50,11 @@ def synth_burst_stream(
     ``burst_span`` consecutive ticks starting at ``burst_tick`` (span 1
     reproduces a one-tick spike). Burst edges carry label 1.
     """
-    if min(n_background, n_nodes, burst_tick, n_ticks, burst_span) < 1 or n_burst < 0:
-        raise ValueError("stream parameters must be positive")
+    _at_least(
+        1, n_background=n_background, n_nodes=n_nodes, burst_tick=burst_tick,
+        n_ticks=n_ticks, burst_span=burst_span,
+    )
+    _at_least(0, n_burst=n_burst)
     if n_nodes < 2:
         raise ValueError("need at least two nodes for distinct pairs")
     if burst_tick + burst_span - 1 > n_ticks:
@@ -83,8 +93,9 @@ def synth_stationary_stream(
     Returns the stream and the monitored pair, which uses dedicated node
     ids so background traffic never inflates its exact counts.
     """
-    if min(n_ticks, n_nodes, background_per_tick) < 1 or pair_rate <= 0:
-        raise ValueError("stream parameters must be positive")
+    _at_least(1, n_ticks=n_ticks, n_nodes=n_nodes, background_per_tick=background_per_tick)
+    if pair_rate <= 0:
+        raise ValueError(f"pair_rate must be > 0, got {pair_rate}")
     rng = np.random.default_rng(seed)
     monitored = (n_nodes, n_nodes + 1)
 
@@ -124,8 +135,10 @@ def synth_graph_windows(
     ``block_side`` node block. Block edges carry label 1. Returns the
     stream, labels, and the planted window's index.
     """
-    if min(n_windows, window_ticks, edges_per_window, n_nodes, block_side, block_edges) < 1:
-        raise ValueError("stream parameters must be positive")
+    _at_least(
+        1, n_windows=n_windows, window_ticks=window_ticks, edges_per_window=edges_per_window,
+        n_nodes=n_nodes, block_side=block_side, block_edges=block_edges,
+    )
     if block_side > n_nodes:
         raise ValueError("block does not fit inside the node range")
     rng = np.random.default_rng(seed)
@@ -182,8 +195,10 @@ def synth_attack_stream(
     The long attack makes baseline poisoning, and what labelled feedback
     can repair, actually measurable.
     """
-    if min(n_ticks, n_nodes, uniform_per_tick, attack_per_tick) < 1:
-        raise ValueError("stream parameters must be positive")
+    _at_least(
+        1, n_ticks=n_ticks, n_nodes=n_nodes, uniform_per_tick=uniform_per_tick,
+        attack_per_tick=attack_per_tick,
+    )
     if not 1 <= attack_start <= attack_end <= n_ticks:
         raise ValueError("attack interval must fit inside the tick range")
     rng = np.random.default_rng(seed)

@@ -125,11 +125,31 @@ def test_bad_config_value_or_seed_variable_exits_2_naming_the_option(
     if seed_env is not None:
         monkeypatch.setenv("STREAMSKETCH_SEED", seed_env)
     with pytest.raises(SystemExit) as err:
-        run_cli("midas", "--input", str(edges), "--config", str(config))
+        run_cli("midas-r", "--input", str(edges), "--config", str(config))
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("midas", "--alpha=0.3"),
+        ("midas", "--merge-threshold=5"),
+        ("midas-r", "--merge-threshold=5"),
+        ("midas", "--score-mode=sum"),
+        ("anograph", "--k=2"),
+        ("mstream", "--has-weight"),
+    ],
+)
+def test_option_the_command_would_ignore_exits_2(tmp_path, capsys, command, option):
+    with pytest.raises(SystemExit) as err:
+        run_cli(*detector_argv(tmp_path, command), option)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {option}" in captured.err
 
 
 def test_config_entries_for_options_the_command_lacks_are_ignored(tmp_path, capsys):
@@ -219,6 +239,13 @@ def test_synth_roundtrips_through_midas_eval(tmp_path):
         "--eval", "--labels", str(labels), "--seed", "3",
     ) == 0
     assert json.loads(out.read_text())["auc"] > 0.9
+
+
+def test_synth_error_names_the_bad_parameter(capsys):
+    assert run_cli("synth", "--out-edges", "-", "--n-background", "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_background must be >= 1, got 0\n"
 
 
 def test_anoedge_and_anograph_commands(tmp_path):

@@ -3,12 +3,16 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsketch.events import MultiAspectRecord
+from streamsketch.hashing import HashFamily, canonical_key
 from streamsketch.midas import chi2_score
 from streamsketch.mstream import (
     HyperplaneHash,
     MstreamDetector,
+    RecordScore,
     StreamingMinMax,
     bucketize_numeric,
     hash_categorical,
@@ -59,10 +63,10 @@ def test_bucket_monotone_between_minmax_updates():
 
 
 def test_categorical_hash_range_and_determinism():
-    pair = (99991, 12345)
-    buckets = [hash_categorical(f"v{i}", pair, 64) for i in range(500)]
-    assert all(0 <= b < 64 for b in buckets)
-    assert buckets == [hash_categorical(f"v{i}", pair, 64) for i in range(500)]
+    families = [HashFamily.from_rows([(99991, 12345)], 64), HashFamily(3, 64, seed=1)]
+    buckets = [hash_categorical(f"v{i}", families) for i in range(500)]
+    assert all(0 <= b < 64 for own, share in buckets for b in own + share)
+    assert buckets == [hash_categorical(f"v{i}", families) for i in range(500)]
 
 
 # -- record hashing ----------------------------------------------------------------
@@ -101,9 +105,6 @@ def test_dimension_mismatch_rejected():
     hp = HyperplaneHash.create(3, 64, rng)
     with pytest.raises(ValueError):
         hp.signature(np.ones(4))
-    record = MultiAspectRecord(("a", "b"), (), 1)
-    with pytest.raises(ValueError):
-        record_hash(record, None, 64, cat_seed_pairs=((1, 0),))
 
 
 def test_hyperplane_count_is_log2_of_buckets():
@@ -258,7 +259,136 @@ def test_feature_buckets_are_stable_for_fixed_state():
     detector = MstreamDetector(1, 1, seed=6)
     record = MultiAspectRecord(("x",), (4.2,), 1)
     detector.score(record)  # absorb the numeric value into min/max state
-    first = detector._feature_buckets(record)
-    second = detector._feature_buckets(record)
+    categorical = [hash_categorical("x", detector._cat_families[0])]
+    first = detector._buckets(record, categorical)
+    second = detector._buckets(record, categorical)
     assert first == second
-    assert detector._record_buckets(record) == detector._record_buckets(record)
+
+
+@pytest.mark.parametrize(
+    "categorical, numeric, tick, error",
+    [
+        (("a",), (5.0, -1.0), 3, ValueError),  # second column outside log1p's domain
+        ((1.5,), (5.0, 1.0), 3, TypeError),  # a float is no categorical key
+        (("a",), (5.0, 1.0), 1, ValueError),  # tick regression
+    ],
+    ids=["log-domain", "unhashable", "tick-regression"],
+)
+def test_rejected_record_changes_no_state(categorical, numeric, tick, error):
+    detector = MstreamDetector(1, 2, n_buckets=16, seed=3)
+    detector.score(MultiAspectRecord(("a",), (1.0, 2.0), 1))
+    detector.score(MultiAspectRecord(("b",), (3.0, 0.5), 2))
+    counts = detector.counts.copy()
+    minmax = [(m.lo, m.hi) for m in detector.minmax]
+    with pytest.raises(error):
+        detector.score(MultiAspectRecord(categorical, numeric, tick))
+    assert np.array_equal(detector.counts, counts)
+    assert [(m.lo, m.hi) for m in detector.minmax] == minmax
+    assert detector.clock.tick == 2
+
+
+# -- the detector's own hashing before it went through HashFamily, as the oracle ------
+
+MERSENNE_P = (1 << 61) - 1
+
+
+class LinearHashMstream:
+    """MStream with its own pairwise hash: seed pairs drawn per row and
+    column (all feature pairs, then all record pairs, then the hyperplanes),
+    one linear hash per row, and the record bucket as the sum of the record
+    pairs' hashes plus the hyperplane signature. Counts live in one array
+    shaped like the detector's."""
+
+    def __init__(self, n_categorical, n_numeric, n_rows, n_buckets, alpha, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw_pair():
+            a = (int(rng.integers(1, MERSENNE_P)) | 1) % MERSENNE_P
+            return a, int(rng.integers(0, MERSENNE_P))
+
+        self.feature_pairs = [[draw_pair() for _ in range(n_categorical)] for _ in range(n_rows)]
+        self.record_pairs = [[draw_pair() for _ in range(n_categorical)] for _ in range(n_rows)]
+        self.hyperplanes = [
+            HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
+            for _ in range(n_rows)
+        ]
+        self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
+        self.counts = np.zeros((2, n_categorical + n_numeric + 1, n_rows, n_buckets))
+        self.n_rows, self.n_buckets, self.alpha = n_rows, n_buckets, alpha
+        self.tick = None
+
+    def linear(self, value, pair):
+        a, b = pair
+        return ((a * canonical_key(value) + b) % MERSENNE_P) % self.n_buckets
+
+    def record_bucket(self, record, row):
+        bucket = sum(
+            self.linear(value, pair) for value, pair in zip(record.categorical, self.record_pairs[row])
+        )
+        if record.numeric:
+            bucket += self.hyperplanes[row].signature(record.numeric)
+        return bucket % self.n_buckets
+
+    def score(self, record):
+        if self.tick is not None and record.tick != self.tick:
+            self.counts[1] *= self.alpha
+        self.tick = record.tick
+        buckets = [
+            [self.linear(value, pairs[j]) for pairs in self.feature_pairs]
+            for j, value in enumerate(record.categorical)
+        ]
+        for j, value in enumerate(record.numeric):
+            buckets.append([bucketize_numeric(value, self.minmax[j], self.n_buckets)] * self.n_rows)
+        buckets.append([self.record_bucket(record, row) for row in range(self.n_rows)])
+        terms = []
+        for attr, cells in enumerate(buckets):
+            rows = range(self.n_rows)
+            for kind in (1, 0):
+                for row, cell in zip(rows, cells):
+                    self.counts[kind, attr, row, cell] += 1.0
+            current, total = (
+                float(min(self.counts[kind, attr, row, cell] for row, cell in zip(rows, cells)))
+                for kind in (1, 0)
+            )
+            terms.append(chi2_score(current, total, record.tick))
+        record_term = terms.pop()
+        return RecordScore(record_term + sum(terms), record_term, tuple(terms))
+
+
+CATEGORY = st.one_of(
+    st.text(max_size=4),  # unicode, the empty string included
+    st.integers(-(10**20), 10**20).map(str),  # integer-looking strings
+)
+
+
+@st.composite
+def record_streams(draw):
+    n_categorical = draw(st.integers(0, 3))
+    n_numeric = draw(st.integers(0 if n_categorical else 1, 2))
+    steps = draw(st.lists(st.integers(0, 2), min_size=1, max_size=30))  # 0 repeats a tick
+    records = []
+    tick = 1
+    for step in steps:
+        tick += step
+        categorical = tuple(draw(CATEGORY) for _ in range(n_categorical))
+        numeric = tuple(
+            draw(st.floats(-0.999, 1e6, allow_nan=False)) for _ in range(n_numeric)
+        )
+        records.append(MultiAspectRecord(categorical, numeric, tick))
+    return n_categorical, n_numeric, records
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    stream=record_streams(),
+    n_rows=st.integers(1, 4),
+    n_buckets=st.sampled_from([1, 7, 64, 1024]),
+    seed=st.sampled_from([0, 1, 42, 2**32 + 5]),
+)
+def test_detector_matches_its_linear_hash_oracle(stream, n_rows, n_buckets, seed):
+    n_categorical, n_numeric, records = stream
+    shape = (n_categorical, n_numeric, n_rows, n_buckets, 0.85, seed)
+    detector, oracle = MstreamDetector(*shape), LinearHashMstream(*shape)
+    for record in records:
+        assert detector.score(record) == oracle.score(record)
+        assert np.array_equal(detector.counts, oracle.counts)

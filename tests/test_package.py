@@ -1,7 +1,10 @@
 import importlib
 import importlib.util
+import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import streamsketch
@@ -36,6 +39,27 @@ def test_benchmark_tracer_targets_resolve():
     sketch = importlib.import_module("streamsketch.sketch")
     for name in spans.SKETCH_CLASSES:
         assert isinstance(getattr(sketch, name), type), name
+
+
+def test_benchmark_tracer_reaches_every_mstream_layer(tmp_path):
+    """A traced ``mstream`` run records calls in each hashing layer, so a
+    refactor cannot quietly zero a per-layer metric. The tracer rebinds
+    module attributes for good, so it runs in a child process, as in the
+    benchmark."""
+    records = tmp_path / "records.csv"
+    rows = "".join(f"c{i % 3},d{i % 2},{i * 1.5},{1 + i // 4}\n" for i in range(12))
+    records.write_text("cat:a,cat:b,num:x,tick\n" + rows)
+    report = tmp_path / "report.json"
+    command = [
+        sys.executable, str(ROOT / "bench" / "spans.py"), str(report), str(tmp_path / "spans.npz"),
+        str(ROOT / "src"), "--", "mstream", "--input", str(records),
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120, cwd=ROOT)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 12
+    labels = json.loads(report.read_text())["labels"]
+    for label in ("mstream.hash", "mstream.score", "hashing.canonical_key", "hashing.indexes"):
+        assert labels.get(label, {}).get("calls", 0) > 0, label
 
 
 def test_readme_flag_examples_use_the_guaranteed_shape():

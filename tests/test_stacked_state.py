@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
-from streamsketch.sess import FeedbackEvent, SharpeningParams, apply_feedback
+from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
 from streamsketch.sketch import CountMinSketch
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -183,4 +184,30 @@ def test_bad_weight_of_a_duck_typed_event_reaches_no_table(variant, bad):
         detector.process(LooseEdge("u", "v", 2, bad))
     assert np.array_equal(detector.counts, before)
     assert detector.tick_volume == 1.0
+    assert detector.clock.tick == 1
+
+
+def local_state(detector):
+    """AnoEdge-L's sketch and the running sums of its maintained submatrices."""
+    sums = [[s.row_gain, s.col_gain, np.array([s.total])] for s in detector.states]
+    return [detector.sketch.counts] + [array for layer in sums for array in layer]
+
+
+@pytest.mark.parametrize(
+    "make, score, state",
+    [
+        (Sess3dDetector, Sess3dDetector.score, lambda d: [d.total.counts, d.current.counts]),
+        (AnoEdgeGlobal, lambda d, event: d.score_many([event]), lambda d: [d.sketch.counts]),
+        (AnoEdgeLocal, AnoEdgeLocal.score, local_state),
+    ],
+    ids=["sess-3d", "anoedge-g", "anoedge-l"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_bad_weight_of_a_duck_typed_event_changes_no_higher_order_state(make, score, state, bad):
+    detector = make(n_rows=2, n_buckets=8, seed=2)
+    score(detector, LooseEdge("u", "v", 1, 1.0))
+    before = [array.copy() for array in state(detector)]
+    with pytest.raises(ValueError, match="weight"):
+        score(detector, LooseEdge("u", "v", 2, bad))
+    assert all(map(np.array_equal, state(detector), before))
     assert detector.clock.tick == 1
