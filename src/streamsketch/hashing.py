@@ -63,6 +63,14 @@ def draw_rows(rng: np.random.Generator, n_rows: int) -> tuple[tuple[int, int], .
     )
 
 
+def check_shape(n_rows: int, n_buckets: int) -> None:
+    """Reject a table shape with no row or no bucket."""
+    if n_rows < 1:
+        raise ValueError(f"n_rows must be >= 1, got {n_rows}")
+    if n_buckets < 1:
+        raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
+
+
 class HashFamily:
     """A bank of pairwise-independent hash rows over a fixed bucket count.
 
@@ -71,10 +79,7 @@ class HashFamily:
     """
 
     def __init__(self, n_rows: int, n_buckets: int, seed: int = DEFAULT_SEED):
-        if n_rows < 1:
-            raise ValueError(f"n_rows must be >= 1, got {n_rows}")
-        if n_buckets < 1:
-            raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
+        check_shape(n_rows, n_buckets)
         self.n_rows = n_rows
         self.n_buckets = n_buckets
         self.seed = seed

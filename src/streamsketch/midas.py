@@ -11,11 +11,11 @@ the current tick is compared against its historical per-tick mean.
   conditional merge, so a burst cannot poison its own baseline while it is
   still in progress.
 
-A detector stacks its counts in one array, ``counts[kind, key, row, bucket]``
-(kinds: total, current and, for filtering, the score cache), which its
-``CountMinSketch`` tables view. A tick boundary is then whole-array passes:
-a fill (plain), a multiply (relational), or the scatter-form conditional
-merge and a multiply (filtering).
+``ChiSquaredTables`` is the count core under MIDAS, MStream and SESS-3D. It
+stacks every count-min table in one array, ``counts[kind, key, row, cell]``
+(kinds: total, current and, for filtering, the score cache), closes a tick
+in whole-array passes and holds the one per-item loop that adds, queries
+and scores. A detector only maps an item to cells for each of its keys.
 
 A separate decision rule turns scores into flags with a bounded
 false-positive probability, using the chi-squared quantile at 1 - eps/2 and
@@ -31,8 +31,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .events import EdgeEvent, TickClock
-from .hashing import DEFAULT_SEED, HashFamily
-from .sketch import CountMinSketch, check_decay, check_weight, conditional_merge
+from .hashing import DEFAULT_SEED, HashFamily, check_shape
+from .sketch import check_decay, check_weight, conditional_merge
 
 VARIANTS = ("plain", "relational", "filtering")
 
@@ -137,7 +137,111 @@ def guaranteed_shape(epsilon: float, nu: float) -> tuple[int, int]:
     return math.ceil(math.log(2.0 / epsilon)), math.ceil(math.e / nu)
 
 
-class MidasDetector:
+class ChiSquaredTables:
+    """Current-tick and total count tables for a fixed list of keys, and the
+    one per-item loop that adds to them, queries them and scores.
+
+    ``counts[kind, key, row, cell]`` holds every table: kind 0 the totals,
+    kind 1 the current-tick counts and, for filtering, kind 2 each cell's
+    last score; a row has ``n_buckets ** order`` cells. A detector maps an
+    item to one cell per row for each key, in key order, for ``step``.
+    """
+
+    def __init__(
+        self,
+        variant: str,
+        n_keys: int,
+        n_rows: int,
+        n_buckets: int,
+        alpha: float,
+        merge_threshold: float = 1000.0,
+        order: int = 1,
+    ):
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+        if variant != "plain":
+            check_decay(alpha)
+        if not merge_threshold > 0:  # also rejects nan
+            raise ValueError(f"merge threshold must be > 0, got {merge_threshold}")
+        check_shape(n_rows, n_buckets)
+        self.variant = variant
+        self.n_rows = n_rows
+        self.n_buckets = n_buckets
+        self.alpha = alpha
+        self.merge_threshold = merge_threshold
+        n_kinds = 3 if variant == "filtering" else 2
+        self.counts = np.zeros((n_kinds, n_keys, n_rows, n_buckets**order))
+        self._by_key = [tuple(self.counts[:, k]) for k in range(n_keys)]  # 2-d views per kind
+        self.clock = TickClock()
+        self.tick_volume = 0.0  # weight in the current-count tables, N_t
+
+    def advance(self, tick: int) -> None:
+        """Move the clock to ``tick``, closing the tick it leaves: a fill (plain),
+        a multiply (relational), or the conditional merge and a multiply."""
+        closing = self.clock.advance(tick)
+        if closing is None:
+            return
+        counts = self.counts
+        if self.variant == "plain":
+            counts[1].fill(0.0)
+            self.tick_volume = 0.0
+            return
+        # Filtering closes out the tick that just ended: totals absorb current
+        # counts (or their own per-tick mean when the cached score crossed the
+        # threshold), keeping the mean level unchanged.
+        if self.variant == "filtering":
+            conditional_merge(counts[0], counts[1], counts[2], self.merge_threshold, closing)
+        counts[1] *= self.alpha
+        self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
+
+    def step(self, cells_by_key, weight: float, tick: int) -> tuple[list[float], float, float]:
+        """Add the checked ``weight`` at each key's cells, score each key on
+        its smallest current and total count across rows, and return the
+        scores and the first key's two counts. Filtering adds to the current
+        counts only (totals change at tick close) and caches each score."""
+        self.tick_volume += weight
+        filtering = self.variant == "filtering"
+        scores = []
+        for tables, cells in zip(self._by_key, cells_by_key):
+            total, current = tables[0], tables[1]
+            a = s = math.inf
+            # Inline row loops: a helper call per row costs more than its arithmetic.
+            for row, cell in enumerate(cells):
+                value = current[row, cell] + weight
+                current[row, cell] = value
+                if value < a:
+                    a = value
+                value = total[row, cell]
+                if not filtering:
+                    value += weight
+                    total[row, cell] = value
+                if value < s:
+                    s = value
+            a, s = float(a), float(s)
+            if filtering:
+                score = filtering_score(a, s, tick)
+                cache = tables[2]
+                for row, cell in enumerate(cells):
+                    cache[row, cell] = score
+            else:
+                score = chi2_score(a, s, tick)
+            if not scores:
+                first = a, s
+            scores.append(score)
+        return scores, *first
+
+    def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
+        """Multiply each key's total and current counts at its cells."""
+        for tables, cells in zip(self._by_key, cells_by_key):
+            for row, cell in enumerate(cells):
+                tables[0][row, cell] *= total_factor
+                tables[1][row, cell] *= current_factor
+
+    def state_bytes(self) -> int:
+        return int(self.counts.nbytes)
+
+
+class MidasDetector(ChiSquaredTables):
     """Streaming scorer for directed edges; see module docstring for variants.
 
     A detector is single-writer and strictly order-dependent: scores depend
@@ -155,88 +259,28 @@ class MidasDetector:
         merge_threshold: float = 1000.0,
         seed: int = DEFAULT_SEED,
     ):
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        if variant != "plain":
-            check_decay(alpha)
-        if merge_threshold <= 0:
-            raise ValueError(f"merge threshold must be > 0, got {merge_threshold}")
-        self.variant = variant
-        self.n_rows = n_rows
-        self.n_buckets = n_buckets
-        self.alpha = alpha
-        self.merge_threshold = merge_threshold
+        n_keys = 1 if variant == "plain" else 3  # see cells
+        super().__init__(variant, n_keys, n_rows, n_buckets, alpha, merge_threshold)
         self.family = HashFamily(n_rows, n_buckets, seed)
 
-        # Filtering caches each key's last score for the conditional merge.
-        n_kinds = 3 if variant == "filtering" else 2
-        self.counts = np.zeros((n_kinds, len(self.keys(None, None)), n_rows, n_buckets))
-        views = [
-            [CountMinSketch(n_rows, n_buckets, family=self.family, counts=c) for c in kind]
-            for kind in self.counts
-        ]
-        # (total, current) per scored key, in the order keys() gives them.
-        self.tables = list(zip(views[0], views[1]))
-        self.score_caches = views[2] if variant == "filtering" else []
-
-        self.clock = TickClock()
-        self.tick_volume = 0.0  # weight in the current-count sketch, N_t
-
-    def keys(self, source, dest) -> tuple:
-        """The keys one edge is scored on: the edge itself, then its source
-        and destination for the relational and filtering variants."""
+    def cells(self, source, dest) -> tuple:
+        """The bucket in every row of each key the edge is scored on: the
+        edge itself, then its source and destination unless plain."""
+        indexes = self.family.indexes
         if self.variant == "plain":
-            return ((source, dest),)
-        return ((source, dest), source, dest)
-
-    # -- tick bookkeeping --------------------------------------------------
-
-    def _close_tick(self, closing: int) -> None:
-        counts = self.counts
-        if self.variant == "plain":
-            counts[1].fill(0.0)
-            self.tick_volume = 0.0
-            return
-        # Filtering closes out the tick that just ended: totals absorb current
-        # counts (or their own per-tick mean when the cached score crossed the
-        # threshold), keeping the mean level unchanged.
-        if self.variant == "filtering":
-            conditional_merge(counts[0], counts[1], counts[2], self.merge_threshold, closing)
-        counts[1] *= self.alpha
-        self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
-
-    # -- scoring -------------------------------------------------------------
+            return (indexes((source, dest)),)
+        return indexes((source, dest)), indexes(source), indexes(dest)
 
     def process(self, event: EdgeEvent) -> StepStats:
         """Insert one edge and return its scores and supporting counts."""
         w = event.weight
-        check_weight(w)  # once here; the table adds below do not check again
-        closing = self.clock.advance(event.tick)
-        if closing is not None:
-            self._close_tick(closing)
+        check_weight(w)  # before the clock moves: a rejected edge changes nothing
+        cells = self.cells(event.source, event.dest)
         t = event.tick
-        self.tick_volume += w
-        indexes = self.family.indexes
-        filtering = self.variant == "filtering"
-        scores = []
-        for k, key in enumerate(self.keys(event.source, event.dest)):
-            total, current = self.tables[k]
-            idx = indexes(key)
-            current._add_at(idx, w)
-            if not filtering:  # filtering totals change only in _close_tick
-                total._add_at(idx, w)
-            a, s = current.query_at(idx), total.query_at(idx)
-            if not scores:  # the edge
-                a_edge, s_edge = a, s
-            if filtering:
-                score = filtering_score(a, s, t)
-                self.score_caches[k].assign_at(idx, score)
-            else:
-                score = chi2_score(a, s, t)
-            scores.append(score)
-
+        self.advance(t)
+        scores, a, s = self.step(cells, w, t)
         node_scores = scores[1:] or (None, None)  # source, dest
-        return StepStats(t, scores[0], *node_scores, a_edge, s_edge, self.tick_volume)
+        return StepStats(t, scores[0], *node_scores, a, s, self.tick_volume)
 
     def score(self, event: EdgeEvent) -> float:
         """Insert the edge and return the max over its scored keys."""
@@ -245,6 +289,3 @@ class MidasDetector:
     def score_and_flag(self, event: EdgeEvent, rule: DecisionRule) -> tuple[float, bool]:
         stats = self.process(event)
         return stats.combined("max"), rule.is_flagged(stats)
-
-    def state_bytes(self) -> int:
-        return int(self.counts.nbytes)

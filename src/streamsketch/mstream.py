@@ -7,8 +7,9 @@ family per categorical column, summed with a random-hyperplane signature
 of the numeric part). Each hash feeds a pair of count tables, current tick
 vs all time, and the record score is the sum of the d+1 chi-squared
 statistics. The per-attribute terms double as an explanation of which
-attribute burst. All 2(d+1) tables view one array, so a tick boundary
-decays every current table in one multiply.
+attribute burst. The counting and scoring are MIDAS-R's: the detector is a
+relational ``midas.ChiSquaredTables`` over d+1 keys, with weight 1 per
+record, so a tick boundary decays every current table in one multiply.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import MultiAspectRecord, TickClock
+from .events import MultiAspectRecord
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key, draw_rows
-from .midas import chi2_score
-from .sketch import CountMinSketch, check_decay
+from .midas import ChiSquaredTables
 
 
 @dataclass
@@ -122,13 +122,14 @@ class RecordScore:
     per_feature: tuple[float, ...]
 
 
-class MstreamDetector:
+class MstreamDetector(ChiSquaredTables):
     """Streaming scorer for fixed-arity multi-aspect records.
 
     The attribute split (how many categorical, how many numeric) is fixed at
     construction. Current-tick counts decay by ``alpha`` on tick change; for
     tick-less data the caller assigns synthetic ticks (the CLI groups every
-    ``decay_every`` records into one).
+    ``decay_every`` records into one). The keys of ``counts`` are the
+    attributes, then the whole record.
     """
 
     def __init__(
@@ -142,12 +143,9 @@ class MstreamDetector:
     ):
         if n_categorical < 0 or n_numeric < 0 or n_categorical + n_numeric == 0:
             raise ValueError("detector needs at least one attribute")
-        check_decay(alpha)
+        super().__init__("relational", n_categorical + n_numeric + 1, n_rows, n_buckets, alpha)
         self.n_categorical = n_categorical
         self.n_numeric = n_numeric
-        self.n_rows = n_rows
-        self.n_buckets = n_buckets
-        self.alpha = alpha
         rng = np.random.default_rng(seed)
         # Two families per categorical column, for its own buckets and its share
         # of the record bucket; rows are drawn row-major, all own rows first.
@@ -161,18 +159,6 @@ class MstreamDetector:
             for _ in range(n_rows)
         ]
         self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
-
-        # counts[kind, attr, row, bucket]: kind 0 totals, kind 1 current; the
-        # last attr is the whole record. The tables view it and take their
-        # buckets from the hashes above; the family only fixes their shape.
-        family = HashFamily(n_rows, n_buckets, seed)
-        self.counts = np.zeros((2, n_categorical + n_numeric + 1, n_rows, n_buckets))
-        totals, currents = (
-            [CountMinSketch(n_rows, n_buckets, family=family, counts=c) for c in kind]
-            for kind in self.counts
-        )
-        self._tables = list(zip(totals, currents))
-        self.clock = TickClock()
 
     def _buckets(self, record: MultiAspectRecord, categorical: list) -> list[list[int]]:
         """Bucket of each attribute, then of the whole record, in every row."""
@@ -206,16 +192,9 @@ class MstreamDetector:
             _check_log_domain(value)
         families = zip(record.categorical, self._cat_families)
         categorical = [hash_categorical(value, pair) for value, pair in families]
-        if self.clock.advance(record.tick) is not None:
-            self.counts[1] *= self.alpha
-
-        terms = []
-        for (total, current), indexes in zip(self._tables, self._buckets(record, categorical)):
-            current._add_at(indexes, 1.0)
-            total._add_at(indexes, 1.0)
-            terms.append(chi2_score(current.query_at(indexes), total.query_at(indexes), record.tick))
+        # The clock moves before the bucketizers absorb the record, so a tick
+        # regression leaves their min/max alone.
+        self.advance(record.tick)
+        terms = self.step(self._buckets(record, categorical), 1.0, record.tick)[0]
         record_term = terms.pop()
         return RecordScore(record_term + sum(terms), record_term, tuple(terms))
-
-    def state_bytes(self) -> int:
-        return int(self.counts.nbytes)

@@ -80,7 +80,9 @@ class PredictorConfig:
             for name, value in (("p_hat", self.p_hat), ("q_hat", self.q_hat)):
                 if value is None or not 0.0 < value < 1.0:
                     raise ValueError(f"imitate needs {name} in (0, 1), got {value}")
-        if self.kind == "opt" and self.wait_steps is not None and self.wait_steps < 1:
+        elif self.q_hat is not None and not 0.0 < self.q_hat < 1.0:  # also rejects nan
+            raise ValueError(f"opt needs q_hat in (0, 1), got {self.q_hat}")
+        elif self.wait_steps is not None and self.wait_steps < 1:
             raise ValueError(f"wait_steps must be >= 1, got {self.wait_steps}")
 
     def resolved_wait(self) -> int:

@@ -6,20 +6,22 @@ chi-squared score measures), a normal label does the opposite. Updates are
 multiplicative with positive factors, so counts stay nonnegative and the
 sketch guarantees survive in-place feedback.
 
-Two layouts are supported: the flat count-min layout used by the edge
-detectors, and a higher-order layout hashing sources to matrix rows and
-destinations to columns. Only the latter can absorb node-level feedback,
-by rescaling a whole hashed row and column.
+Two layouts are supported: the flat count-min layout of MIDAS-R, and a
+higher-order layout hashing sources to matrix rows and destinations to
+columns. Both are ``midas.ChiSquaredTables``, so edge feedback is one
+``scale`` of the edge's cells on either. Only the higher-order layout can
+absorb node-level feedback, by rescaling a whole hashed row and column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .events import EdgeEvent, TickClock
-from .hashing import DEFAULT_SEED
-from .midas import MidasDetector, chi2_score
-from .sketch import HigherOrderSketch, check_decay, check_weight
+from .events import EdgeEvent
+from .hashing import DEFAULT_SEED, HashFamily
+from .midas import ChiSquaredTables
+from .sketch import check_weight, matrix_cells
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +32,8 @@ class SharpeningParams:
     damp: float = 0.3
 
     def __post_init__(self):
-        if self.boost <= 1.0:
-            raise ValueError(f"boost factor must be > 1, got {self.boost}")
+        if not 1.0 < self.boost < math.inf:  # also rejects nan
+            raise ValueError(f"boost factor must be finite and > 1, got {self.boost}")
         if not 0.0 < self.damp < 1.0:
             raise ValueError(f"damp factor must be in (0, 1), got {self.damp}")
 
@@ -65,36 +67,26 @@ class FeedbackEvent:
 
 
 def apply_feedback(detector, feedback: FeedbackEvent, params: SharpeningParams) -> None:
-    """Rescale the detector's sketch cells for one labelled event.
-
-    Flat detectors accept edge feedback only; node feedback needs the
-    higher-order layout, where it rescales the node's hashed row (as a
-    source) and column (as a destination), touching the shared cell once.
-    """
+    """Rescale the detector's cells for one labelled event: for an edge, the
+    cells of every key it is scored on, or a max over edge and node scores
+    would read an untouched part; for a node, which needs the higher-order
+    layout, its hashed row (as a source) and column (as a destination)."""
     total_factor, current_factor = params.factors(feedback.label)
-    if isinstance(detector, MidasDetector):
-        if feedback.edge is None:
-            raise ValueError("flat-layout detectors only support edge feedback")
-        # Feedback must reach every (total, current) pair the labelled edge
-        # was scored on, or a max over edge and node scores simply reads an
-        # untouched part.
-        for key, (total, current) in zip(detector.keys(*feedback.edge), detector.tables):
-            for row, bucket in enumerate(detector.family.indexes(key)):
-                total.counts[row, bucket] *= total_factor
-                current.counts[row, bucket] *= current_factor
-        return
-    if isinstance(detector, Sess3dDetector):
-        detector.apply_feedback(feedback, params)
-        return
-    raise TypeError(f"unsupported detector type: {type(detector).__name__}")
+    if feedback.edge is not None:
+        detector.scale(detector.cells(*feedback.edge), total_factor, current_factor)
+    elif isinstance(detector, Sess3dDetector):
+        detector.scale_node(feedback.node, total_factor, current_factor)
+    else:
+        raise ValueError("flat-layout detectors only support edge feedback")
 
 
-class Sess3dDetector:
+class Sess3dDetector(ChiSquaredTables):
     """Edge scorer on the higher-order layout with feedback support.
 
-    Scores with the same current-vs-mean chi-squared statistic as the flat
-    detectors; both count tables hash sources to rows and destinations to
-    columns, which is what makes node feedback expressible.
+    A relational ``ChiSquaredTables`` with one key whose row holds an
+    ``n_buckets x n_buckets`` matrix: one hash family sends sources to
+    matrix rows and destinations to columns, which is what makes node
+    feedback expressible.
     """
 
     def __init__(
@@ -104,41 +96,28 @@ class Sess3dDetector:
         alpha: float = 0.5,
         seed: int = DEFAULT_SEED,
     ):
-        check_decay(alpha)
-        self.total = HigherOrderSketch(n_rows, n_buckets, seed)
-        self.current = HigherOrderSketch(n_rows, n_buckets, seed)
-        self.alpha = alpha
-        self.clock = TickClock()
+        super().__init__("relational", 1, n_rows, n_buckets, alpha, order=2)
+        self.family = HashFamily(n_rows, n_buckets, seed)
+        self.matrices = self.counts.reshape(2, n_rows, n_buckets, n_buckets)  # kind, row, r, c
+
+    def cells(self, source, dest) -> tuple:
+        """The edge's cell in every row, for the one key."""
+        return (matrix_cells(self.family, source, dest),)
 
     def score(self, event: EdgeEvent) -> float:
         check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
-        cells = self.total.indexes(event.source, event.dest)
-        if self.clock.advance(event.tick) is not None:
-            self.current.decay(self.alpha)
-        self.current.update_at(cells, event.weight)
-        self.total.update_at(cells, event.weight)
-        return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)
+        cells = self.cells(event.source, event.dest)
+        self.advance(event.tick)
+        return self.step(cells, event.weight, event.tick)[0][0]
 
-    def apply_feedback(self, feedback: FeedbackEvent, params: SharpeningParams) -> None:
-        total_factor, current_factor = params.factors(feedback.label)
-        if feedback.edge is not None:
-            for layer, cell in enumerate(self.total.indexes(*feedback.edge)):
-                self.total.counts[layer, cell] *= total_factor
-                self.current.counts[layer, cell] *= current_factor
-            return
-        # Sources and destinations share one hash, so the node's bucket is
-        # both its row and its column.
-        for layer, b in enumerate(self.total.family.indexes(feedback.node)):
-            for sketch, factor in (
-                (self.total, total_factor),
-                (self.current, current_factor),
-            ):
-                sketch.matrices[layer, b, :] *= factor
+    def scale_node(self, node, total_factor: float, current_factor: float) -> None:
+        """Multiply the node's matrix row and column, the shared cell once: sources
+        and destinations share one hash, so its bucket is its row and column."""
+        for layer, b in enumerate(self.family.indexes(node)):
+            for matrix, factor in zip(self.matrices[:, layer], (total_factor, current_factor)):
+                matrix[b, :] *= factor
                 # Column cells outside the already-scaled row.
-                col = sketch.matrices[layer, :, b]
+                col = matrix[:, b]
                 keep = col[b]
                 col *= factor
                 col[b] = keep
-
-    def state_bytes(self) -> int:
-        return self.total.state_bytes() + self.current.state_bytes()

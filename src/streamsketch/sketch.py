@@ -3,12 +3,13 @@ variant whose buckets form one matrix per hash row.
 
 Both keep their counts in one table, ``counts[row, cell]``: a count-min row
 has ``n_buckets`` cells, a higher-order row ``n_buckets ** 2``, read as an
-``n_buckets x n_buckets`` matrix. A table may own its counts or view a slice
-of a larger array its caller owns, so a detector can stack all its tables in
-one array and handle a tick boundary in a few whole-array passes. Counts are
-64-bit floats because temporal decay repeatedly scales them by a factor in
-(0, 1). Queries never underestimate: every update touches every row, and
-estimates take the minimum across rows.
+``n_buckets x n_buckets`` matrix (``matrix_cells`` gives an entry's cell).
+Counts are 64-bit floats because temporal decay repeatedly scales them by a
+factor in (0, 1). Queries never underestimate: every update touches every
+row, and estimates take the minimum across rows.
+
+The chi-squared detectors count in their own stacked array instead
+(``midas.ChiSquaredTables``), through the same ``HashFamily``.
 """
 
 from __future__ import annotations
@@ -65,26 +66,17 @@ class _CountTable:
     _order = 1  # a row holds n_buckets ** _order cells
     _version = 1  # snapshot format version, the first byte of every blob
 
-    def __init__(self, family: HashFamily, counts: np.ndarray | None = None):
+    def __init__(self, family: HashFamily):
         self.family = family
         self.n_rows = family.n_rows
         self.n_buckets = family.n_buckets
-        shape = (self.n_rows, self.n_buckets**self._order)
-        if counts is None:
-            counts = np.zeros(shape)
-        elif counts.shape != shape or counts.dtype != np.float64 or not counts.flags.c_contiguous:
-            raise ValueError(f"counts must be a C-contiguous float64 array of shape {shape}")
-        self.counts = counts
+        self.counts = np.zeros((self.n_rows, self.n_buckets**self._order))
 
     # -- updates and queries at given cells --------------------------------
 
     def update_at(self, cells, weight: float = 1.0) -> None:
         """Add ``weight`` to one cell per row; see ``check_weight``."""
         check_weight(weight)
-        self._add_at(cells, weight)
-
-    def _add_at(self, cells, weight: float) -> None:
-        """``update_at`` for a weight the caller has already checked."""
         counts = self.counts
         for row, cell in enumerate(cells):
             counts[row, cell] += weight
@@ -173,15 +165,12 @@ class CountMinSketch(_CountTable):
         n_buckets: int = 1024,
         seed: int = DEFAULT_SEED,
         family: HashFamily | None = None,
-        counts: np.ndarray | None = None,
     ):
-        """``counts`` is the (n_rows, n_buckets) float64 array to count in,
-        typically a view its caller owns; by default the sketch makes one."""
         if family is None:
             family = HashFamily(n_rows, n_buckets, seed)
         elif family.n_rows != n_rows or family.n_buckets != n_buckets:
             raise ValueError("supplied hash family does not match sketch shape")
-        super().__init__(family, counts)
+        super().__init__(family)
 
     def indexes(self, key) -> tuple[int, ...]:
         """Per-row bucket index for ``key``; reusable across sketches that
@@ -213,11 +202,18 @@ class CountMinSketch(_CountTable):
     ) -> None:
         """``conditional_merge`` of the ``current`` sketch into this total
         sketch, on the scores cached in the ``scores`` sketch."""
-        if epsilon <= 0:
+        if not epsilon > 0:  # also rejects nan
             raise ValueError(f"merge threshold must be > 0, got {epsilon}")
         if not all(self.family.same_layout(o.family) for o in (current, scores)):
             raise ValueError("conditional merge requires sketches with one shared layout")
         conditional_merge(self.counts, current.counts, scores.counts, epsilon, tick)
+
+
+def matrix_cells(family: HashFamily, source, dest) -> tuple[int, ...]:
+    """The cell of matrix entry (source, dest) in every row of a higher-order
+    table whose rows and columns ``family`` hashes, as ``r * n_buckets + c``."""
+    n_buckets = family.n_buckets
+    return tuple(r * n_buckets + c for r, c in zip(family.indexes(source), family.indexes(dest)))
 
 
 class HigherOrderSketch(_CountTable):
@@ -227,8 +223,7 @@ class HigherOrderSketch(_CountTable):
 
     Dense subgraphs in the input stream land in dense submatrices, which is
     what the density scorers exploit. ``matrices`` is a
-    ``(n_rows, n_buckets, n_buckets)`` view of ``counts``, and the cell of
-    matrix entry (r, c) is ``r * n_buckets + c``.
+    ``(n_rows, n_buckets, n_buckets)`` view of ``counts``; see ``matrix_cells``.
     """
 
     _order = 2
@@ -238,11 +233,8 @@ class HigherOrderSketch(_CountTable):
         self.matrices = self.counts.reshape(n_rows, n_buckets, n_buckets)
 
     def indexes(self, source, dest) -> tuple[int, ...]:
-        """The (source, dest) cell of every row, as ``r * n_buckets + c``."""
-        n_buckets = self.n_buckets
-        rows = self.family.indexes(source)
-        cols = self.family.indexes(dest)
-        return tuple(r * n_buckets + c for r, c in zip(rows, cols))
+        """The (source, dest) cell of every row; see ``matrix_cells``."""
+        return matrix_cells(self.family, source, dest)
 
     def update(self, source, dest, weight: float = 1.0) -> None:
         self.update_at(self.indexes(source, dest), weight)

@@ -494,6 +494,49 @@ def test_sess_feedback_past_the_stream_end_exits_1(tmp_path, capsys, layout):
     )
 
 
+@pytest.mark.parametrize("layout", ["flat", "3d"])
+@pytest.mark.parametrize("boost", ["nan", "inf"])
+def test_sess_rejects_a_non_finite_boost(tmp_path, capsys, layout, boost):
+    argv = detector_argv(tmp_path, "sess") + ["--layout", layout, "--boost", boost]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "boost" in captured.err
+
+
+def test_midas_f_rejects_a_nan_merge_threshold(tmp_path, capsys):
+    argv = detector_argv(tmp_path, "midas-f")
+    assert run_cli(*argv, "--merge-threshold", "nan") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: merge threshold must be > 0, got nan\n"
+    assert run_cli(*argv, "--merge-threshold", "inf") == 0
+
+
+SHAPE_CASES = [
+    "midas", "midas-r", "midas-f", "anoedge-g", "anoedge-l", "anograph", "anograph-k",
+    "mstream:cat+num", "mstream:num", "sess:flat", "sess:3d",
+]
+
+
+@pytest.mark.parametrize("flag, name", [("--rows", "n_rows"), ("--buckets", "n_buckets")])
+@pytest.mark.parametrize("case", SHAPE_CASES)
+def test_empty_sketch_shape_exits_1_on_every_detector_command(tmp_path, capsys, case, flag, name):
+    command, _, variant = case.partition(":")
+    argv = detector_argv(tmp_path, command)
+    if variant == "num":  # no categorical column, so no hash family is built
+        path = tmp_path / "numeric.csv"
+        rows = "".join(f"{i},{i % 4},{1 + i // 4}\n" for i in range(12))
+        path.write_text("num:x,num:y,tick\n" + rows)
+        argv[argv.index("--input") + 1] = str(path)
+    elif variant == "3d":
+        argv += ["--layout", "3d"]
+    assert run_cli(*argv, flag, "0") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be >= 1, got 0\n"
+
+
 def test_pomdp_command_reproduces_imitate_row(tmp_path):
     # Estimates default to the true rates when not supplied.
     out = tmp_path / "table.csv"
@@ -527,3 +570,14 @@ def test_pomdp_rejects_zero_seeds(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: accuracy_sweep needs at least one seed\n"
+
+
+@pytest.mark.parametrize("q_hat", ["0", "-0.5", "nan", "2"])
+def test_pomdp_opt_rejects_q_hat_outside_the_unit_interval(capsys, q_hat):
+    assert run_cli(
+        "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "opt",
+        "--q-hat-single", q_hat, "--steps", "100",
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: opt needs q_hat in (0, 1), got {float(q_hat)}\n"

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import streamsketch
 from streamsketch.midas import guaranteed_shape
 
@@ -41,24 +43,38 @@ def test_benchmark_tracer_targets_resolve():
         assert isinstance(getattr(sketch, name), type), name
 
 
-def test_benchmark_tracer_reaches_every_mstream_layer(tmp_path):
-    """A traced ``mstream`` run records calls in each hashing layer, so a
-    refactor cannot quietly zero a per-layer metric. The tracer rebinds
+TRACED_RUNS = {
+    "mstream": (
+        "cat:a,cat:b,num:x,tick\n"
+        + "".join(f"c{i % 3},d{i % 2},{i * 1.5},{1 + i // 4}\n" for i in range(12)),
+        ("mstream.hash", "mstream.score", "hashing.canonical_key", "hashing.indexes"),
+    ),
+    "midas-f": (
+        "".join(f"{i % 3},{(i + 1) % 4},{1 + i // 4}\n" for i in range(12)),
+        ("midas.process", "hashing.indexes", "hashing.canonical_key"),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(TRACED_RUNS))
+def test_benchmark_tracer_reaches_every_layer(tmp_path, command):
+    """A traced run records calls in each layer the benchmark reports for it,
+    so a refactor cannot quietly zero a per-layer metric. The tracer rebinds
     module attributes for good, so it runs in a child process, as in the
     benchmark."""
-    records = tmp_path / "records.csv"
-    rows = "".join(f"c{i % 3},d{i % 2},{i * 1.5},{1 + i // 4}\n" for i in range(12))
-    records.write_text("cat:a,cat:b,num:x,tick\n" + rows)
+    text, labels_needed = TRACED_RUNS[command]
+    data = tmp_path / "input.csv"
+    data.write_text(text)
     report = tmp_path / "report.json"
-    command = [
+    argv = [
         sys.executable, str(ROOT / "bench" / "spans.py"), str(report), str(tmp_path / "spans.npz"),
-        str(ROOT / "src"), "--", "mstream", "--input", str(records),
+        str(ROOT / "src"), "--", command, "--input", str(data),
     ]
-    done = subprocess.run(command, capture_output=True, text=True, timeout=120, cwd=ROOT)
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 12
     labels = json.loads(report.read_text())["labels"]
-    for label in ("mstream.hash", "mstream.score", "hashing.canonical_key", "hashing.indexes"):
+    for label in labels_needed:
         assert labels.get(label, {}).get("calls", 0) > 0, label
 
 

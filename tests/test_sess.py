@@ -1,5 +1,10 @@
+import math
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamsketch.events import EdgeEvent
 from streamsketch.midas import MidasDetector, chi2_score
@@ -9,11 +14,13 @@ from streamsketch.sess import (
     Sess3dDetector,
     apply_feedback,
 )
+from streamsketch.sketch import HigherOrderSketch
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        SharpeningParams(boost=1.0, damp=0.3)
+    for boost in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="boost"):
+            SharpeningParams(boost=boost, damp=0.3)
     with pytest.raises(ValueError):
         SharpeningParams(boost=2.0, damp=0.0)
     with pytest.raises(ValueError):
@@ -31,47 +38,52 @@ def test_feedback_event_validation():
         FeedbackEvent(label=1, edge=("u", "v"), node="u")
 
 
+def at(table, cells):
+    """The count at each row's cell, as (row 0, row 1, ...)."""
+    return table[np.arange(len(cells)), list(cells)]
+
+
 def test_anomalous_label_boosts_current_and_damps_total():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=1)
-    idx = detector.family.indexes(("u", "v"))
-    total, current = detector.tables[0]
-    total.assign_at(idx, 10.0)
-    current.assign_at(idx, 4.0)
+    (idx,) = detector.cells("u", "v")
+    total, current = detector.counts[:, 0]
+    total[np.arange(2), idx] = 10.0
+    current[np.arange(2), idx] = 4.0
     apply_feedback(
         detector,
         FeedbackEvent(1, edge=("u", "v")),
         SharpeningParams(boost=2.0, damp=0.3),
     )
-    assert current.query_at(idx) == pytest.approx(8.0)
-    assert total.query_at(idx) == pytest.approx(3.0)
+    assert at(current, idx) == pytest.approx([8.0, 8.0])
+    assert at(total, idx) == pytest.approx([3.0, 3.0])
 
 
 def test_normal_label_is_the_mirror_image():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=1)
-    idx = detector.family.indexes(("u", "v"))
-    total, current = detector.tables[0]
-    total.assign_at(idx, 10.0)
-    current.assign_at(idx, 4.0)
+    (idx,) = detector.cells("u", "v")
+    total, current = detector.counts[:, 0]
+    total[np.arange(2), idx] = 10.0
+    current[np.arange(2), idx] = 4.0
     apply_feedback(
         detector,
         FeedbackEvent(0, edge=("u", "v")),
         SharpeningParams(boost=2.0, damp=0.3),
     )
-    assert current.query_at(idx) == pytest.approx(4.0 * 0.3)
-    assert total.query_at(idx) == pytest.approx(20.0)
+    assert at(current, idx) == pytest.approx([4.0 * 0.3] * 2)
+    assert at(total, idx) == pytest.approx([20.0, 20.0])
 
 
 def test_inverse_factors_commute_back_to_original():
     detector = MidasDetector("plain", n_buckets=1 << 16, seed=2)
-    idx = detector.family.indexes(("a", "b"))
-    total, current = detector.tables[0]
-    total.assign_at(idx, 6.25)
-    current.assign_at(idx, 1.5)
+    (idx,) = detector.cells("a", "b")
+    total, current = detector.counts[:, 0]
+    total[np.arange(2), idx] = 6.25
+    current[np.arange(2), idx] = 1.5
     params = SharpeningParams(boost=2.0, damp=0.5)  # boost * damp == 1 exactly
     apply_feedback(detector, FeedbackEvent(0, edge=("a", "b")), params)
     apply_feedback(detector, FeedbackEvent(1, edge=("a", "b")), params)
-    assert total.query_at(idx) == 6.25
-    assert current.query_at(idx) == 1.5
+    assert at(total, idx).tolist() == [6.25, 6.25]
+    assert at(current, idx).tolist() == [1.5, 1.5]
 
 
 def test_cells_stay_positive_under_any_feedback_sequence():
@@ -82,20 +94,19 @@ def test_cells_stay_positive_under_any_feedback_sequence():
         edge = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
         detector.score(EdgeEvent(edge[0], edge[1], tick))
         apply_feedback(detector, FeedbackEvent(int(rng.random() < 0.5), edge=edge), params)
-    total, current = detector.tables[0]
-    assert (total.counts >= 0).all()
-    assert (current.counts >= 0).all()
-    assert total.counts.max() > 0
+    assert (detector.counts >= 0).all()
+    assert detector.counts[0].max() > 0
 
 
 def test_relational_feedback_reaches_node_sketches():
     detector = MidasDetector("relational", n_buckets=1 << 16, seed=4)
     detector.score(EdgeEvent("u", "v", 1, weight=4.0))
-    (_, _), (source_total, _), (dest_total, _) = detector.tables
-    before = source_total.query("u")
+    _, source_cells, dest_cells = detector.cells("u", "v")
+    source_total, dest_total = detector.counts[0, 1], detector.counts[0, 2]
+    before = at(source_total, source_cells).min()
     apply_feedback(detector, FeedbackEvent(0, edge=("u", "v")), SharpeningParams())
-    assert source_total.query("u") == pytest.approx(before * 2.0)
-    assert dest_total.query("v") == pytest.approx(before * 2.0)
+    assert at(source_total, source_cells).min() == pytest.approx(before * 2.0)
+    assert at(dest_total, dest_cells).min() == pytest.approx(before * 2.0)
 
 
 def test_node_feedback_rejected_on_flat_layout():
@@ -108,29 +119,103 @@ def test_3d_edge_feedback_scales_single_cells():
     detector = Sess3dDetector(n_buckets=32, seed=6)
     detector.score(EdgeEvent("u", "v", 1, weight=5.0))
     apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams())
-    cells = detector.total.indexes("u", "v")
-    for layer, cell in enumerate(cells):
-        assert detector.total.counts[layer, cell] == pytest.approx(5.0 * 0.3)
-        assert detector.current.counts[layer, cell] == pytest.approx(5.0 * 2.0)
+    (cells,) = detector.cells("u", "v")
+    total, current = detector.counts[:, 0]
+    assert at(total, cells) == pytest.approx([5.0 * 0.3] * 2)
+    assert at(current, cells) == pytest.approx([5.0 * 2.0] * 2)
+    assert np.count_nonzero(detector.counts) == 2 * 2
 
 
 def test_3d_node_feedback_scales_row_and_column_once():
     detector = Sess3dDetector(n_rows=2, n_buckets=8, seed=7)
-    detector.total.matrices[:] = 1.0
-    detector.current.matrices[:] = 1.0
+    detector.counts[:] = 1.0
     apply_feedback(detector, FeedbackEvent(1, node="n"), SharpeningParams(2.0, 0.3))
     # One hash family: the node's bucket is both its row and its column.
-    for layer, cell in enumerate(detector.total.indexes("n", "n")):
+    for layer, cell in enumerate(detector.cells("n", "n")[0]):
         r, c = divmod(cell, 8)
         assert r == c
-        m = detector.total.matrices[layer]
+        m = detector.matrices[0, layer]
         assert m[r, c] == pytest.approx(0.3)  # intersection scaled exactly once
         assert np.allclose(np.delete(m[r, :], c), 0.3)
         assert np.allclose(np.delete(m[:, c], r), 0.3)
         untouched = np.delete(np.delete(m, r, axis=0), c, axis=1)
         assert np.allclose(untouched, 1.0)
-        cur = detector.current.matrices[layer]
+        cur = detector.matrices[1, layer]
         assert cur[r, c] == pytest.approx(2.0)
+
+
+class TwoSketchSess3d:
+    """The higher-order detector as two ``HigherOrderSketch`` tables, decayed
+    and rescaled one at a time, kept as the oracle for the stacked one."""
+
+    def __init__(self, n_rows, n_buckets, alpha, seed):
+        self.total = HigherOrderSketch(n_rows, n_buckets, seed)
+        self.current = HigherOrderSketch(n_rows, n_buckets, seed)
+        self.alpha = alpha
+        self.tick = None
+
+    def score(self, event):
+        cells = self.total.indexes(event.source, event.dest)
+        if self.tick is not None and event.tick != self.tick:
+            self.current.decay(self.alpha)
+        self.tick = event.tick
+        self.current.update_at(cells, event.weight)
+        self.total.update_at(cells, event.weight)
+        return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)
+
+    def feedback(self, feedback, params):
+        total_factor, current_factor = params.factors(feedback.label)
+        if feedback.edge is not None:
+            for layer, cell in enumerate(self.total.indexes(*feedback.edge)):
+                self.total.counts[layer, cell] *= total_factor
+                self.current.counts[layer, cell] *= current_factor
+            return
+        for layer, b in enumerate(self.total.family.indexes(feedback.node)):
+            for sketch, factor in ((self.total, total_factor), (self.current, current_factor)):
+                sketch.matrices[layer, b, :] *= factor
+                col = sketch.matrices[layer, :, b]
+                keep = col[b]
+                col *= factor
+                col[b] = keep
+
+
+NODES = st.integers(0, 5) | st.sampled_from(["a", "b", "c"])
+FEEDBACK = st.none() | st.tuples(st.integers(0, 1), st.none() | NODES)  # (label, node or edge)
+SESS_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 0, 0, 1, 3]),  # tick increment: repeated and skipped ticks
+        NODES,
+        NODES,
+        st.sampled_from([1.0, 1.0, 0.0, 0.5, 2.5]) | st.floats(0.0, 50.0),
+        FEEDBACK,
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    steps=SESS_STEPS,
+    n_rows=st.integers(1, 3),
+    n_buckets=st.sampled_from([1, 2, 7, 32]),
+    alpha=st.sampled_from([0.5, 0.3, 0.9]),
+    params=st.sampled_from([SharpeningParams(), SharpeningParams(4.0, 0.1), SharpeningParams(2.0, 0.5)]),
+)
+def test_3d_detector_matches_its_two_sketch_oracle(steps, n_rows, n_buckets, alpha, params):
+    detector = Sess3dDetector(n_rows, n_buckets, alpha, seed=11)
+    oracle = TwoSketchSess3d(n_rows, n_buckets, alpha, seed=11)
+    tick = 1
+    for dtick, source, dest, weight, feedback in steps:
+        tick += dtick
+        event = EdgeEvent(source, dest, tick, weight)
+        assert detector.score(event) == oracle.score(event)
+        if feedback is not None:
+            label, node = feedback
+            target = dict(edge=(source, dest)) if node is None else dict(node=node)
+            for apply in (partial(apply_feedback, detector), oracle.feedback):
+                apply(FeedbackEvent(label, **target), params)
+        assert np.array_equal(detector.counts[:, 0], [oracle.total.counts, oracle.current.counts])
 
 
 def test_3d_scoring_matches_flat_chi2_when_collision_free():

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from streamsketch.midas import MidasDetector
 from streamsketch.sketch import CountMinSketch, HigherOrderSketch
 
 
@@ -181,6 +182,23 @@ def test_merge_rejects_mismatched_layouts():
     small = CountMinSketch(2, 32, seed=4)
     with pytest.raises(ValueError):
         total.merge_conditional(small, scores, epsilon=1.0, tick=2)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_merge_rejects_a_threshold_that_is_not_positive(epsilon):
+    total, current, scores = _trio()
+    with pytest.raises(ValueError, match="merge threshold must be > 0"):
+        total.merge_conditional(current, scores, epsilon=epsilon, tick=2)
+    with pytest.raises(ValueError, match="merge threshold must be > 0"):
+        MidasDetector("filtering", merge_threshold=epsilon)
+
+
+def test_merge_accepts_an_infinite_threshold():
+    total, current, scores = _trio()
+    current.update("a", 2.0)
+    total.merge_conditional(current, scores, epsilon=math.inf, tick=3)
+    assert total.query("a") == 2.0
+    assert MidasDetector("filtering", merge_threshold=math.inf).merge_threshold == math.inf
 
 
 def test_merge_is_bucketwise_for_collision_free_keys():

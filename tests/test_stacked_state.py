@@ -1,5 +1,5 @@
-"""Stacked detector state: every table of a detector views one array, and
-the whole-array tick close matches the per-table close exactly."""
+"""Stacked detector state: every table of a detector is a slice of one
+array, and the whole-array tick close matches the per-table close exactly."""
 
 import math
 from dataclasses import dataclass
@@ -14,7 +14,6 @@ from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
-from streamsketch.sketch import CountMinSketch
 
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
 
@@ -23,28 +22,34 @@ SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=T
 
 
 def masked_merge(total, current, scores, epsilon, tick):
-    """Conditional merge of one table through boolean masks."""
-    accept = scores.counts < epsilon
-    total.counts[accept] += current.counts[accept]
+    """Conditional merge of one key's tables through boolean masks."""
+    accept = scores < epsilon
+    total[accept] += current[accept]
     if tick != 1:
         rejected = ~accept
-        total.counts[rejected] += total.counts[rejected] / (tick - 1)
+        total[rejected] += total[rejected] / (tick - 1)
 
 
 class PerTableDetector(MidasDetector):
-    """MidasDetector whose tick close handles one table at a time: a masked
-    merge per scored key, then one clear or decay per current table."""
+    """MidasDetector whose tick close handles one key's slice of ``counts``
+    at a time: a masked merge per scored key, then one clear or decay per
+    current table."""
 
-    def _close_tick(self, closing):
+    def advance(self, tick):
+        closing = self.clock.advance(tick)
+        if closing is None:
+            return
+        tables = [self.counts[:, k] for k in range(self.counts.shape[1])]
         if self.variant == "plain":
-            for _, current in self.tables:
-                current.clear()
+            for _, current in tables:
+                current.fill(0.0)
             self.tick_volume = 0.0
             return
-        for (total, current), cache in zip(self.tables, self.score_caches):
-            masked_merge(total, current, cache, self.merge_threshold, closing)
-        for _, current in self.tables:
-            current.decay(self.alpha)
+        if self.variant == "filtering":
+            for total, current, cache in tables:
+                masked_merge(total, current, cache, self.merge_threshold, closing)
+        for table in tables:
+            table[1] *= self.alpha
         self.tick_volume *= self.alpha
 
 
@@ -92,37 +97,35 @@ def test_stacked_close_matches_the_per_table_close(variant, steps, alpha):
         assert fast.tick_volume == oracle.tick_volume
 
 
-# -- views stay views ---------------------------------------------------------------
-
-
-def midas_tables(detector):
-    return [t for pair in detector.tables for t in pair] + list(detector.score_caches)
+# -- each key counts in its own slice ------------------------------------------------
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_midas_tables_view_the_stacked_array(variant):
+    """Key k of an edge counts in slice k of each kind, at its own cells only."""
     detector = MidasDetector(variant, n_rows=3, n_buckets=16, seed=1)
-    tables = midas_tables(detector)
-    assert all(np.shares_memory(t.counts, detector.counts) for t in tables)
-    assert sum(t.counts.nbytes for t in tables) == detector.counts.nbytes
-    # The views are disjoint and together cover the array.
-    for i, table in enumerate(tables):
-        table.counts[...] = i
-    assert np.bincount(detector.counts.ravel().astype(int)).tolist() == [3 * 16] * len(tables)
+    detector.process(EdgeEvent("u", "v", 1, 2.0))
+    detector.process(EdgeEvent("u", "v", 2, 2.0))
+    cells = detector.cells("u", "v")
+    n_kinds = 3 if variant == "filtering" else 2
+    assert detector.counts.shape == (n_kinds, len(cells), 3, 16)
+    for k, key_cells in enumerate(cells):
+        touched = np.zeros((3, 16), dtype=bool)
+        touched[np.arange(3), key_cells] = True
+        for kind in range(n_kinds):
+            assert not detector.counts[kind, k][~touched].any()
+        assert (detector.counts[0, k][touched] > 0).all()  # the tick-1 weight, merged or not
 
 
 def test_mstream_tables_view_the_stacked_array():
     detector = MstreamDetector(2, 1, n_rows=2, n_buckets=16, alpha=0.5, seed=3)
-    tables = [t for pair in detector._tables for t in pair]
-    assert len(tables) == 2 * (2 + 1 + 1)
-    assert all(np.shares_memory(t.counts, detector.counts) for t in tables)
-    assert sum(t.counts.nbytes for t in tables) == detector.counts.nbytes
+    assert detector.counts.shape == (2, 2 + 1 + 1, 2, 16)
     detector.score(MultiAspectRecord(("a", "b"), (3.0,), tick=1))
-    currents = [current.counts.copy() for _, current in detector._tables]
+    currents = detector.counts[1].copy()
     detector.score(MultiAspectRecord(("c", "d"), (9.0,), tick=2))
     # The tick change decays every current table; the new record adds 1 per row.
-    for (_, current), before in zip(detector._tables, currents):
-        added = current.counts - before * 0.5
+    for current, before in zip(detector.counts[1], currents):
+        added = current - before * 0.5
         assert sorted(added[added != 0].tolist()) == [1.0, 1.0]
 
 
@@ -132,33 +135,12 @@ def test_flat_feedback_writes_reach_the_stacked_array():
     before = detector.counts.copy()
     apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams(2.0, 0.3))
     expected = before.copy()
-    for k, key in enumerate(detector.keys("u", "v")):
+    for k, key in enumerate([("u", "v"), "u", "v"]):
         for row, bucket in enumerate(detector.family.indexes(key)):
             expected[0, k, row, bucket] *= 0.3
             expected[1, k, row, bucket] *= 2.0
     assert np.array_equal(detector.counts, expected)
     assert (detector.counts != before).sum() == 2 * 3 * 2
-
-
-def test_view_backed_table_snapshot_roundtrips():
-    detector = MidasDetector("filtering", n_rows=2, n_buckets=32, seed=5)
-    for tick, (u, v) in enumerate([(1, 2), (1, 3), (2, 3), (1, 2)], start=1):
-        detector.process(EdgeEvent(u, v, tick, 1.5))
-    for table in midas_tables(detector):
-        clone = CountMinSketch.from_bytes(table.to_bytes())
-        assert np.array_equal(clone.counts, table.counts)
-        assert clone.family.same_layout(table.family)
-        assert not np.shares_memory(clone.counts, detector.counts)
-
-
-@pytest.mark.parametrize(
-    "counts",
-    [np.zeros((2, 4)), np.zeros((2, 8), dtype=np.float32), np.zeros((8, 2)).T],
-    ids=["shape", "dtype", "strided"],
-)
-def test_counts_the_kernels_cannot_use_are_rejected(counts):
-    with pytest.raises(ValueError, match="C-contiguous float64 array of shape"):
-        CountMinSketch(2, 8, counts=counts)
 
 
 # -- the weight is checked once, on every path ------------------------------------
@@ -196,7 +178,7 @@ def local_state(detector):
 @pytest.mark.parametrize(
     "make, score, state",
     [
-        (Sess3dDetector, Sess3dDetector.score, lambda d: [d.total.counts, d.current.counts]),
+        (Sess3dDetector, Sess3dDetector.score, lambda d: [d.counts]),
         (AnoEdgeGlobal, lambda d, event: d.score_many([event]), lambda d: [d.sketch.counts]),
         (AnoEdgeLocal, AnoEdgeLocal.score, local_state),
     ],
