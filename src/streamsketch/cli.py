@@ -36,7 +36,9 @@ from functools import partial
 from .densegraph import AnoEdgeGlobal, AnoEdgeLocal, anograph_score
 from .hashing import DEFAULT_SEED
 from .ingest import (
+    Lines,
     WindowSpec,
+    convert,
     parse_edge_stream,
     parse_feedback,
     parse_record_stream,
@@ -70,16 +72,26 @@ def _config_args(argv: list[str]) -> list[str]:
     if path is None:
         return []
     entries = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+    with open(path, encoding="utf-8") as handle, Lines(handle, path) as lines:
+        for line in lines:
+            if line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
+                raise ValueError("expected key=value")
             key, value = line.split("=", 1)
             entries.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
     return entries
+
+
+def _seed(text: str) -> int:
+    """A seed the snapshot header can store: an integer in [0, 2**64)."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def _given(args, *names) -> dict:
@@ -107,16 +119,16 @@ def _open_output(path: str):
             yield handle
 
 
-def _read_labels(path: str) -> list[int]:
-    with open(path, "r", encoding="utf-8") as handle:
-        labels = []
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
+def _read_labels(path: str, count: int, items: str = "scores") -> list[int]:
+    """The 0/1 labels in ``path``, one for each of ``count`` ``items``."""
+    labels = []
+    with open(path, encoding="utf-8") as handle, Lines(handle, path) as lines:
+        for line in lines:
             if line not in ("0", "1"):
-                raise ValueError(f"{path}:{lineno}: labels must be 0 or 1")
+                raise ValueError("labels must be 0 or 1")
             labels.append(int(line))
+    if len(labels) != count:
+        raise ValueError(f"labels file has {len(labels)} entries for {count} {items}")
     return labels
 
 
@@ -144,9 +156,7 @@ def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
     elapsed = time.perf_counter() - started
 
     if args.eval:
-        truth = _read_labels(args.labels) if labels is None else labels(items)
-        if len(truth) != len(scores):
-            raise ValueError(f"labels file has {len(truth)} entries for {len(scores)} scores")
+        truth = _read_labels(args.labels, len(scores)) if labels is None else labels(items)
         auc = roc_auc(scores, truth)
     with _open_output(args.output) as out:
         if args.eval:
@@ -204,11 +214,8 @@ def _run_anograph(args, variant: str) -> int:
     def read(handle) -> list:
         """Sealed windows with their labels, one per ``window_ticks``."""
         events = list(parse_edge_stream(handle, has_weight=args.has_weight))
-        edge_labels = _read_labels(args.labels) if args.labels else [0] * len(events)
-        if len(edge_labels) != len(events):
-            raise ValueError(
-                f"labels file has {len(edge_labels)} entries for {len(events)} edges"
-            )
+        n = len(events)
+        edge_labels = _read_labels(args.labels, n, "edges") if args.labels else [0] * n
         return window_aggregate(
             events, edge_labels, spec, seed=args.seed, **_given(args, "n_rows", "n_buckets")
         )
@@ -222,19 +229,20 @@ def _run_anograph(args, variant: str) -> int:
 
 
 def _run_mstream(args) -> int:
-    def read(handle):
-        schema, records = parse_record_stream(handle, **_given(args, "tick_every"))
-        return schema, list(records)
+    detector = None
 
-    def score_all(parsed) -> list[float]:
-        schema, records = parsed
+    def read(handle) -> list:
+        nonlocal detector
+        schema, records = parse_record_stream(handle, **_given(args, "tick_every"))
         # The attribute split comes from the file's header.
         detector = MstreamDetector(
             schema.n_categorical, schema.n_numeric, seed=args.seed, **_given(args, *SKETCH)
         )
-        return [detector.score(record).total for record in records]
+        return list(records)
 
-    return _score_input(args, score_all, read=read)
+    return _score_input(
+        args, lambda records: [detector.score(record).total for record in records], read=read
+    )
 
 
 def _run_sess(args) -> int:
@@ -243,7 +251,7 @@ def _run_sess(args) -> int:
     detector = make(seed=args.seed, **_given(args, *SKETCH))
 
     with open(args.feedback, "r", encoding="utf-8") as handle:
-        edge_labels, node_feedback = parse_feedback(handle)
+        edge_labels, node_feedback = parse_feedback(handle, args.feedback)
     if node_feedback and args.layout != "3d":
         raise ValueError("node feedback requires --layout 3d")
     # Node labels carry no stream position; they apply before scoring starts.
@@ -349,23 +357,13 @@ def _run_synth(args) -> int:
 
 def _run_eval(args) -> int:
     scores = []
-    with open(args.scores, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                score = float(line.split(",")[0])
-            except ValueError:
-                raise ValueError(f"{args.scores}:{lineno}: non-numeric score") from None
+    with open(args.scores, encoding="utf-8") as handle, Lines(handle, args.scores) as lines:
+        for line in lines:
+            score = convert(float, line.split(",")[0], "non-numeric score")
             if math.isnan(score):  # roc_auc would rank it above every number
-                raise ValueError(f"{args.scores}:{lineno}: score is nan")
+                raise ValueError("score is nan")
             scores.append(score)
-    labels = _read_labels(args.labels)
-    if len(labels) != len(scores):
-        raise ValueError(
-            f"labels file has {len(labels)} entries for {len(scores)} scores"
-        )
+    labels = _read_labels(args.labels, len(scores))
     print(json.dumps({"auc": roc_auc(scores, labels)}))
     return 0
 
@@ -374,7 +372,7 @@ def _run_eval(args) -> int:
 
 
 def _add_seed_and_config(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=os.environ.get("STREAMSKETCH_SEED", DEFAULT_SEED))
+    sub.add_argument("--seed", type=_seed, default=os.environ.get("STREAMSKETCH_SEED", DEFAULT_SEED))
     sub.add_argument("--config", help="key=value config file")
 
 

@@ -7,8 +7,10 @@ no header. Record files start with one header line tagging each column
 event per line: ``index,label`` for edges by stream position, or
 ``node,<id>,<label>`` for node labels.
 
-Malformed rows abort with their 1-based line number; ticks must never
-decrease.
+Every input, the CLI's side files included, is read through ``Lines``. Blank
+lines are skipped (a record header is the first non-blank line; synthetic
+ticks count records), and a malformed line aborts as ``line N: ...``, or
+``PATH:N: ...`` in a named file. A ``TickClock`` keeps ticks from decreasing.
 """
 
 from __future__ import annotations
@@ -18,12 +20,51 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .densegraph import GraphWindow
-from .events import EdgeEvent, MultiAspectRecord
+from .events import EdgeEvent, MultiAspectRecord, TickClock
 from .hashing import DEFAULT_SEED
 from .sess import FeedbackEvent
 from .sketch import HigherOrderSketch
 
 DELIMITER = ","
+
+
+class Lines:
+    """The non-blank lines of one input, stripped, numbered from 1.
+
+    Used as a context manager, it re-raises a ``ValueError`` raised while a
+    line is handled with the line's location in front: ``line N: ...``, or
+    ``NAME:N: ...`` for an input given a ``name``. Decode errors pass
+    through unchanged: the file is read ahead, so the number would be wrong.
+    """
+
+    def __init__(self, lines: Iterable[str], name: str | None = None):
+        self._lines = lines
+        self.name = name
+        self.lineno: int | None = None  # the line being handled, if any
+
+    def __iter__(self) -> Iterator[str]:
+        for lineno, raw in enumerate(self._lines, start=1):
+            self.lineno = lineno
+            line = raw.strip()
+            if line:
+                yield line
+        self.lineno = None
+
+    def __enter__(self) -> Lines:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if isinstance(exc, ValueError) and not isinstance(exc, UnicodeError) and self.lineno:
+            where = f"line {self.lineno}" if self.name is None else f"{self.name}:{self.lineno}"
+            raise ValueError(f"{where}: {exc}") from None
+
+
+def convert(kind, text: str, field: str):
+    """``kind(text)``; text it rejects is reported as ``FIELD 'text'``."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{field} {text!r}") from None
 
 
 def _parse_node(text: str):
@@ -37,33 +78,28 @@ def _parse_node(text: str):
         return stripped
 
 
+def _parse_label(text: str) -> int:
+    label = convert(int, text, "non-integer label")
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    return label
+
+
 def parse_edge_stream(lines: Iterable[str], has_weight: bool = False) -> Iterator[EdgeEvent]:
     """Yield EdgeEvents from CSV rows, validating arity and tick order."""
     arity = 4 if has_weight else 3
-    last_tick = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(DELIMITER)
-        if len(parts) != arity:
-            raise ValueError(
-                f"line {lineno}: expected {arity} fields, got {len(parts)}"
-            )
-        try:
+    clock = TickClock()
+    with Lines(lines) as rows:
+        for line in rows:
+            parts = line.split(DELIMITER)
+            if len(parts) != arity:
+                raise ValueError(f"expected {arity} fields, got {len(parts)}")
             source = _parse_node(parts[0])
             dest = _parse_node(parts[1])
-            weight = float(parts[2]) if has_weight else 1.0
-            tick = int(parts[-1])
-            event = EdgeEvent(source, dest, tick, weight)  # checks weight and tick
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if last_tick is not None and tick < last_tick:
-            raise ValueError(
-                f"line {lineno}: tick {tick} decreases from {last_tick}"
-            )
-        last_tick = tick
-        yield event
+            weight = convert(float, parts[2], "non-numeric weight") if has_weight else 1.0
+            event = EdgeEvent(source, dest, convert(int, parts[-1], "non-integer tick"), weight)
+            clock.advance(event.tick)
+            yield event
 
 
 @dataclass(frozen=True)
@@ -122,101 +158,66 @@ def parse_record_stream(
     """
     if tick_every < 1:
         raise ValueError(f"tick_every (records per synthetic tick) must be >= 1, got {tick_every}")
-    iterator = iter(lines)
-    try:
-        header = next(iterator)
-    except StopIteration:
-        raise ValueError("record file is empty") from None
-    schema = parse_record_header(header)
+    reader = Lines(lines)
+    rows = iter(reader)
+    with reader:
+        header = next(rows, None)
+        if header is None:
+            raise ValueError("record file is empty")
+        schema = parse_record_header(header)
 
     def generate() -> Iterator[MultiAspectRecord]:
-        last_tick = None
-        for offset, raw in enumerate(iterator):
-            lineno = offset + 2  # header was line 1
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(DELIMITER)
-            if len(parts) != len(schema.kinds):
-                raise ValueError(
-                    f"line {lineno}: expected {len(schema.kinds)} fields, got {len(parts)}"
-                )
-            cats, nums, tick = [], [], None
-            for value, kind in zip(parts, schema.kinds):
-                if kind == "cat":
-                    cats.append(value.strip())
-                elif kind == "num":
-                    try:
-                        number = float(value)
-                    except ValueError:
-                        raise ValueError(
-                            f"line {lineno}: non-numeric value {value!r}"
-                        ) from None
-                    if not math.isfinite(number):
-                        raise ValueError(
-                            f"line {lineno}: numeric value must be finite, got {value!r}"
-                        )
-                    if number <= -1.0:  # outside log1p's domain
-                        raise ValueError(
-                            f"line {lineno}: numeric value must be > -1, got {value!r}"
-                        )
-                    nums.append(number)
-                else:
-                    try:
-                        tick = int(value)
-                    except ValueError:
-                        raise ValueError(
-                            f"line {lineno}: non-integer tick {value!r}"
-                        ) from None
-            if tick is None:
-                tick = 1 + offset // tick_every
-            try:
+        clock = TickClock()
+        with reader:
+            for index, line in enumerate(rows):
+                parts = line.split(DELIMITER)
+                if len(parts) != len(schema.kinds):
+                    raise ValueError(f"expected {len(schema.kinds)} fields, got {len(parts)}")
+                cats, nums, tick = [], [], 1 + index // tick_every
+                for value, kind in zip(parts, schema.kinds):
+                    if kind == "cat":
+                        cats.append(value.strip())
+                    elif kind == "num":
+                        number = convert(float, value, "non-numeric value")
+                        if not math.isfinite(number):
+                            raise ValueError(f"numeric value must be finite, got {value!r}")
+                        if number <= -1.0:  # outside log1p's domain
+                            raise ValueError(f"numeric value must be > -1, got {value!r}")
+                        nums.append(number)
+                    else:
+                        tick = convert(int, value, "non-integer tick")
                 record = MultiAspectRecord(tuple(cats), tuple(nums), tick)
-            except ValueError as exc:  # the tick; the values are checked above
-                raise ValueError(f"line {lineno}: {exc}") from None
-            if last_tick is not None and tick < last_tick:
-                raise ValueError(
-                    f"line {lineno}: tick {tick} decreases from {last_tick}"
-                )
-            last_tick = tick
-            yield record
+                clock.advance(tick)
+                yield record
 
     return schema, generate()
 
 
-def parse_feedback(lines: Iterable[str]) -> tuple[dict[int, int], list[FeedbackEvent]]:
+def parse_feedback(
+    lines: Iterable[str], name: str | None = None
+) -> tuple[dict[int, int], list[FeedbackEvent]]:
     """Edge labels by 0-based stream position, and node feedback in file order.
 
     An edge is resolved when its position is reached; when a position is
-    labelled twice, the later line wins.
+    labelled twice, the later line wins. Errors are located in ``name``.
     """
     edge_labels: dict[int, int] = {}
     node_feedback: list[FeedbackEvent] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(DELIMITER)
-        try:
+    with Lines(lines, name) as rows:
+        for line in rows:
+            parts = line.split(DELIMITER)
             if parts[0] == "node":
                 if len(parts) != 3:
                     raise ValueError("node feedback needs 'node,<id>,<label>'")
-                label = int(parts[2])
-                if label not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {label}")
+                label = _parse_label(parts[2])
                 node_feedback.append(FeedbackEvent(label, node=_parse_node(parts[1])))
             else:
                 if len(parts) != 2:
                     raise ValueError("edge feedback needs 'index,label'")
-                index = int(parts[0])
+                index = convert(int, parts[0], "non-integer index")
                 if index < 0:
                     raise ValueError(f"index must be >= 0, got {index}")
-                label = int(parts[1])
-                if label not in (0, 1):
-                    raise ValueError(f"label must be 0 or 1, got {label}")
-                edge_labels[index] = label
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+                edge_labels[index] = _parse_label(parts[1])
     return edge_labels, node_feedback
 
 

@@ -3,9 +3,11 @@ import io
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from streamsketch import cli
 from streamsketch.cli import main
 
 
@@ -130,6 +132,45 @@ def test_bad_config_value_or_seed_variable_exits_2_naming_the_option(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+SEED_COMMANDS = ["midas", "anoedge-g", "anoedge-l", "anograph", "mstream", "sess", "synth", "pomdp"]
+
+
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_seed_out_of_range_exits_2_naming_the_option(
+    tmp_path, capsys, monkeypatch, command, source
+):
+    if command == "synth":
+        argv = ["synth", "--out-edges", str(tmp_path / "edges.csv")]
+    elif command == "pomdp":
+        argv = ["pomdp", "--p", "0.1", "--q", "0.1", "--predictor", "opt", "--steps", "10"]
+    else:
+        argv = detector_argv(tmp_path, command)
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        config = tmp_path / "run.conf"
+        config.write_text("seed=-1\n")
+        argv += ["--config", str(config)]
+    else:
+        monkeypatch.setenv("STREAMSKETCH_SEED", "-3")
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: seed must be in [0, 2**64)" in captured.err
+
+
+def test_seed_spans_the_64_bits_a_snapshot_stores(tmp_path, capsys):
+    argv = detector_argv(tmp_path, "midas")
+    assert run_cli(*argv, "--seed", str(2**64 - 1)) == 0
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, "--seed", str(2**64))
+    assert err.value.code == 2
+    assert "argument --seed: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -307,6 +348,41 @@ def test_huge_tick_exits_1_with_line_number(tmp_path, capsys, command, text):
     assert "error: line 2: tick too large" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["midas"], {}, "line 2: tick regression: got 3 after 5"),
+        (["mstream", "--input", "R"], {"R": "1,2,1\nu,v,2\n"},
+         "line 1: header field '1' must be 'cat:NAME', 'num:NAME' or 'tick'"),
+        (["sess", "--input", "E", "--feedback", "F"], {"E": "1,2,5\n", "F": "0,1\n1,7\n"},
+         "F:2: label must be 0 or 1, got 7"),
+    ],
+    ids=["stream-tick", "record-header", "feedback-file"],
+)
+def test_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, argv, files, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1,2,5\n1,2,3\n"))
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("side", ["--input", "--feedback"])
+def test_undecodable_file_reports_the_decode_error_without_a_line(tmp_path, capsys, side):
+    argv = detector_argv(tmp_path, "sess")
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0,1\n\xff,2,1\n")
+    argv[argv.index(side) + 1] = str(path)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert "line" not in captured.err and "bad.txt:" not in captured.err
+
+
 def test_largest_float_tick_still_scores(tmp_path, capsys):
     edges = tmp_path / "edges.csv"
     edges.write_text(f"1,2,1\n1,2,{int(sys.float_info.max)}\n")
@@ -437,6 +513,24 @@ def test_mstream_rejects_decay_every_below_1(tmp_path, capsys, value):
     assert captured.err == (
         f"error: tick_every (records per synthetic tick) must be >= 1, got {value}\n"
     )
+
+
+def test_mstream_builds_its_detector_before_the_timed_scoring(tmp_path, monkeypatch):
+    events = []
+
+    class Detector(cli.MstreamDetector):
+        def __init__(self, *args, **kwargs):
+            events.append("build")
+            super().__init__(*args, **kwargs)
+
+    def clock():
+        events.append("clock")
+        return 0.0
+
+    monkeypatch.setattr(cli, "MstreamDetector", Detector)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock))
+    assert run_cli(*detector_argv(tmp_path, "mstream"), "--time") == 0
+    assert events == ["build", "clock", "clock"]
 
 
 def test_mstream_command(tmp_path):

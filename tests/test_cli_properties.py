@@ -1,12 +1,14 @@
-"""Property tests: the CLI turns any input text into exit 0 or exit 1, and
-every exit 1 names a line of the input."""
+"""Property tests: the CLI turns any input text into exit 0 or exit 1, every
+exit 1 names a line of the input, and blank lines change nothing."""
 
 import contextlib
 import io
+import os
 import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,5 +62,127 @@ def test_mstream_on_any_record_text_exits_0_or_1(parts):
     header, body = parts
     code, err, n_lines = run_on_text("mstream", header + body)
     assert code in (0, 1)
-    if code == 1 and header:
+    if code == 1 and (header + body).strip():
         assert_names_a_line(err, n_lines)
+
+
+# -- blank lines and side files --------------------------------------------------
+
+
+def run_with_files(argv: list[str], files: dict[str, list[str]]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the CLI. Each name in ``files`` is
+    written as a file of those lines, and its path replaces the name in
+    ``argv``; stderr shows the paths as the bare names."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, lines in files.items():
+            Path(tmp, name).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([os.path.join(tmp, arg) if arg in files else arg for arg in argv])
+        return code, out.getvalue(), err.getvalue().replace(tmp + os.sep, "")
+
+
+def ticked(rows) -> list[str]:
+    """``a,b,tick`` lines from ``(a, b, step)`` rows: ticks start at 1 and
+    grow by each step."""
+    tick, lines = 1, []
+    for a, b, step in rows:
+        tick += step
+        lines.append(f"{a},{b},{tick}")
+    return lines
+
+
+STREAM = ticked((i % 4, (i * 3) % 5, i % 3 == 0) for i in range(20))
+EDGES = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)), min_size=1)
+RECORDS = st.lists(
+    st.tuples(st.sampled_from("abc"), st.integers(0, 9), st.integers(0, 2)), min_size=1
+)
+FEEDBACK = st.tuples(st.integers(0, len(STREAM) - 1), st.integers(0, 1)).map("{0[0]},{0[1]}".format)
+LABEL = st.sampled_from(["0", "1"])
+SCORE = st.floats(allow_nan=False).map(repr)
+BLANK = st.text(alphabet=" \t\x0b\x0c\u3000", max_size=3)  # stripped away, not a line break
+
+BLANK_CASES = {
+    "midas": (
+        ["midas", "--input", "in.csv"], "in.csv", EDGES.map(ticked), {},
+    ),
+    "mstream-tick": (
+        ["mstream", "--input", "in.csv"],
+        "in.csv",
+        RECORDS.map(lambda rows: ["cat:a,num:x,tick"] + ticked(rows)),
+        {},
+    ),
+    "mstream-no-tick": (
+        ["mstream", "--input", "in.csv", "--decay-every", "2"],
+        "in.csv",
+        RECORDS.map(lambda rows: ["cat:a,num:x"] + [f"{a},{x}" for a, x, _ in rows]),
+        {},
+    ),
+    "sess-feedback": (
+        ["sess", "--input", "in.csv", "--feedback", "fb.txt"], "fb.txt", st.lists(FEEDBACK),
+        {"in.csv": STREAM},
+    ),
+    "eval-labels": (
+        ["midas", "--input", "in.csv", "--eval", "--labels", "labels.txt"],
+        "labels.txt",
+        st.lists(LABEL, min_size=len(STREAM), max_size=len(STREAM)),
+        {"in.csv": STREAM},
+    ),
+}
+
+
+def with_blank_lines(lines: list[str], blanks) -> list[str]:
+    """``lines`` with each ``(position, text)`` of ``blanks`` inserted as a line."""
+    lines = list(lines)
+    for position, text in blanks:
+        lines.insert(position % (len(lines) + 1), text)
+    return lines
+
+
+BLANKS = st.lists(st.tuples(st.integers(0, 100), BLANK | st.just("\r")), min_size=1)
+
+
+@pytest.mark.parametrize("case", list(BLANK_CASES))
+@SETTINGS
+@given(data=st.data())
+def test_blank_lines_leave_exit_code_and_output_unchanged(case, data):
+    argv, name, lines, fixed = BLANK_CASES[case]
+    lines = data.draw(lines)
+    padded = with_blank_lines(lines, data.draw(BLANKS))
+    plain_code, plain_out, _ = run_with_files(argv, {**fixed, name: lines})
+    code, out, _ = run_with_files(argv, {**fixed, name: padded})
+    assert (code, out) == (plain_code, plain_out)
+
+
+SIDE_FILES = {
+    "feedback": (
+        ["sess", "--input", "in.csv", "--feedback", "side.txt"],
+        FEEDBACK,
+        ["1,7", "x,1", "3,one", "node,5,x", "node,9", "-3,1", "1,2,3"],
+    ),
+    "labels": (
+        ["midas", "--input", "in.csv", "--eval", "--labels", "side.txt"],
+        LABEL,
+        ["2", "x", "0.5", "1,0"],
+    ),
+    "scores": (
+        ["eval", "--scores", "side.txt", "--labels", "labels.txt"],
+        SCORE,
+        ["abc", "nan", "1;2"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SIDE_FILES))
+@SETTINGS
+@given(data=st.data())
+def test_a_bad_side_file_line_is_reported_with_its_path(kind, data):
+    argv, good, bad_lines = SIDE_FILES[kind]
+    lines = data.draw(st.lists(good | BLANK, max_size=10))
+    position = data.draw(st.integers(0, len(lines)))
+    lines.insert(position, data.draw(st.sampled_from(bad_lines)))
+    files = {"in.csv": STREAM, "labels.txt": ["0", "1"], "side.txt": lines}
+    code, out, err = run_with_files(argv, files)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: side.txt:{position + 1}: "), err

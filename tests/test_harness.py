@@ -5,6 +5,7 @@ import pytest
 
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.ingest import (
+    Lines,
     WindowSpec,
     parse_edge_stream,
     parse_feedback,
@@ -71,6 +72,43 @@ def test_linear_fit_r2_on_a_line():
         linear_fit_r2([1, 2], [1, 2])
 
 
+# -- the line reader -------------------------------------------------------------
+
+
+def test_lines_skip_blanks_and_locate_errors():
+    reader = Lines(["a\n", " \t\n", "\n", " b \n"], "side.txt")
+    seen = []
+    with pytest.raises(ValueError, match=r"^side.txt:4: bad 'b'$"):
+        with reader:
+            for line in reader:
+                seen.append((reader.lineno, line))
+                if line == "b":
+                    raise ValueError(f"bad {line!r}")
+    assert seen == [(1, "a"), (4, "b")]
+    with pytest.raises(ValueError, match=r"^line 2: bad$"):
+        with Lines(["", "x"]) as lines:
+            for _ in lines:
+                raise ValueError("bad")
+
+
+def test_lines_leave_other_errors_alone():
+    def undecodable():
+        yield "a\n"
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    with pytest.raises(UnicodeDecodeError):  # raised by reading ahead, not by line 1
+        with Lines(undecodable()) as lines:
+            list(lines)
+    with pytest.raises(ValueError, match=r"^after the end$"):
+        with Lines(["a"]) as lines:
+            list(lines)
+            raise ValueError("after the end")
+    with pytest.raises(TypeError, match=r"^not a value error$"):
+        with Lines(["a"]) as lines:
+            for _ in lines:
+                raise TypeError("not a value error")
+
+
 # -- edge parsing ----------------------------------------------------------------
 
 
@@ -94,8 +132,10 @@ def test_non_finite_weights_rejected():
 
 
 def test_parse_rejects_decreasing_ticks_with_line_number():
-    with pytest.raises(ValueError, match="line 2"):
+    with pytest.raises(ValueError, match="^line 2: tick regression: got 2 after 4$"):
         list(parse_edge_stream(["1,2,4", "3,4,2"]))
+    with pytest.raises(ValueError, match="^line 4: tick regression: got 2 after 4$"):
+        list(parse_edge_stream(["1,2,4", "", "  ", "3,4,2"]))
 
 
 def test_parse_rejects_bad_rows():
@@ -105,6 +145,10 @@ def test_parse_rejects_bad_rows():
         list(parse_edge_stream(["1,2,x"]))
     with pytest.raises(ValueError, match="line 1"):
         list(parse_edge_stream(["1,2,0"]))  # ticks start at 1
+    with pytest.raises(ValueError, match="^line 1: non-integer tick '1.5'$"):
+        list(parse_edge_stream(["1,2,1.5"]))
+    with pytest.raises(ValueError, match="^line 2: non-numeric weight 'abc'$"):
+        list(parse_edge_stream(["", "1,2,abc,1"], has_weight=True))
 
 
 def test_parse_keeps_string_identifiers():
@@ -144,14 +188,31 @@ def test_record_stream_synthesizes_ticks_when_missing():
     assert [r.tick for r in records] == [1, 1, 2, 2, 3]
 
 
+def test_blank_lines_move_neither_the_header_nor_synthetic_ticks():
+    lines = ["", " ", "cat:proto", "tcp", "", "tcp", "\t", "tcp", "tcp", "", "tcp"]
+    schema, records = parse_record_stream(lines, tick_every=2)
+    assert schema.names == ("proto",)
+    assert [r.tick for r in records] == [1, 1, 2, 2, 3]
+
+
 def test_record_stream_errors_name_lines():
     lines = ["cat:proto,num:size", "tcp,abc"]
     _, records = parse_record_stream(lines)
     with pytest.raises(ValueError, match="line 2"):
         list(records)
     _, records = parse_record_stream(["cat:a,tick", "x,3", "y,2"])
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError, match="^line 3: tick regression: got 2 after 3$"):
         list(records)
+    _, records = parse_record_stream(["cat:a,num:x,tick", "u,abc,1", "v,1,x"])
+    with pytest.raises(ValueError, match="^line 2: non-numeric value 'abc'$"):
+        list(records)
+    _, records = parse_record_stream(["cat:a,tick", "", "v,1.5"])
+    with pytest.raises(ValueError, match="^line 3: non-integer tick '1.5'$"):
+        list(records)
+    with pytest.raises(ValueError, match="^line 2: header field 'x' must be"):
+        parse_record_stream(["", "cat:a,x"])
+    with pytest.raises(ValueError, match="^record file is empty$"):
+        parse_record_stream(["", "  "])
 
 
 
@@ -202,6 +263,14 @@ def test_feedback_parsing():
         parse_feedback(["-3,1"])
     with pytest.raises(ValueError, match="line 1"):
         parse_feedback(["node,9"])
+    with pytest.raises(ValueError, match="^line 1: non-integer index 'x'$"):
+        parse_feedback(["x,1"])
+    with pytest.raises(ValueError, match="^line 2: non-integer label 'one'$"):
+        parse_feedback(["", "3,one"])
+    with pytest.raises(ValueError, match="^line 1: non-integer label 'x'$"):
+        parse_feedback(["node,5,x"])
+    with pytest.raises(ValueError, match="^fb.txt:3: label must be 0 or 1, got 7$"):
+        parse_feedback(["1,1", " ", "1,7"], "fb.txt")
 
 
 # -- window aggregation ----------------------------------------------------------------

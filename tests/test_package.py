@@ -73,9 +73,10 @@ def test_benchmark_tracer_reaches_every_layer(tmp_path, command):
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert len(done.stdout.splitlines()) == 12
-    labels = json.loads(report.read_text())["labels"]
+    traced = json.loads(report.read_text())
     for label in labels_needed:
-        assert labels.get(label, {}).get("calls", 0) > 0, label
+        assert traced["labels"].get(label, {}).get("calls", 0) > 0, label
+    assert traced["counters"]["ingest.parse.items"] == 12
 
 
 def test_readme_flag_examples_use_the_guaranteed_shape():
