@@ -5,11 +5,12 @@ decimal text with 9 significant digits; ``--eval`` swaps the score listing
 for a metrics JSON object.
 
 Each option is declared once, on its command's parser. A ``--config FILE``
-of ``key=value`` lines (``#`` starts a comment) is read as ``--key=value``
-arguments placed before the command line, so flags beat the file and
-argparse converts and checks a file value exactly as it does the flag.
-``key`` is the flag's name without the leading dashes, with ``_`` or ``-``
-between words. The file can set every value option of the command; entries
+of ``key=value`` lines is read as ``--key=value`` arguments placed before
+the command line, so flags beat the file and argparse converts and checks a
+file value exactly as it does the flag. A ``#`` at the start of a line or
+after whitespace starts a comment, so ``rows=3  # three rows`` sets
+``--rows=3``. ``key`` is the flag's name without the leading dashes, with
+``_`` or ``-`` between words. The file can set every value option of the command; entries
 for options the command lacks are ignored, so one file can serve several
 commands, and an entry for a switch such as ``has_weight`` is a usage
 error. Flags are never abbreviated, so a key cannot land on a longer
@@ -28,6 +29,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +59,7 @@ from .synth import (
 )
 
 FORMAT = "{:.9g}"
+COMMENT = re.compile(r"(?:^|\s)#.*")  # a config comment: '#' at line start or after whitespace
 
 
 # -- option plumbing ---------------------------------------------------------
@@ -74,7 +77,8 @@ def _config_args(argv: list[str]) -> list[str]:
     entries = []
     with open(path, encoding="utf-8") as handle, Lines(handle, path) as lines:
         for line in lines:
-            if line.startswith("#"):
+            line = COMMENT.sub("", line)
+            if not line:
                 continue
             if "=" not in line:
                 raise ValueError("expected key=value")
@@ -132,14 +136,14 @@ def _read_labels(path: str, count: int, items: str = "scores") -> list[int]:
     return labels
 
 
-def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
+def _score_input(args, score_all, read=None, labels=None) -> int:
     """The pipeline behind every detector command: read all input, score
     it, then write the scores and the ``--time`` line.
 
     ``read(handle)`` returns the items, edges by default, and
-    ``score_all(items)`` their scores; only the scoring is timed. When
-    ``flags`` is given, ``score_all`` fills it with one flag per score and
-    the output lines become ``score,flag``. ``--eval`` writes the AUC of the
+    ``score_all(items)`` their scores, or a pair of the scores and their
+    flags (or None); only the scoring is timed. Given flags, the output lines
+    become ``score,flag``. ``--eval`` writes the AUC of the
     scores against ``labels(items)``, or against the ``--labels`` file when
     ``labels`` is None. Nothing is written before every item is scored, so
     bad input leaves the output empty.
@@ -154,6 +158,7 @@ def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
     started = time.perf_counter()
     scores = score_all(items)
     elapsed = time.perf_counter() - started
+    scores, flags = scores if isinstance(scores, tuple) else (scores, None)
 
     if args.eval:
         truth = _read_labels(args.labels, len(scores)) if labels is None else labels(items)
@@ -184,18 +189,7 @@ def _run_midas(args, variant: str) -> int:
     detector = MidasDetector(variant, seed=args.seed, **_given(args, *SKETCH, "merge_threshold"))
     flag_eps = args.flag_epsilon
     rule = DecisionRule.for_detector(flag_eps, detector) if flag_eps is not None else None
-    flags = [] if rule is not None else None
-
-    def score_all(events) -> list[float]:
-        scores = []
-        for event in events:
-            stats = detector.process(event)
-            scores.append(stats.combined(args.score_mode))
-            if rule is not None:
-                flags.append(rule.is_flagged(stats))
-        return scores
-
-    return _score_input(args, score_all, flags=flags)
+    return _score_input(args, lambda events: detector.process_many(events, rule, args.score_mode))
 
 
 def _run_anoedge(args, which: str) -> int:

@@ -3,8 +3,9 @@
 Each hash row is ((a * x + b) mod P) mod n_buckets with P the Mersenne
 prime 2^61 - 1, a random odd multiplier and a random offset, drawn from a
 seeded generator so results are reproducible across runs and platforms.
-Keys are canonicalised to integers first; strings go through blake2b so
-bucket choices never depend on Python's per-process hash randomisation.
+Keys are canonicalised to integers in [0, 2^64) first, by the caller, once
+per key; strings go through blake2b so bucket choices never depend on
+Python's per-process hash randomisation.
 """
 
 from __future__ import annotations
@@ -16,17 +17,32 @@ import numpy as np
 MERSENNE_P = (1 << 61) - 1
 DEFAULT_SEED = 42
 
+_MIX_SEED = 0x2545F4914F6CDD1D
 _MIX = 0x9E3779B97F4A7C15  # 64-bit golden-ratio constant for tuple mixing
 _MASK64 = (1 << 64) - 1
 _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
 _P64 = np.uint64(MERSENNE_P)
+_U3, _U29, _U32, _U61 = (np.uint64(n) for n in (3, 29, 32, 61))
 
 
 def _mod_mersenne(y: np.ndarray) -> np.ndarray:
     """y mod (2^61 - 1) for uint64 arrays, by folding the high bits."""
-    y = (y & _P64) + (y >> np.uint64(61))
-    return np.where(y >= _P64, y - _P64, y)
+    y = (y & _P64) + (y >> _U61)
+    return np.minimum(y, y - _P64)  # y - P wraps above y when y < P
+
+
+def mix_keys(parts):
+    """The canonical key of a tuple whose parts have the canonical keys ``parts``.
+
+    Each part is an int, or every part a uint64 array of one shape; the
+    arithmetic wraps mod 2^64 either way, so an array mixes elementwise to
+    exactly what the ints would.
+    """
+    acc = _MIX_SEED
+    for part in parts:
+        acc = ((acc ^ part) * _MIX) & _MASK64
+    return acc
 
 
 def canonical_key(key) -> int:
@@ -46,10 +62,7 @@ def canonical_key(key) -> int:
         digest = hashlib.blake2b(key, digest_size=8).digest()
         return int.from_bytes(digest, "little")
     if kind is tuple:
-        acc = 0x2545F4914F6CDD1D
-        for part in key:
-            acc = ((acc ^ canonical_key(part)) * _MIX) & _MASK64
-        return acc
+        return mix_keys([canonical_key(part) for part in key])
     if isinstance(key, (bool, np.integer)):
         return int(key) & _MASK64
     raise TypeError(f"unhashable stream key type: {type(key).__name__}")
@@ -92,9 +105,8 @@ class HashFamily:
         family.seed, family._params = None, tuple(rows)
         return family
 
-    def indexes(self, key) -> tuple[int, ...]:
-        """Bucket index of ``key`` in every row."""
-        x = canonical_key(key)
+    def indexes(self, x: int) -> tuple[int, ...]:
+        """Bucket index of the canonical key ``x`` in every row; see ``canonical_key``."""
         n_b = self.n_buckets
         params = self._params
         if len(params) == 2:  # unrolled: the overwhelmingly common shape
@@ -108,28 +120,23 @@ class HashFamily:
     def indexes_many(self, keys: np.ndarray) -> np.ndarray:
         """Bucket indexes for a batch of integer keys, shape (n_rows, n).
 
-        Bit-exact with :meth:`indexes`; the 122-bit products are evaluated
+        Bit-exact with :meth:`indexes` of each key's canonical key (integers
+        are read mod 2^64); the 122-bit products are evaluated
         in 32-bit limbs so everything stays inside uint64 arithmetic.
         """
-        x = np.asarray(keys).astype(np.uint64, copy=False)
-        x = _mod_mersenne(x)
-        x_hi = x >> np.uint64(32)
-        x_lo = x & _LOW32
-        out = np.empty((self.n_rows, x.shape[0]), dtype=np.int64)
-        n_b = np.uint64(self.n_buckets)
-        for row, (a, b) in enumerate(self._params):
-            a_hi = np.uint64(a >> 32)
-            a_lo = np.uint64(a & 0xFFFFFFFF)
-            # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
-            # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
-            # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
-            top = (a_hi * x_hi) << np.uint64(3)
-            mid = a_hi * x_lo + a_lo * x_hi
-            mid = (mid >> np.uint64(29)) + ((mid & _LOW29) << np.uint64(32))
-            low = _mod_mersenne(a_lo * x_lo)
-            total = _mod_mersenne(top + mid + low + np.uint64(b))
-            out[row] = (total % n_b).astype(np.int64)
-        return out
+        x = _mod_mersenne(np.asarray(keys).astype(np.uint64, copy=False))
+        x_hi, x_lo = x >> _U32, x & _LOW32
+        # Every row at once: a and b are columns, so the products are (n_rows, n).
+        a, b = np.array(self._params, dtype=np.uint64).reshape(-1, 2, 1).transpose(1, 0, 2)
+        a_hi, a_lo = a >> _U32, a & _LOW32
+        # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
+        # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
+        # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
+        top = (a_hi * x_hi) << _U3
+        mid = a_hi * x_lo + a_lo * x_hi
+        mid = (mid >> _U29) + ((mid & _LOW29) << _U32)
+        total = _mod_mersenne(top + mid + _mod_mersenne(a_lo * x_lo) + b)
+        return (total % np.uint64(self.n_buckets)).astype(np.int64)
 
     def same_layout(self, other: "HashFamily") -> bool:
         return (

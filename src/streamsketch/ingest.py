@@ -149,14 +149,16 @@ def parse_record_header(header: str) -> RecordSchema:
 
 
 def parse_record_stream(
-    lines: Iterable[str], tick_every: int = 1000
+    lines: Iterable[str], tick_every: int | None = None
 ) -> tuple[RecordSchema, Iterator[MultiAspectRecord]]:
     """Parse a record CSV; returns the schema and a lazy record iterator.
 
     Files without a tick column get synthetic ticks advancing once every
-    ``tick_every`` records so temporal decay still applies periodically.
+    ``tick_every`` records (1000 when None) so temporal decay still applies
+    periodically. A file with a tick column rejects a ``tick_every``, which
+    it could not use, at its header line.
     """
-    if tick_every < 1:
+    if tick_every is not None and tick_every < 1:
         raise ValueError(f"tick_every (records per synthetic tick) must be >= 1, got {tick_every}")
     reader = Lines(lines)
     rows = iter(reader)
@@ -165,6 +167,12 @@ def parse_record_stream(
         if header is None:
             raise ValueError("record file is empty")
         schema = parse_record_header(header)
+        if schema.has_tick and tick_every is not None:
+            raise ValueError(
+                "tick_every (records per synthetic tick) needs a file without a tick column"
+            )
+    if tick_every is None:
+        tick_every = 1000
 
     def generate() -> Iterator[MultiAspectRecord]:
         clock = TickClock()

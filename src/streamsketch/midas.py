@@ -14,8 +14,13 @@ the current tick is compared against its historical per-tick mean.
 ``ChiSquaredTables`` is the count core under MIDAS, MStream and SESS-3D. It
 stacks every count-min table in one array, ``counts[kind, key, row, cell]``
 (kinds: total, current and, for filtering, the score cache), closes a tick
-in whole-array passes and holds the one per-item loop that adds, queries
-and scores. A detector only maps an item to cells for each of its keys.
+in whole-array passes and holds the per-item loop that adds, queries and
+scores (``step``), and the same for a run of items that share a tick in a
+few array passes (``step_many``). A detector only maps an item to cells for
+each of its keys. ``MidasDetector.process_many`` scores a whole stream:
+runs of at least ``TICK_BATCH_MIN`` edges take ``step_many``, shorter runs
+the per-item ``process``, which is also the oracle the batch is tested
+against with ``==``.
 
 A separate decision rule turns scores into flags with a bounded
 false-positive probability, using the chi-squared quantile at 1 - eps/2 and
@@ -26,15 +31,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
 from statistics import NormalDist
 
 import numpy as np
 
+from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
 from .events import EdgeEvent, TickClock
-from .hashing import DEFAULT_SEED, HashFamily, check_shape
+from .hashing import DEFAULT_SEED, HashFamily, check_shape, mix_keys
 from .sketch import check_decay, check_weight, conditional_merge
 
 VARIANTS = ("plain", "relational", "filtering")
+# Runs of fewer edges than this in one tick take the per-item path in
+# process_many. A batch pays a fixed ~100 numpy calls per run; measured on a
+# 2-core x86 box it broke even with per-item steps at 10 edges per tick for
+# relational and filtering MIDAS, and at ~16 for plain.
+TICK_BATCH_MIN = 10
 
 
 def chi2_score(current: float, total: float, tick: int) -> float:
@@ -55,6 +68,26 @@ def filtering_score(current: float, total: float, tick: int) -> float:
         return 0.0
     diff = current + total - current * tick
     return diff * diff / (total * (tick - 1))
+
+
+# Overflow to inf and nan, and the zero totals _scores_many divides by, give
+# the values the per-item path gives; numpy must not warn about them.
+_QUIET = np.errstate(all="ignore")
+
+
+def _scores_many(current: np.ndarray, total: np.ndarray, tick: int, filtering: bool) -> np.ndarray:
+    """``chi2_score`` (or ``filtering_score``) elementwise, with the same
+    float operations in the same order, so every element is bit-identical."""
+    if tick <= 1:
+        return np.zeros(current.shape)
+    t, t1 = float(tick), float(tick - 1)  # as Python converts the int tick
+    if filtering:
+        diff = current + total - current * t
+        score = diff * diff / (total * t1)
+    else:
+        diff = current - total / t
+        score = diff * diff * t * t / (total * t1)
+    return np.where(total == 0.0, 0.0, score)  # the guard, after dividing by zero
 
 
 def standard_normal_quantile(p: float) -> float:
@@ -99,6 +132,16 @@ class StepStats:
         raise ValueError(f"unknown combination mode: {mode!r}")
 
 
+def _combine_many(scores: np.ndarray, mode: str) -> np.ndarray:
+    """``StepStats.combined`` of each column of per-key ``scores``: ``max``
+    keeps the earlier part unless a later one is greater, as ``max()`` does
+    with nan, and ``sum`` adds left to right."""
+    combined = scores[0]
+    for part in scores[1:]:
+        combined = np.where(part > combined, part, combined) if mode == "max" else combined + part
+    return combined
+
+
 @dataclass(frozen=True)
 class DecisionRule:
     """Binary decision procedure with a false-positive probability target.
@@ -129,6 +172,12 @@ class DecisionRule:
 
     def is_flagged(self, stats: StepStats) -> bool:
         return self.statistic(stats) > self.threshold
+
+    @_QUIET
+    def flags_many(self, current, total, tick_volume, tick: int) -> np.ndarray:
+        """``is_flagged`` for arrays of the edge counts of items in one tick."""
+        adjusted = current - self.nu * tick_volume
+        return _scores_many(adjusted, total, tick, filtering=False) > self.threshold
 
 
 def guaranteed_shape(epsilon: float, nu: float) -> tuple[int, int]:
@@ -172,6 +221,8 @@ class ChiSquaredTables:
         n_kinds = 3 if variant == "filtering" else 2
         self.counts = np.zeros((n_kinds, n_keys, n_rows, n_buckets**order))
         self._by_key = [tuple(self.counts[:, k]) for k in range(n_keys)]  # 2-d views per kind
+        # Flat cell of (key, row, cell 0) in one kind, for step_many.
+        self._row_base = (np.arange(n_keys * n_rows) * n_buckets**order).reshape(n_keys, n_rows, 1)
         self.clock = TickClock()
         self.tick_volume = 0.0  # weight in the current-count tables, N_t
 
@@ -230,6 +281,60 @@ class ChiSquaredTables:
             scores.append(score)
         return scores, *first
 
+    @_QUIET
+    def step_many(self, cells: np.ndarray, weights: np.ndarray, tick: int):
+        """``step`` for a run of items that share ``tick``, in array passes.
+
+        ``cells[key, row, item]`` are the items' cells and ``weights`` their
+        checked weights. Returns the scores ``[key, item]``, the first key's
+        two counts and the ``tick_volume`` after each item, all ``==`` to what
+        ``step`` gives item by item. Counts add in event order: within each
+        cell, a scan over ranks adds one item per level to the value before it,
+        so a decayed start value rounds as it would one step at a time.
+        """
+        n_keys, n_rows, n = cells.shape
+        filtering = self.variant == "filtering"
+        flat = (cells + self._row_base).reshape(-1)
+        order = flat.argsort(kind="stable")
+        ordered = flat[order]
+        # edge[p]: a cell's entries end before p, so edge[:-1] marks the first
+        # entry of each cell in event order and edge[1:] the last.
+        edge = np.ones(flat.size + 1, dtype=bool)
+        np.not_equal(ordered[1:], ordered[:-1], out=edge[1:-1])
+        first, last = edge[:-1], edge[1:].nonzero()[0]
+        # The kinds that take the adds, as rows of flat tables: current, and
+        # total unless filtering, where totals change only at tick close.
+        tables = self.counts[1:2] if filtering else self.counts[:2]
+        tables = tables.reshape(len(tables), -1)
+        added = weights[order % n]
+        values = tables[:, ordered] + added  # right at each first entry; the scan fixes the rest
+        rest = (~first).nonzero()[0]
+        if rest.size:
+            rank = rest - first.nonzero()[0][first.cumsum()[rest] - 1]
+            rest = rest[rank.argsort(kind="stable")]
+            bounds = np.bincount(rank).cumsum()
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                level = rest[lo:hi]
+                values[:, level] = values[:, level - 1] + added[level]
+        tables[:, ordered[last]] = values[:, last]
+
+        by_entry = np.empty_like(values)
+        by_entry[:, order] = values
+        by_entry = by_entry.reshape(len(tables), n_keys, n_rows, n)
+        a = by_entry[-1].min(axis=1)
+        if filtering:
+            s = self.counts[0].reshape(-1)[flat].reshape(n_keys, n_rows, n).min(axis=1)
+        else:
+            s = by_entry[0].min(axis=1)
+        scores = _scores_many(a, s, tick, filtering)
+        if filtering:
+            # Each cell caches the score of the last item that touched it.
+            key, within_key = np.divmod(order[last], n_rows * n)
+            self.counts[2].reshape(-1)[ordered[last]] = scores[key, within_key % n]
+        volume = np.add.accumulate(np.concatenate(([self.tick_volume], weights)))[1:]
+        self.tick_volume = float(volume[-1])
+        return scores, a[0], s[0], volume
+
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
         """Multiply each key's total and current counts at its cells."""
         for tables, cells in zip(self._by_key, cells_by_key):
@@ -267,9 +372,11 @@ class MidasDetector(ChiSquaredTables):
         """The bucket in every row of each key the edge is scored on: the
         edge itself, then its source and destination unless plain."""
         indexes = self.family.indexes
+        u, v = hashing.canonical_key(source), hashing.canonical_key(dest)
+        edge = indexes(mix_keys((u, v)))  # the canonical key of (source, dest)
         if self.variant == "plain":
-            return (indexes((source, dest)),)
-        return indexes((source, dest)), indexes(source), indexes(dest)
+            return (edge,)
+        return edge, indexes(u), indexes(v)
 
     def process(self, event: EdgeEvent) -> StepStats:
         """Insert one edge and return its scores and supporting counts."""
@@ -281,6 +388,57 @@ class MidasDetector(ChiSquaredTables):
         scores, a, s = self.step(cells, w, t)
         node_scores = scores[1:] or (None, None)  # source, dest
         return StepStats(t, scores[0], *node_scores, a, s, self.tick_volume)
+
+    def process_many(self, events, rule: DecisionRule | None = None, mode: str = "max"):
+        """Insert ``events`` in order; return the ``combined(mode)`` score of
+        each and, when ``rule`` is given, its flag (else None), exactly as
+        ``process`` one event at a time would.
+
+        Each run of at least ``TICK_BATCH_MIN`` events that share a tick is
+        scored with ``step_many``. Shorter runs, and runs holding an event the
+        per-item path rejects, go through ``process`` event by event, which
+        then raises at the offending event.
+        """
+        if mode not in ("max", "sum"):
+            raise ValueError(f"unknown combination mode: {mode!r}")
+        scores: list[float] = []
+        flags: list[bool] | None = None if rule is None else []
+        for tick, run in groupby(events, attrgetter("tick")):
+            run = list(run)
+            long_run = len(run) >= TICK_BATCH_MIN
+            if long_run and self._process_run(run, tick, rule, mode, scores, flags):
+                continue
+            for event in run:
+                stats = self.process(event)
+                scores.append(stats.combined(mode))
+                if flags is not None:
+                    flags.append(rule.is_flagged(stats))
+        return scores, flags
+
+    def _process_run(self, run: list, tick: int, rule, mode: str, scores: list, flags) -> bool:
+        """Score one run of events sharing ``tick`` with ``step_many`` and
+        append to ``scores`` and ``flags``; False, with nothing changed, when
+        some event would be rejected."""
+        weights = [event.weight for event in run]
+        if not {float, int}.issuperset(map(type, weights)):
+            return False
+        n = len(run)
+        try:
+            weights = np.array(weights, dtype=np.float64)
+            u = np.fromiter(map(hashing.canonical_key, [e.source for e in run]), np.uint64, n)
+            v = np.fromiter(map(hashing.canonical_key, [e.dest for e in run]), np.uint64, n)
+        except (TypeError, OverflowError):
+            return False
+        if not ((weights >= 0.0) & (weights < math.inf)).all():  # see check_weight
+            return False
+        keys = [mix_keys((u, v))] if self.variant == "plain" else [mix_keys((u, v)), u, v]
+        cells = self.family.indexes_many(np.concatenate(keys)).reshape(self.n_rows, len(keys), n)
+        self.advance(tick)
+        per_key, a, s, volume = self.step_many(cells.transpose(1, 0, 2), weights, tick)
+        scores.extend(_combine_many(per_key, mode).tolist())
+        if flags is not None:
+            flags.extend(rule.flags_many(a, s, volume, tick).tolist())
+        return True
 
     def score(self, event: EdgeEvent) -> float:
         """Insert the edge and return the max over its scored keys."""

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .events import EdgeEvent
-from .hashing import DEFAULT_SEED, HashFamily
+from .hashing import DEFAULT_SEED, HashFamily, canonical_key
 from .midas import ChiSquaredTables
 from .sketch import check_weight, matrix_cells
 
@@ -113,7 +113,7 @@ class Sess3dDetector(ChiSquaredTables):
     def scale_node(self, node, total_factor: float, current_factor: float) -> None:
         """Multiply the node's matrix row and column, the shared cell once: sources
         and destinations share one hash, so its bucket is its row and column."""
-        for layer, b in enumerate(self.family.indexes(node)):
+        for layer, b in enumerate(self.family.indexes(canonical_key(node))):
             for matrix, factor in zip(self.matrices[:, layer], (total_factor, current_factor)):
                 matrix[b, :] *= factor
                 # Column cells outside the already-scaled row.

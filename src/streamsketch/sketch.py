@@ -19,6 +19,7 @@ import struct
 
 import numpy as np
 
+from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
 from .hashing import DEFAULT_SEED, HashFamily
 
 _HEADER = struct.Struct("<BIIQ")  # version, n_rows, n_buckets, seed
@@ -175,15 +176,15 @@ class CountMinSketch(_CountTable):
     def indexes(self, key) -> tuple[int, ...]:
         """Per-row bucket index for ``key``; reusable across sketches that
         share this sketch's hash family."""
-        return self.family.indexes(key)
+        return self.family.indexes(hashing.canonical_key(key))
 
     def update(self, key, weight: float = 1.0) -> None:
         """Add ``weight`` to the key's bucket in every row."""
-        self.update_at(self.family.indexes(key), weight)
+        self.update_at(self.indexes(key), weight)
 
     def query(self, key) -> float:
         """Smallest bucket value across rows: an upper bound on the true count."""
-        return self.query_at(self.family.indexes(key))
+        return self.query_at(self.indexes(key))
 
     def update_many(self, keys: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer keys; equivalent to updating one by one."""
@@ -195,7 +196,7 @@ class CountMinSketch(_CountTable):
 
     def assign(self, key, value: float) -> None:
         """Overwrite the key's buckets with ``value``."""
-        self.assign_at(self.family.indexes(key), value)
+        self.assign_at(self.indexes(key), value)
 
     def merge_conditional(
         self, current: "CountMinSketch", scores: "CountMinSketch", epsilon: float, tick: int
@@ -213,7 +214,9 @@ def matrix_cells(family: HashFamily, source, dest) -> tuple[int, ...]:
     """The cell of matrix entry (source, dest) in every row of a higher-order
     table whose rows and columns ``family`` hashes, as ``r * n_buckets + c``."""
     n_buckets = family.n_buckets
-    return tuple(r * n_buckets + c for r, c in zip(family.indexes(source), family.indexes(dest)))
+    canonical = hashing.canonical_key
+    rows, cols = family.indexes(canonical(source)), family.indexes(canonical(dest))
+    return tuple(r * n_buckets + c for r, c in zip(rows, cols))
 
 
 class HigherOrderSketch(_CountTable):

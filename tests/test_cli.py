@@ -490,6 +490,9 @@ def test_config_entry_acts_like_its_flag(tmp_path, capsys, command, option):
             argv += ["--window-ticks", "1", "--tau", "1"]  # windows of both labels
     else:
         value = OPTION_VALUES[option]
+    if option == "--decay-every":  # synthetic ticks need a file without a tick column
+        path = tmp_path / "records.csv"
+        path.write_text("cat:a,num:x\n" + "".join(f"c{i % 3},{i}\n" for i in range(12)))
     config = tmp_path / "run.conf"
     config.write_text(f"{option[2:].replace('-', '_')}={value}\n")
     runs = []
@@ -513,6 +516,40 @@ def test_mstream_rejects_decay_every_below_1(tmp_path, capsys, value):
     assert captured.err == (
         f"error: tick_every (records per synthetic tick) must be >= 1, got {value}\n"
     )
+
+
+def test_mstream_rejects_decay_every_on_a_file_with_a_tick_column(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text("\ncat:a,num:x,tick\n" + "".join(f"c{i % 3},{i},1\n" for i in range(5)))
+    assert run_cli("mstream", "--input", str(records), "--decay-every", "2") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line 2: tick_every (records per synthetic tick)"
+        " needs a file without a tick column\n"
+    )
+
+
+def test_config_comment_after_a_value_is_dropped(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(i % 3, (i + 1) % 4, 1 + i // 4) for i in range(12)])
+    config = tmp_path / "run.conf"
+    config.write_text("# shape\nrows=3  # three rows\nbuckets=16\t# tab before the comment\n")
+    assert run_cli("midas", "--input", str(edges), "--rows", "3", "--buckets", "16") == 0
+    expected = capsys.readouterr().out
+    assert run_cli("midas", "--input", str(edges), "--config", str(config)) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_config_hash_inside_a_value_is_kept(tmp_path, capsys):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(1, 2, 1)])
+    config = tmp_path / "run.conf"
+    config.write_text("buckets=16#not-a-comment\n")
+    with pytest.raises(SystemExit) as err:
+        run_cli("midas", "--input", str(edges), "--config", str(config))
+    assert err.value.code == 2
+    assert "invalid int value: '16#not-a-comment'" in capsys.readouterr().err
 
 
 def test_mstream_builds_its_detector_before_the_timed_scoring(tmp_path, monkeypatch):

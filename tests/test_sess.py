@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsketch.events import EdgeEvent
+from streamsketch.hashing import canonical_key
 from streamsketch.midas import MidasDetector, chi2_score
 from streamsketch.sess import (
     FeedbackEvent,
@@ -170,7 +171,7 @@ class TwoSketchSess3d:
                 self.total.counts[layer, cell] *= total_factor
                 self.current.counts[layer, cell] *= current_factor
             return
-        for layer, b in enumerate(self.total.family.indexes(feedback.node)):
+        for layer, b in enumerate(self.total.family.indexes(canonical_key(feedback.node))):
             for sketch, factor in ((self.total, total_factor), (self.current, current_factor)):
                 sketch.matrices[layer, b, :] *= factor
                 col = sketch.matrices[layer, :, b]

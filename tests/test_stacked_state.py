@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal
 from streamsketch.events import EdgeEvent, MultiAspectRecord
+from streamsketch.hashing import canonical_key
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
@@ -136,7 +137,7 @@ def test_flat_feedback_writes_reach_the_stacked_array():
     apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams(2.0, 0.3))
     expected = before.copy()
     for k, key in enumerate([("u", "v"), "u", "v"]):
-        for row, bucket in enumerate(detector.family.indexes(key)):
+        for row, bucket in enumerate(detector.family.indexes(canonical_key(key))):
             expected[0, k, row, bucket] *= 0.3
             expected[1, k, row, bucket] *= 2.0
     assert np.array_equal(detector.counts, expected)
