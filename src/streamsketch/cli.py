@@ -136,14 +136,14 @@ def _read_labels(path: str, count: int, items: str = "scores") -> list[int]:
     return labels
 
 
-def _score_input(args, score_all, read=None, labels=None) -> int:
+def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
     """The pipeline behind every detector command: read all input, score
     it, then write the scores and the ``--time`` line.
 
     ``read(handle)`` returns the items, edges by default, and
-    ``score_all(items)`` their scores, or a pair of the scores and their
-    flags (or None); only the scoring is timed. Given flags, the output lines
-    become ``score,flag``. ``--eval`` writes the AUC of the
+    ``score_all(items)`` their scores; only the scoring is timed. When
+    ``flags`` is given, ``score_all`` fills it with one flag per score and
+    the output lines become ``score,flag``. ``--eval`` writes the AUC of the
     scores against ``labels(items)``, or against the ``--labels`` file when
     ``labels`` is None. Nothing is written before every item is scored, so
     bad input leaves the output empty.
@@ -158,7 +158,6 @@ def _score_input(args, score_all, read=None, labels=None) -> int:
     started = time.perf_counter()
     scores = score_all(items)
     elapsed = time.perf_counter() - started
-    scores, flags = scores if isinstance(scores, tuple) else (scores, None)
 
     if args.eval:
         truth = _read_labels(args.labels, len(scores)) if labels is None else labels(items)
@@ -189,7 +188,15 @@ def _run_midas(args, variant: str) -> int:
     detector = MidasDetector(variant, seed=args.seed, **_given(args, *SKETCH, "merge_threshold"))
     flag_eps = args.flag_epsilon
     rule = DecisionRule.for_detector(flag_eps, detector) if flag_eps is not None else None
-    return _score_input(args, lambda events: detector.process_many(events, rule, args.score_mode))
+    flags = [] if rule is not None else None
+
+    def score_all(events) -> list[float]:
+        scores, found = detector.process_many(events, rule, args.score_mode)
+        if flags is not None:
+            flags.extend(found)
+        return scores
+
+    return _score_input(args, score_all, flags=flags)
 
 
 def _run_anoedge(args, which: str) -> int:

@@ -18,9 +18,9 @@ in whole-array passes and holds the per-item loop that adds, queries and
 scores (``step``), and the same for a run of items that share a tick in a
 few array passes (``step_many``). A detector only maps an item to cells for
 each of its keys. ``MidasDetector.process_many`` scores a whole stream:
-runs of at least ``TICK_BATCH_MIN`` edges take ``step_many``, shorter runs
-the per-item ``process``, which is also the oracle the batch is tested
-against with ``==``.
+runs of at least ``TICK_BATCH_MIN`` edges take ``step_many`` in chunks of
+at most ``TICK_BATCH_MAX``, shorter runs the per-item ``process``, which is
+also the oracle the batch is tested against with ``==``.
 
 A separate decision rule turns scores into flags with a bounded
 false-positive probability, using the chi-squared quantile at 1 - eps/2 and
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, islice
 from operator import attrgetter
 from statistics import NormalDist
 
@@ -40,14 +40,17 @@ import numpy as np
 from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily, check_shape, mix_keys
-from .sketch import check_decay, check_weight, conditional_merge
+from .sketch import check_decay, check_weight, conditional_merge, weights_ok
 
 VARIANTS = ("plain", "relational", "filtering")
-# Runs of fewer edges than this in one tick take the per-item path in
-# process_many. A batch pays a fixed ~100 numpy calls per run; measured on a
-# 2-core x86 box it broke even with per-item steps at 10 edges per tick for
-# relational and filtering MIDAS, and at ~16 for plain.
-TICK_BATCH_MIN = 10
+# Per variant, runs of fewer edges than this in one tick take the per-item
+# path in process_many. A batch pays a fixed ~100 numpy calls per run; these
+# are where it broke even with per-item steps on a 2-core x86 box (plain
+# steps are cheaper, scoring one key instead of three).
+TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
+# process_many hands step_many at most this many edges at a time, so the
+# batch's transient arrays stay a few MB however many edges share a tick.
+TICK_BATCH_MAX = 4096
 
 
 def chi2_score(current: float, total: float, tick: int) -> float:
@@ -394,43 +397,44 @@ class MidasDetector(ChiSquaredTables):
         each and, when ``rule`` is given, its flag (else None), exactly as
         ``process`` one event at a time would.
 
-        Each run of at least ``TICK_BATCH_MIN`` events that share a tick is
-        scored with ``step_many``. Shorter runs, and runs holding an event the
+        The events of each tick are taken ``TICK_BATCH_MAX`` at a time, and a
+        chunk of at least ``TICK_BATCH_MIN[variant]`` is scored with
+        ``step_many``. Shorter chunks, and chunks holding an event the
         per-item path rejects, go through ``process`` event by event, which
         then raises at the offending event.
         """
         if mode not in ("max", "sum"):
             raise ValueError(f"unknown combination mode: {mode!r}")
+        batch_min, batch_max = TICK_BATCH_MIN[self.variant], TICK_BATCH_MAX
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
         for tick, run in groupby(events, attrgetter("tick")):
-            run = list(run)
-            long_run = len(run) >= TICK_BATCH_MIN
-            if long_run and self._process_run(run, tick, rule, mode, scores, flags):
-                continue
-            for event in run:
-                stats = self.process(event)
-                scores.append(stats.combined(mode))
-                if flags is not None:
-                    flags.append(rule.is_flagged(stats))
+            # Chunks are exact at any length: each starts from the tables and
+            # tick_volume the one before it left.
+            while chunk := list(islice(run, batch_max)):
+                if len(chunk) >= batch_min and self._process_run(chunk, tick, rule, mode, scores, flags):
+                    continue
+                for event in chunk:
+                    stats = self.process(event)
+                    scores.append(stats.combined(mode))
+                    if flags is not None:
+                        flags.append(rule.is_flagged(stats))
         return scores, flags
 
     def _process_run(self, run: list, tick: int, rule, mode: str, scores: list, flags) -> bool:
         """Score one run of events sharing ``tick`` with ``step_many`` and
         append to ``scores`` and ``flags``; False, with nothing changed, when
         some event would be rejected."""
-        weights = [event.weight for event in run]
-        if not {float, int}.issuperset(map(type, weights)):
-            return False
         n = len(run)
         try:
-            weights = np.array(weights, dtype=np.float64)
+            weights = np.asarray([event.weight for event in run])
             u = np.fromiter(map(hashing.canonical_key, [e.source for e in run]), np.uint64, n)
             v = np.fromiter(map(hashing.canonical_key, [e.dest for e in run]), np.uint64, n)
-        except (TypeError, OverflowError):
+        except (TypeError, ValueError, OverflowError):
             return False
-        if not ((weights >= 0.0) & (weights < math.inf)).all():  # see check_weight
+        if not weights_ok(weights):
             return False
+        weights = weights.astype(np.float64)
         keys = [mix_keys((u, v))] if self.variant == "plain" else [mix_keys((u, v)), u, v]
         cells = self.family.indexes_many(np.concatenate(keys)).reshape(self.n_rows, len(keys), n)
         self.advance(tick)

@@ -39,6 +39,14 @@ def check_weight(weight: float) -> None:
         raise ValueError(f"update weight must be finite and >= 0, got {weight}")
 
 
+def weights_ok(weights: np.ndarray) -> bool:
+    """Whether ``check_weight`` accepts every weight of a 1-d array; False
+    for any other shape or an array that is not real-valued."""
+    if weights.ndim != 1 or weights.dtype.kind not in "biuf":
+        return False
+    return bool(((weights >= 0) & (weights < math.inf)).all())
+
+
 def conditional_merge(total, current, scores, epsilon: float, tick: int) -> None:
     """Fold ``current`` into ``total`` in place, for C-contiguous arrays of
     one shape.

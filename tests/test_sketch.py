@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from streamsketch.midas import MidasDetector
-from streamsketch.sketch import CountMinSketch, HigherOrderSketch
+from streamsketch.sketch import CountMinSketch, HigherOrderSketch, check_weight, weights_ok
 
 
 def test_repeated_update_is_exact_without_collisions():
@@ -39,6 +39,24 @@ def test_negative_weight_rejected():
     ho = HigherOrderSketch(2, 8, seed=0)
     with pytest.raises(ValueError):
         ho.update("u", "v", -1.0)
+
+
+@pytest.mark.parametrize("weight", [0, 3, 0.5, 1e308, True, -0.1, -1, math.nan, math.inf, -math.inf])
+def test_weights_ok_agrees_with_check_weight(weight):
+    try:
+        check_weight(weight)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert weights_ok(np.array([1.0, weight, 2.0])) is accepted
+    assert weights_ok(np.array([weight])) is accepted
+
+
+def test_weights_ok_rejects_arrays_check_weight_cannot_take():
+    assert not weights_ok(np.array(["1", "2"]))
+    assert not weights_ok(np.array([1.0, None]))
+    assert not weights_ok(np.ones((2, 2)))
+    assert weights_ok(np.array([], dtype=np.float64))
 
 
 

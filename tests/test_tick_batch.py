@@ -2,8 +2,9 @@
 per-item ``process`` it replaces, compared with ``==``.
 
 Every case runs with ``TICK_BATCH_MIN`` at 1 (every run of one tick goes
-through ``step_many``) and at infinity (every event through ``process``
-inside ``process_many``), and both are held to a plain ``process`` loop.
+through ``step_many``), at 1 with ``TICK_BATCH_MAX`` at 3 (a run spans
+several chunks), and at infinity (every event through ``process`` inside
+``process_many``); each is held to a plain ``process`` loop.
 """
 
 import math
@@ -20,7 +21,8 @@ from streamsketch.events import EdgeEvent
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
-BATCH_MINS = [1, math.inf]
+# (TICK_BATCH_MIN for every variant, TICK_BATCH_MAX)
+BATCH_LIMITS = [(1, midas.TICK_BATCH_MAX), (1, 3), (math.inf, midas.TICK_BATCH_MAX)]
 SHAPES = [(1, 1), (2, 4), (3, 16), (2, 1024)]  # (rows, buckets); one bucket collides everything
 
 IDS = st.one_of(
@@ -51,6 +53,13 @@ def stream(edges, first_tick) -> list[EdgeEvent]:
     return events
 
 
+def batch_limits(batch_min, batch_max=midas.TICK_BATCH_MAX):
+    """Patch process_many's run gate and chunk size."""
+    return mock.patch.multiple(
+        midas, TICK_BATCH_MIN=dict.fromkeys(VARIANTS, batch_min), TICK_BATCH_MAX=batch_max
+    )
+
+
 def one_by_one(detector, events, rule, mode):
     scores, flags = [], []
     for event in events:
@@ -61,19 +70,19 @@ def one_by_one(detector, events, rule, mode):
 
 
 def check_exact(events, variant, shape, mode, epsilon):
-    """process_many at each TICK_BATCH_MIN gives what process gives."""
+    """process_many at each of BATCH_LIMITS gives what process gives."""
     n_rows, n_buckets = shape
     oracle = MidasDetector(variant, n_rows=n_rows, n_buckets=n_buckets, seed=3)
     rule = DecisionRule.for_detector(epsilon, oracle) if epsilon is not None else None
     expected = one_by_one(oracle, events, rule, mode)
-    for batch_min in BATCH_MINS:
+    for limits in BATCH_LIMITS:
         detector = MidasDetector(variant, n_rows=n_rows, n_buckets=n_buckets, seed=3)
-        with mock.patch.object(midas, "TICK_BATCH_MIN", batch_min):
+        with batch_limits(*limits):
             got = detector.process_many(events, rule, mode)
-        assert got == expected, batch_min
-        assert np.array_equal(detector.counts, oracle.counts), batch_min
-        assert detector.tick_volume == oracle.tick_volume, batch_min
-        assert detector.clock.tick == oracle.clock.tick, batch_min
+        assert got == expected, limits
+        assert np.array_equal(detector.counts, oracle.counts), limits
+        assert detector.tick_volume == oracle.tick_volume, limits
+        assert detector.clock.tick == oracle.clock.tick, limits
 
 
 @SETTINGS
@@ -120,7 +129,7 @@ def test_huge_weights_overflow_alike():
             expected_scores, expected_flags = one_by_one(oracle, events, rule, "max")
         non_finite += sum(not math.isfinite(x) for x in expected_scores)
         detector = MidasDetector(variant, n_rows=2, n_buckets=4, seed=1)
-        with mock.patch.object(midas, "TICK_BATCH_MIN", 1):
+        with batch_limits(1):
             scores, flags = detector.process_many(events, rule)
         assert np.array_equal(scores, expected_scores, equal_nan=True)
         assert flags == expected_flags
@@ -143,10 +152,11 @@ class LooseEdge:
     [
         (LooseEdge("u", "v", 2, math.nan), ValueError),
         (LooseEdge("u", "v", 2, -1.0), ValueError),
+        (LooseEdge("u", "v", 2, "1"), TypeError),  # numpy would read it as 1.0
         (LooseEdge("u", ["not", "hashable"], 2), TypeError),
         (LooseEdge("u", "v", 1), ValueError),  # tick regression
     ],
-    ids=["nan-weight", "negative-weight", "list-id", "tick-regression"],
+    ids=["nan-weight", "negative-weight", "str-weight", "list-id", "tick-regression"],
 )
 def test_a_rejected_event_raises_where_process_does(bad, error):
     """A run holding an event the per-item path rejects is scored item by item,
@@ -158,11 +168,22 @@ def test_a_rejected_event_raises_where_process_does(bad, error):
         for event in events:
             oracle.process(event)
     detector = MidasDetector("filtering", n_rows=2, n_buckets=8, seed=4)
-    with mock.patch.object(midas, "TICK_BATCH_MIN", 1), pytest.raises(error):
+    with batch_limits(1, 4), pytest.raises(error):
         detector.process_many(events)
     assert np.array_equal(detector.counts, oracle.counts)
     assert detector.tick_volume == oracle.tick_volume
     assert detector.clock.tick == oracle.clock.tick
+
+
+def test_numpy_scalar_weights_take_the_batch_path():
+    events = [LooseEdge(i % 3, i % 5, 1 + i // 6, np.float64(0.5 * i)) for i in range(18)]
+    oracle = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    expected = one_by_one(oracle, events, None, "max")
+    detector = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    per_item = mock.patch.object(MidasDetector, "process", side_effect=AssertionError("per item"))
+    with batch_limits(1), per_item:
+        assert detector.process_many(events) == expected
+    assert np.array_equal(detector.counts, oracle.counts)
 
 
 def test_unknown_mode_is_rejected_before_any_event():
