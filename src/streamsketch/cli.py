@@ -98,6 +98,31 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _list_of(kind):
+    """An argparse type for a comma-separated list of ``kind`` values."""
+
+    def convert_list(text: str) -> list:
+        try:
+            return [kind(item) for item in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid comma-separated {kind.__name__} list: {text!r}"
+            ) from None
+
+    return convert_list
+
+
+def _at_least_1(text: str) -> int:
+    """An integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _given(args, *names) -> dict:
     """The named options that were set; the library keeps the others'
     defaults, including those of options the command lacks."""
@@ -283,19 +308,17 @@ def _run_pomdp(args) -> int:
     process = TwoStateProcess(
         p=args.p, q=args.q, start_anomalous=bool(args.start_anomalous), seed=args.seed
     )
-    phis = [float(x) for x in str(args.phi).split(",")]
     if args.predictor == "imitate":
-        raw = args.q_hat if args.q_hat is not None else str(args.q)
-        sweep_values = [float(x) for x in str(raw).split(",")]
+        sweep_values = args.q_hat if args.q_hat is not None else [args.q]
         param_name = "q_hat"
     else:
-        sweep_values = [int(x) for x in str(args.wait).split(",")] if args.wait else [None]
+        sweep_values = args.wait if args.wait is not None else [None]
         param_name = "L"
     seeds = [args.seed + i for i in range(args.seeds)]
 
     tasks = []
     for value in sweep_values:
-        for phi in phis:
+        for phi in args.phi:
             if args.predictor == "imitate":
                 config = PredictorConfig(
                     kind="imitate",
@@ -457,17 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--q", type=float, required=True)
     sub.add_argument("--predictor", choices=("imitate", "opt"), required=True)
     sub.add_argument("--p-hat", type=float)
-    sub.add_argument("--q-hat", help="estimate(s), comma separated")
+    sub.add_argument("--q-hat", type=_list_of(float), help="estimate(s), comma separated")
     sub.add_argument(
         "--q-hat-single", type=float, help="opt: derive the wait length from this estimate"
     )
-    sub.add_argument("--wait", help="opt wait length(s) L, comma separated")
-    sub.add_argument("--phi", default="0", help="feedback probability(ies), comma separated")
+    sub.add_argument("--wait", type=_list_of(int), help="opt wait length(s) L, comma separated")
+    sub.add_argument(
+        "--phi", type=_list_of(float), default="0", help="feedback probability(ies), comma separated"
+    )
     sub.add_argument("--steps", type=int, default=1_000_000)
     sub.add_argument("--seeds", type=int, default=1, help="number of independent runs")
     sub.add_argument("--one-sided", action="store_true")
     sub.add_argument("--start-anomalous", action="store_true")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel runs (threads)")
+    sub.add_argument("--jobs", type=_at_least_1, default=1, help="parallel runs (threads)")
     sub.add_argument("--output", default="-")
     _add_seed_and_config(sub)
     sub.set_defaults(handler=_run_pomdp)

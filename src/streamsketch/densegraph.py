@@ -34,17 +34,6 @@ def _as_matrix(matrix) -> np.ndarray:
     return m
 
 
-def submatrix_density(matrix, rows, cols) -> float:
-    """Density of the submatrix selected by ``rows`` x ``cols``."""
-    m = _as_matrix(matrix)
-    rows = list(rows)
-    cols = list(cols)
-    if not rows or not cols:
-        raise ValueError("density is undefined for an empty row or column set")
-    block = m[np.ix_(rows, cols)]
-    return float(block.sum() / math.sqrt(len(rows) * len(cols)))
-
-
 def expand_many(mats, rows, cols) -> np.ndarray:
     """Greedy expansions from many 1x1 seeds, advanced in lock-step.
 
@@ -179,19 +168,6 @@ def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:
     views = np.broadcast_to(mats[..., None, :, :], seeds.shape + (n_rows, n_cols))
     best = expand_many(views, seeds // n_cols, seeds % n_cols)
     return np.maximum(best.max(axis=-1), 0.0)
-
-
-def anograph_k_density(matrix, k: int) -> float:
-    """Best greedy-expansion density over the k largest cells.
-
-    Cells tie-break in row-major order. Values beat a full peel often enough
-    in practice, but are not cheaper: the k expansions run together, yet each
-    takes as many steps as a peel, and on a 32x32 matrix with k=5 they take
-    about four times as long as ``anograph_density``.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return float(_topk_densities(_as_matrix(matrix), k))
 
 
 # Bytes of sketch snapshots an AnoEdgeGlobal buffers before expanding them

@@ -87,8 +87,8 @@ def check_shape(n_rows: int, n_buckets: int) -> None:
 class HashFamily:
     """A bank of pairwise-independent hash rows over a fixed bucket count.
 
-    Sketches that must correspond bucket-for-bucket (for conditional merges
-    or score caches) share one family instance.
+    Families of one shape and seed hash every key alike, so tables built from
+    them correspond bucket for bucket (for conditional merges or score caches).
     """
 
     def __init__(self, n_rows: int, n_buckets: int, seed: int = DEFAULT_SEED):

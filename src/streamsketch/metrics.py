@@ -1,4 +1,4 @@
-"""Evaluation metrics and measurement helpers."""
+"""Evaluation metrics."""
 
 from __future__ import annotations
 
@@ -10,11 +10,15 @@ def roc_auc(scores, labels) -> float:
 
     Equivalent to the normalised Mann-Whitney U statistic: the probability
     that a random positive outscores a random negative, counting ties half.
+    A nan score has no rank, so it is rejected, named by its 1-based position.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise ValueError(f"score {nan[0] + 1} is nan")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int((y == 1).sum())
@@ -29,18 +33,3 @@ def roc_auc(scores, labels) -> float:
     ranks = average_ranks[inverse]
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def linear_fit_r2(x, y) -> float:
-    """Coefficient of determination of the least-squares line through (x, y)."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size < 3:
-        raise ValueError("need at least three points for a meaningful fit")
-    slope, intercept = np.polyfit(x, y, 1)
-    residuals = y - (slope * x + intercept)
-    ss_res = float((residuals**2).sum())
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot

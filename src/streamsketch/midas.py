@@ -367,19 +367,22 @@ class MidasDetector(ChiSquaredTables):
         merge_threshold: float = 1000.0,
         seed: int = DEFAULT_SEED,
     ):
-        n_keys = 1 if variant == "plain" else 3  # see cells
+        n_keys = 1 if variant == "plain" else 3  # see _keys
         super().__init__(variant, n_keys, n_rows, n_buckets, alpha, merge_threshold)
         self.family = HashFamily(n_rows, n_buckets, seed)
 
+    def _keys(self, u, v) -> tuple:
+        """The keys an edge is scored on, from the canonical keys of its
+        source ``u`` and destination ``v`` (ints, or uint64 arrays for a run):
+        the edge, as the canonical key of (source, dest), then its source and
+        destination unless plain."""
+        edge = mix_keys((u, v))
+        return (edge,) if self.variant == "plain" else (edge, u, v)
+
     def cells(self, source, dest) -> tuple:
-        """The bucket in every row of each key the edge is scored on: the
-        edge itself, then its source and destination unless plain."""
-        indexes = self.family.indexes
-        u, v = hashing.canonical_key(source), hashing.canonical_key(dest)
-        edge = indexes(mix_keys((u, v)))  # the canonical key of (source, dest)
-        if self.variant == "plain":
-            return (edge,)
-        return edge, indexes(u), indexes(v)
+        """The bucket in every row of each key the edge is scored on."""
+        keys = self._keys(hashing.canonical_key(source), hashing.canonical_key(dest))
+        return tuple(map(self.family.indexes, keys))
 
     def process(self, event: EdgeEvent) -> StepStats:
         """Insert one edge and return its scores and supporting counts."""
@@ -435,7 +438,7 @@ class MidasDetector(ChiSquaredTables):
         if not weights_ok(weights):
             return False
         weights = weights.astype(np.float64)
-        keys = [mix_keys((u, v))] if self.variant == "plain" else [mix_keys((u, v)), u, v]
+        keys = self._keys(u, v)
         cells = self.family.indexes_many(np.concatenate(keys)).reshape(self.n_rows, len(keys), n)
         self.advance(tick)
         per_key, a, s, volume = self.step_many(cells.transpose(1, 0, 2), weights, tick)

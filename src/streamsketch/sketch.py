@@ -168,22 +168,12 @@ class CountMinSketch(_CountTable):
     used by filtering detectors.
     """
 
-    def __init__(
-        self,
-        n_rows: int = 2,
-        n_buckets: int = 1024,
-        seed: int = DEFAULT_SEED,
-        family: HashFamily | None = None,
-    ):
-        if family is None:
-            family = HashFamily(n_rows, n_buckets, seed)
-        elif family.n_rows != n_rows or family.n_buckets != n_buckets:
-            raise ValueError("supplied hash family does not match sketch shape")
-        super().__init__(family)
+    def __init__(self, n_rows: int = 2, n_buckets: int = 1024, seed: int = DEFAULT_SEED):
+        super().__init__(HashFamily(n_rows, n_buckets, seed))
 
     def indexes(self, key) -> tuple[int, ...]:
-        """Per-row bucket index for ``key``; reusable across sketches that
-        share this sketch's hash family."""
+        """Per-row bucket index for ``key``; reusable across sketches of the
+        same shape and seed."""
         return self.family.indexes(hashing.canonical_key(key))
 
     def update(self, key, weight: float = 1.0) -> None:

@@ -10,16 +10,14 @@ import gc
 import math
 import time
 import tracemalloc
-from collections import Counter, defaultdict
 
 import numpy as np
-import pytest
 
 from streamsketch.densegraph import anograph_density, anograph_score
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.ingest import WindowSpec, window_aggregate
-from streamsketch.metrics import linear_fit_r2, roc_auc
-from streamsketch.midas import DecisionRule, MidasDetector, chi2_score, filtering_score
+from streamsketch.metrics import roc_auc
+from streamsketch.midas import DecisionRule, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.pomdp import PredictorConfig, TwoStateProcess, accuracy_sweep
 from streamsketch.sess import FeedbackEvent, SharpeningParams, apply_feedback
@@ -29,6 +27,17 @@ from streamsketch.synth import (
     synth_burst_stream,
     synth_graph_windows,
     synth_stationary_stream,
+)
+
+from oracles import (
+    ExactMstreamOracle,
+    FilteringOracle,
+    PlainOracle,
+    RelationalOracle,
+    brute_force_density,
+    linear_fit_r2,
+    pairwise_auc,
+    random_edge_stream,
 )
 
 BIG = 1 << 20
@@ -84,135 +93,14 @@ def test_criterion_01_sketch_oracle_equivalence():
 # -- 2. chi-squared exactness ---------------------------------------------------
 
 
-class _PlainOracle:
-    def __init__(self):
-        self.total = defaultdict(float)
-        self.current = defaultdict(float)
-        self.tick = None
-
-    def score(self, e):
-        if self.tick is None:
-            self.tick = e.tick
-        elif e.tick > self.tick:
-            self.current.clear()
-            self.tick = e.tick
-        k = (e.source, e.dest)
-        self.total[k] += e.weight
-        self.current[k] += e.weight
-        return chi2_score(self.current[k], self.total[k], e.tick)
-
-
-class _RelationalOracle:
-    def __init__(self, alpha):
-        self.alpha = alpha
-        self.total = [defaultdict(float) for _ in range(3)]
-        self.current = [defaultdict(float) for _ in range(3)]
-        self.tick = None
-
-    def score(self, e):
-        if self.tick is None:
-            self.tick = e.tick
-        elif e.tick > self.tick:
-            for counts in self.current:
-                for k in counts:
-                    counts[k] *= self.alpha
-            self.tick = e.tick
-        parts = []
-        for g, k in enumerate([(e.source, e.dest), e.source, e.dest]):
-            self.total[g][k] += e.weight
-            self.current[g][k] += e.weight
-            parts.append(chi2_score(self.current[g][k], self.total[g][k], e.tick))
-        return max(parts)
-
-
-class _FilteringOracle:
-    def __init__(self, alpha, threshold):
-        self.alpha = alpha
-        self.threshold = threshold
-        self.total = [defaultdict(float) for _ in range(3)]
-        self.current = [defaultdict(float) for _ in range(3)]
-        self.cache = [defaultdict(float) for _ in range(3)]
-        self.tick = None
-
-    def score(self, e):
-        if self.tick is None:
-            self.tick = e.tick
-        elif e.tick > self.tick:
-            for g in range(3):
-                total, current, cache = self.total[g], self.current[g], self.cache[g]
-                for k in set(total) | set(current) | set(cache):
-                    if cache[k] < self.threshold:
-                        total[k] += current[k]
-                    elif self.tick != 1:
-                        total[k] += total[k] / (self.tick - 1)
-                for k in current:
-                    current[k] *= self.alpha
-            self.tick = e.tick
-        parts = []
-        for g, k in enumerate([(e.source, e.dest), e.source, e.dest]):
-            self.current[g][k] += e.weight
-            value = filtering_score(self.current[g][k], self.total[g][k], e.tick)
-            self.cache[g][k] = value
-            parts.append(value)
-        return max(parts)
-
-
-class _MstreamOracle:
-    def __init__(self, alpha, arity):
-        self.alpha = alpha
-        self.feature_totals = [defaultdict(float) for _ in range(arity)]
-        self.feature_currents = [defaultdict(float) for _ in range(arity)]
-        self.record_total = defaultdict(float)
-        self.record_current = defaultdict(float)
-        self.tick = None
-
-    def score(self, record):
-        if self.tick is None:
-            self.tick = record.tick
-        elif record.tick > self.tick:
-            for counts in (*self.feature_currents, self.record_current):
-                for k in counts:
-                    counts[k] *= self.alpha
-            self.tick = record.tick
-        total = 0.0
-        for j, value in enumerate(record.categorical):
-            self.feature_totals[j][value] += 1.0
-            self.feature_currents[j][value] += 1.0
-            total += chi2_score(
-                self.feature_currents[j][value],
-                self.feature_totals[j][value],
-                record.tick,
-            )
-        key = record.categorical
-        self.record_total[key] += 1.0
-        self.record_current[key] += 1.0
-        total += chi2_score(
-            self.record_current[key], self.record_total[key], record.tick
-        )
-        return total
-
-
-def _edge_stream_for_exactness(seed, n=1000, nodes=14):
-    rng = np.random.default_rng(seed)
-    tick = 1
-    out = []
-    for _ in range(n):
-        if rng.random() < 0.05:
-            tick += 1
-        out.append(
-            EdgeEvent(int(rng.integers(0, nodes)), int(rng.integers(0, nodes)), tick)
-        )
-    return out
-
-
 def test_criterion_02_chi_squared_exactness():
     started = time.perf_counter()
     worst = 0.0
-    events = _edge_stream_for_exactness(seed=2)
+    events = random_edge_stream(seed=2)
     pairs = [
-        ("plain", _PlainOracle()),
-        ("relational", _RelationalOracle(0.5)),
-        ("filtering", _FilteringOracle(0.5, 1000.0)),
+        ("plain", PlainOracle()),
+        ("relational", RelationalOracle(0.5)),
+        ("filtering", FilteringOracle(0.5, 1000.0)),
     ]
     for variant, oracle in pairs:
         detector = MidasDetector(variant, n_buckets=BIG, alpha=0.5, seed=2)
@@ -222,7 +110,7 @@ def test_criterion_02_chi_squared_exactness():
         gc.collect()
 
     detector = MstreamDetector(2, 0, n_buckets=BIG, alpha=0.85, seed=2)
-    oracle = _MstreamOracle(0.85, 2)
+    oracle = ExactMstreamOracle(detector)
     rng = np.random.default_rng(2)
     tick = 1
     for _ in range(1000):
@@ -296,16 +184,6 @@ def test_criterion_04_microcluster_detection():
 # -- 5. densest-submatrix 2-approximation --------------------------------------------
 
 
-def _exhaustive_density(matrix):
-    m = np.asarray(matrix, dtype=float)
-    n_rows, n_cols = m.shape
-    row_bits = ((np.arange(1, 1 << n_rows)[:, None] >> np.arange(n_rows)) & 1).astype(float)
-    col_bits = ((np.arange(1, 1 << n_cols)[:, None] >> np.arange(n_cols)) & 1).astype(float)
-    sums = row_bits @ m @ col_bits.T
-    sizes = np.sqrt(row_bits.sum(1)[:, None] * col_bits.sum(1)[None, :])
-    return float((sums / sizes).max())
-
-
 def test_criterion_05_two_approximation():
     started = time.perf_counter()
     rng = np.random.default_rng(5)
@@ -314,7 +192,7 @@ def test_criterion_05_two_approximation():
         n = int(rng.integers(2, 9))  # up to 8x8: oracle enumerates <= 2^16 shapes
         matrix = rng.integers(0, 10, size=(n, n)).astype(float)
         greedy = anograph_density(matrix)
-        optimum = _exhaustive_density(matrix)
+        optimum = brute_force_density(matrix)
         if optimum > 0:
             worst_ratio = min(worst_ratio, greedy / optimum)
         assert greedy >= 0.5 * optimum - 1e-9
@@ -508,14 +386,6 @@ def test_criterion_09_scalability():
 # -- 10. rank-based AUC against the pairwise oracle ---------------------------------------------
 
 
-def _pairwise_auc(scores, labels):
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    pos = s[y == 1][:, None]
-    neg = s[y == 0][None, :]
-    return float(((pos > neg).sum() + 0.5 * (pos == neg).sum()) / (pos.size * neg.size))
-
-
 def test_criterion_10_auc_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(10)
@@ -525,7 +395,7 @@ def test_criterion_10_auc_oracle():
         labels = (rng.random(1000) < rng.uniform(0.1, 0.9)).astype(int)
         if labels.sum() in (0, 1000):
             labels[:3] = [0, 1, 0]
-        worst = max(worst, abs(roc_auc(scores, labels) - _pairwise_auc(scores, labels)))
+        worst = max(worst, abs(roc_auc(scores, labels) - pairwise_auc(scores, labels)))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-12
     report(10, ok, f"rank AUC vs pairwise oracle: max |diff|={worst:.2e} "

@@ -1,14 +1,14 @@
 """Exactness of the lock-step expansion kernel and the chunked AnoEdge-G
 scorer against slow per-edge oracles.
 
-The oracles are the scalar expansion and the per-edge ``AnoEdgeGlobal.score``
-body as they stood before scoring moved to ``expand_many``. Every comparison
-is exact (``==`` or ``np.array_equal``): the kernel does the same float
-operations per lane in the same order, so any difference is a bug.
+The oracles, in ``oracles.py``, are the scalar expansion and the per-edge
+``AnoEdgeGlobal.score`` body as they stood before scoring moved to
+``expand_many``. Every comparison is exact (``==`` or ``np.array_equal``):
+the kernel does the same float operations per lane in the same order, so
+any difference is a bug.
 """
 
 import gc
-import math
 import tracemalloc
 
 import numpy as np
@@ -19,8 +19,6 @@ from streamsketch.densegraph import (
     SNAPSHOT_BUDGET_BYTES,
     AnoEdgeGlobal,
     GraphWindow,
-    _as_matrix,
-    anograph_k_density,
     anograph_score,
     edge_submatrix_density,
     expand_many,
@@ -28,77 +26,7 @@ from streamsketch.densegraph import (
 from streamsketch.events import EdgeEvent
 from streamsketch.sketch import HigherOrderSketch
 
-
-def oracle_expand(matrix, row: int, col: int) -> float:
-    """Max density along a greedy expansion from the 1x1 seed (row, col).
-
-    Starting from the seed cell, repeatedly add the remaining row with the
-    largest sum against the current columns, or the remaining column with
-    the largest sum against the current rows, until nothing remains. The
-    best density seen anywhere on that path (seed included) is returned.
-    """
-    m = _as_matrix(matrix)
-    n_rows, n_cols = m.shape
-    if not (0 <= row < n_rows and 0 <= col < n_cols):
-        raise ValueError(f"seed ({row}, {col}) out of range for {m.shape} matrix")
-
-    in_rows = np.zeros(n_rows, dtype=bool)
-    in_cols = np.zeros(n_cols, dtype=bool)
-    in_rows[row] = True
-    in_cols[col] = True
-    row_gain = m[:, col].copy()  # each row's sum against the current columns
-    col_gain = m[row, :].copy()
-    total = float(m[row, col])
-    size_rows = size_cols = 1
-    best = total
-
-    for _ in range(n_rows + n_cols - 2):
-        cand_rows = np.where(in_rows, -np.inf, row_gain)
-        cand_cols = np.where(in_cols, -np.inf, col_gain)
-        r = int(np.argmax(cand_rows))
-        c = int(np.argmax(cand_cols))
-        # Strict > sends ties (and exhausted rows) to the column branch.
-        if cand_rows[r] > cand_cols[c]:
-            total += float(row_gain[r])
-            col_gain += m[r, :]
-            in_rows[r] = True
-            size_rows += 1
-        else:
-            total += float(col_gain[c])
-            row_gain += m[:, c]
-            in_cols[c] = True
-            size_cols += 1
-        density = total / math.sqrt(size_rows * size_cols)
-        if density > best:
-            best = density
-    return float(best)
-
-
-def oracle_topk(matrix, k: int) -> float:
-    """The per-seed top-k loop: one scalar expansion per seed cell."""
-    m = _as_matrix(matrix)
-    n_cols = m.shape[1]
-    flat = m.ravel(order="C")
-    seeds = np.argsort(-flat, kind="stable")[: min(k, flat.size)]
-    best = 0.0
-    for pos in seeds:
-        r, c = divmod(int(pos), n_cols)
-        best = max(best, oracle_expand(m, r, c))
-    return float(best)
-
-
-class OracleAnoEdgeGlobal(AnoEdgeGlobal):
-    """AnoEdge-G scoring one edge at a time with the scalar expansion."""
-
-    def score(self, event: EdgeEvent) -> float:
-        if self.clock.advance(event.tick) is not None:
-            self.sketch.decay(self.alpha)
-        cells = self.sketch.indexes(event.source, event.dest)
-        self.sketch.update_at(cells, event.weight)
-        return min(
-            oracle_expand(self.sketch.matrices[layer], *divmod(cell, self.sketch.n_buckets))
-            for layer, cell in enumerate(cells)
-        )
+from oracles import OracleAnoEdgeGlobal, anograph_k_density, oracle_expand, oracle_topk
 
 
 # -- the kernel ------------------------------------------------------------------

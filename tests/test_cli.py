@@ -5,6 +5,7 @@ import re
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from streamsketch import cli
@@ -233,6 +234,20 @@ def test_eval_mode_emits_auc_json(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert 0.0 <= payload["auc"] <= 1.0
+
+
+def test_eval_mode_rejects_a_nan_score_by_its_position(tmp_path, capsys):
+    # The counts overflow to inf, and the third edge scores nan.
+    edges = tmp_path / "edges.csv"
+    labels = tmp_path / "labels.txt"
+    edges.write_text("u,v,1e308,1\nu,v,1e308,1\nu,v,1e308,2\n")
+    labels.write_text("0\n0\n1\n")
+    argv = ["midas-r", "--has-weight", "--input", str(edges), "--eval", "--labels", str(labels)]
+    with np.errstate(over="ignore"):
+        assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: score 3 is nan\n"
 
 
 def test_eval_subcommand(tmp_path, capsys):
@@ -712,3 +727,26 @@ def test_pomdp_opt_rejects_q_hat_outside_the_unit_interval(capsys, q_hat):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: opt needs q_hat in (0, 1), got {float(q_hat)}\n"
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--wait", "x", "argument --wait: invalid comma-separated int list: 'x'"),
+        ("--wait", "5,", "argument --wait: invalid comma-separated int list: '5,'"),
+        ("--phi", ",", "argument --phi: invalid comma-separated float list: ','"),
+        ("--q-hat", "x", "argument --q-hat: invalid comma-separated float list: 'x'"),
+        ("--jobs", "0", "argument --jobs: must be >= 1, got 0"),
+        ("--jobs", "-3", "argument --jobs: must be >= 1, got -3"),
+    ],
+)
+def test_pomdp_bad_list_or_jobs_value_exits_2_naming_the_option(capsys, option, value, message):
+    with pytest.raises(SystemExit) as err:
+        run_cli(
+            "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "imitate", "--steps", "100",
+            option, value,
+        )
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -1,5 +1,6 @@
-"""Property tests: the CLI turns any input text into exit 0 or exit 1, every
-exit 1 names a line of the input, and blank lines change nothing."""
+"""Property tests: every detector command turns any input text into exit 0
+or exit 1, every exit 1 names a line of the input and leaves stdout empty,
+and blank lines change nothing."""
 
 import contextlib
 import io
@@ -25,20 +26,21 @@ RECORD_TEXT = st.tuples(
 )
 SETTINGS = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 LINE_ERROR = re.compile(r"^error: line (\d+): ", re.MULTILINE)
+EDGE_COMMANDS = ["midas", "midas-r", "midas-f", "anoedge-g", "anoedge-l", "anograph", "anograph-k", "sess"]
 
 
-def run_on_text(command: str, text: str) -> tuple[int, str, int]:
-    """Exit code, stderr and the number of lines the CLI reads in ``text``."""
+def run_on_text(argv: list[str], text: str) -> tuple[int, str, str, int]:
+    """Exit code, stdout, stderr and the number of lines the CLI reads in
+    ``text``, given as ``--input``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.csv"
         path.write_text(text, encoding="utf-8")
         with path.open(encoding="utf-8") as handle:
             n_lines = len(handle.readlines())
-        out = Path(tmp) / "out.txt"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([command, "--input", str(path), "--output", str(out)])
-        return code, err.getvalue(), n_lines
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--input", str(path)])
+        return code, out.getvalue(), err.getvalue(), n_lines
 
 
 def assert_names_a_line(err: str, n_lines: int) -> None:
@@ -47,12 +49,16 @@ def assert_names_a_line(err: str, n_lines: int) -> None:
     assert 1 <= int(match.group(1)) <= n_lines
 
 
+@pytest.mark.parametrize("weight", [[], ["--has-weight"]], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("command", EDGE_COMMANDS)
 @SETTINGS
-@given(EDGE_TEXT)
-def test_midas_on_any_edge_text_exits_0_or_1(text):
-    code, err, n_lines = run_on_text("midas", text)
+@given(text=EDGE_TEXT)
+def test_edge_commands_on_any_edge_text_exit_0_or_1(command, weight, text):
+    feedback = ["--feedback", os.devnull] if command == "sess" else []  # no labels
+    code, out, err, n_lines = run_on_text([command, *feedback, *weight], text)
     assert code in (0, 1)
     if code == 1:
+        assert out == ""
         assert_names_a_line(err, n_lines)
 
 
@@ -60,10 +66,12 @@ def test_midas_on_any_edge_text_exits_0_or_1(text):
 @given(RECORD_TEXT)
 def test_mstream_on_any_record_text_exits_0_or_1(parts):
     header, body = parts
-    code, err, n_lines = run_on_text("mstream", header + body)
+    code, out, err, n_lines = run_on_text(["mstream"], header + body)
     assert code in (0, 1)
-    if code == 1 and (header + body).strip():
-        assert_names_a_line(err, n_lines)
+    if code == 1:
+        assert out == ""
+        if (header + body).strip():
+            assert_names_a_line(err, n_lines)
 
 
 # -- blank lines and side files --------------------------------------------------
@@ -162,6 +170,11 @@ SIDE_FILES = {
     ),
     "labels": (
         ["midas", "--input", "in.csv", "--eval", "--labels", "side.txt"],
+        LABEL,
+        ["2", "x", "0.5", "1,0"],
+    ),
+    "anograph-labels": (
+        ["anograph", "--input", "in.csv", "--labels", "side.txt"],
         LABEL,
         ["2", "x", "0.5", "1,0"],
     ),

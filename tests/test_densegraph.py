@@ -8,74 +8,19 @@ from streamsketch.densegraph import (
     AnoEdgeLocal,
     GraphWindow,
     anograph_density,
-    anograph_k_density,
     anograph_score,
     edge_submatrix_density,
-    submatrix_density,
 )
 from streamsketch.events import EdgeEvent
 from streamsketch.sketch import HigherOrderSketch
 
-
-def brute_force_density(matrix):
-    """Exhaustive max density over all nonempty submatrices (bitmask oracle)."""
-    m = np.asarray(matrix, dtype=float)
-    n_rows, n_cols = m.shape
-    row_masks = np.arange(1, 1 << n_rows)
-    col_masks = np.arange(1, 1 << n_cols)
-    row_bits = ((row_masks[:, None] >> np.arange(n_rows)) & 1).astype(float)
-    col_bits = ((col_masks[:, None] >> np.arange(n_cols)) & 1).astype(float)
-    sums = row_bits @ m @ col_bits.T
-    sizes = np.sqrt(row_bits.sum(1)[:, None] * col_bits.sum(1)[None, :])
-    return float((sums / sizes).max())
-
-
-def slow_expand_reference(matrix, row, col):
-    """Re-derived greedy expansion recomputing every sum from scratch."""
-    m = np.asarray(matrix, dtype=float)
-    n_rows, n_cols = m.shape
-    rows, cols = {row}, {col}
-    best = submatrix_density(m, rows, cols)
-    while len(rows) < n_rows or len(cols) < n_cols:
-        row_candidates = [
-            (sum(m[r][c] for c in cols), r) for r in range(n_rows) if r not in rows
-        ]
-        col_candidates = [
-            (sum(m[r][c] for r in rows), c) for c in range(n_cols) if c not in cols
-        ]
-        best_row = min(row_candidates, key=lambda rc: (-rc[0], rc[1]))[1] if row_candidates else None
-        best_col = min(col_candidates, key=lambda rc: (-rc[0], rc[1]))[1] if col_candidates else None
-        take_row = False
-        if best_row is not None and best_col is not None:
-            r_sum = sum(m[best_row][c] for c in cols)
-            c_sum = sum(m[r][best_col] for r in rows)
-            take_row = r_sum > c_sum
-        elif best_row is not None:
-            take_row = True
-        if take_row:
-            rows.add(best_row)
-        else:
-            cols.add(best_col)
-        best = max(best, submatrix_density(m, rows, cols))
-    return best
-
-
-def slow_peel_reference(matrix):
-    """Re-derived greedy peel recomputing every sum from scratch."""
-    m = np.asarray(matrix, dtype=float)
-    rows = set(range(m.shape[0]))
-    cols = set(range(m.shape[1]))
-    best = submatrix_density(m, rows, cols)
-    while rows and cols:
-        worst_row = min(rows, key=lambda r: (sum(m[r][c] for c in cols), r))
-        worst_col = min(cols, key=lambda c: (sum(m[r][c] for r in rows), c))
-        if sum(m[worst_row][c] for c in cols) < sum(m[r][worst_col] for r in rows):
-            rows.remove(worst_row)
-        else:
-            cols.remove(worst_col)
-        if rows and cols:
-            best = max(best, submatrix_density(m, rows, cols))
-    return best
+from oracles import (
+    anograph_k_density,
+    brute_force_density,
+    slow_expand_reference,
+    slow_peel_reference,
+    submatrix_density,
+)
 
 
 # -- density primitives --------------------------------------------------------

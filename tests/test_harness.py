@@ -13,7 +13,7 @@ from streamsketch.ingest import (
     parse_record_stream,
     window_aggregate,
 )
-from streamsketch.metrics import linear_fit_r2, roc_auc
+from streamsketch.metrics import roc_auc
 from streamsketch.synth import (
     synth_attack_stream,
     synth_burst_stream,
@@ -21,14 +21,7 @@ from streamsketch.synth import (
     synth_stationary_stream,
 )
 
-
-def pairwise_auc(scores, labels):
-    """O(n^2) comparison oracle: P(positive outscores negative), ties half."""
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels)
-    pos = s[y == 1][:, None]
-    neg = s[y == 0][None, :]
-    return float(((pos > neg).sum() + 0.5 * (pos == neg).sum()) / (pos.size * neg.size))
+from oracles import linear_fit_r2, pairwise_auc
 
 
 # -- metrics -------------------------------------------------------------------
@@ -49,6 +42,8 @@ def test_auc_validation():
         roc_auc([1, 2], [0, 2])
     with pytest.raises(ValueError):
         roc_auc([1, 2, 3], [0, 1])
+    with pytest.raises(ValueError, match="^score 2 is nan$"):
+        roc_auc([1, float("nan"), float("nan")], [0, 1, 0])
 
 
 def test_auc_matches_pairwise_oracle():

@@ -1,5 +1,4 @@
 import math
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +16,8 @@ from streamsketch.midas import (
     standard_normal_quantile,
 )
 from streamsketch.synth import synth_burst_stream
+
+from oracles import FilteringOracle, PlainOracle, RelationalOracle, random_edge_stream
 
 BIG = 1 << 20  # collision-free bucket count for exactness checks
 
@@ -82,108 +83,9 @@ def test_weight_feeds_counts():
 # -- exact-counter oracles ----------------------------------------------------
 
 
-class PlainOracle:
-    def __init__(self):
-        self.total = defaultdict(float)
-        self.current = defaultdict(float)
-        self.tick = None
-
-    def score(self, event):
-        if self.tick is None:
-            self.tick = event.tick
-        elif event.tick > self.tick:
-            self.current.clear()
-            self.tick = event.tick
-        key = (event.source, event.dest)
-        self.total[key] += event.weight
-        self.current[key] += event.weight
-        return chi2_score(self.current[key], self.total[key], event.tick)
-
-
-class RelationalOracle:
-    def __init__(self, alpha):
-        self.alpha = alpha
-        self.total = [defaultdict(float) for _ in range(3)]
-        self.current = [defaultdict(float) for _ in range(3)]
-        self.tick = None
-
-    def score(self, event):
-        if self.tick is None:
-            self.tick = event.tick
-        elif event.tick > self.tick:
-            for counts in self.current:
-                for key in counts:
-                    counts[key] *= self.alpha
-            self.tick = event.tick
-        keys = [(event.source, event.dest), event.source, event.dest]
-        parts = []
-        for group, key in enumerate(keys):
-            self.total[group][key] += event.weight
-            self.current[group][key] += event.weight
-            parts.append(
-                chi2_score(self.current[group][key], self.total[group][key], event.tick)
-            )
-        return max(parts)
-
-
-class FilteringOracle:
-    def __init__(self, alpha, threshold):
-        self.alpha = alpha
-        self.threshold = threshold
-        self.total = [defaultdict(float) for _ in range(3)]
-        self.current = [defaultdict(float) for _ in range(3)]
-        self.cache = [defaultdict(float) for _ in range(3)]
-        self.tick = None
-
-    def _close_tick(self):
-        for group in range(3):
-            total, current, cache = (
-                self.total[group],
-                self.current[group],
-                self.cache[group],
-            )
-            for key in set(total) | set(current) | set(cache):
-                if cache[key] < self.threshold:
-                    total[key] += current[key]
-                elif self.tick != 1:
-                    total[key] += total[key] / (self.tick - 1)
-            for key in current:
-                current[key] *= self.alpha
-
-    def score(self, event):
-        if self.tick is None:
-            self.tick = event.tick
-        elif event.tick > self.tick:
-            self._close_tick()
-            self.tick = event.tick
-        keys = [(event.source, event.dest), event.source, event.dest]
-        parts = []
-        for group, key in enumerate(keys):
-            self.current[group][key] += event.weight
-            value = filtering_score(
-                self.current[group][key], self.total[group][key], event.tick
-            )
-            self.cache[group][key] = value
-            parts.append(value)
-        return max(parts)
-
-
-def _random_stream(seed, n=1000, nodes=14):
-    rng = np.random.default_rng(seed)
-    tick = 1
-    events = []
-    for _ in range(n):
-        if rng.random() < 0.05:
-            tick += 1
-        events.append(
-            EdgeEvent(int(rng.integers(0, nodes)), int(rng.integers(0, nodes)), tick)
-        )
-    return events
-
-
 @pytest.mark.parametrize("variant", ["plain", "relational", "filtering"])
 def test_collision_free_scores_match_exact_counters(variant):
-    events = _random_stream(seed=5)
+    events = random_edge_stream(seed=5)
     detector = MidasDetector(variant, n_buckets=BIG, alpha=0.5, seed=5)
     oracle = {
         "plain": PlainOracle(),

@@ -1,5 +1,4 @@
 import math
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -7,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsketch.events import MultiAspectRecord
-from streamsketch.hashing import HashFamily, canonical_key
+from streamsketch.hashing import HashFamily
 from streamsketch.midas import chi2_score
 from streamsketch.mstream import (
     HyperplaneHash,
     MstreamDetector,
-    RecordScore,
     StreamingMinMax,
     bucketize_numeric,
     hash_categorical,
     record_hash,
 )
+
+from oracles import ExactMstreamOracle, LinearHashMstream
 
 BIG = 1 << 20
 
@@ -160,48 +160,6 @@ def test_tick_regression_rejected():
         detector.score(MultiAspectRecord(("a",), (), 2))
 
 
-class ExactMstreamOracle:
-    """Dict-counter re-implementation used to pin collision-free behaviour."""
-
-    def __init__(self, detector):
-        self.detector = detector
-        self.alpha = detector.alpha
-        arity = detector.n_categorical + detector.n_numeric
-        self.feature_totals = [defaultdict(float) for _ in range(arity)]
-        self.feature_currents = [defaultdict(float) for _ in range(arity)]
-        self.record_total = defaultdict(float)
-        self.record_current = defaultdict(float)
-        self.tick = None
-
-    def score(self, record):
-        if self.tick is None:
-            self.tick = record.tick
-        elif record.tick > self.tick:
-            for counts in (*self.feature_currents, self.record_current):
-                for key in counts:
-                    counts[key] *= self.alpha
-            self.tick = record.tick
-        total = 0.0
-        values = list(record.categorical) + [f"num{j}" for j in range(len(record.numeric))]
-        # Numeric features collapse onto a per-feature key: with one distinct
-        # numeric stream per column this matches bucket behaviour exactly as
-        # long as values do not cross bucket boundaries; tests use constant
-        # numeric values to keep the correspondence collision-free.
-        for j, key in enumerate(values):
-            self.feature_totals[j][key] += 1.0
-            self.feature_currents[j][key] += 1.0
-            total += chi2_score(
-                self.feature_currents[j][key], self.feature_totals[j][key], record.tick
-            )
-        rec_key = (record.categorical, record.numeric)
-        self.record_total[rec_key] += 1.0
-        self.record_current[rec_key] += 1.0
-        total += chi2_score(
-            self.record_current[rec_key], self.record_total[rec_key], record.tick
-        )
-        return total
-
-
 def test_collision_free_scores_match_exact_counters():
     detector = MstreamDetector(2, 1, n_buckets=BIG, alpha=0.85, seed=5)
     oracle = ExactMstreamOracle(detector)
@@ -287,73 +245,7 @@ def test_rejected_record_changes_no_state(categorical, numeric, tick, error):
     assert detector.clock.tick == 2
 
 
-# -- the detector's own hashing before it went through HashFamily, as the oracle ------
-
-MERSENNE_P = (1 << 61) - 1
-
-
-class LinearHashMstream:
-    """MStream with its own pairwise hash: seed pairs drawn per row and
-    column (all feature pairs, then all record pairs, then the hyperplanes),
-    one linear hash per row, and the record bucket as the sum of the record
-    pairs' hashes plus the hyperplane signature. Counts live in one array
-    shaped like the detector's."""
-
-    def __init__(self, n_categorical, n_numeric, n_rows, n_buckets, alpha, seed):
-        rng = np.random.default_rng(seed)
-
-        def draw_pair():
-            a = (int(rng.integers(1, MERSENNE_P)) | 1) % MERSENNE_P
-            return a, int(rng.integers(0, MERSENNE_P))
-
-        self.feature_pairs = [[draw_pair() for _ in range(n_categorical)] for _ in range(n_rows)]
-        self.record_pairs = [[draw_pair() for _ in range(n_categorical)] for _ in range(n_rows)]
-        self.hyperplanes = [
-            HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
-            for _ in range(n_rows)
-        ]
-        self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
-        self.counts = np.zeros((2, n_categorical + n_numeric + 1, n_rows, n_buckets))
-        self.n_rows, self.n_buckets, self.alpha = n_rows, n_buckets, alpha
-        self.tick = None
-
-    def linear(self, value, pair):
-        a, b = pair
-        return ((a * canonical_key(value) + b) % MERSENNE_P) % self.n_buckets
-
-    def record_bucket(self, record, row):
-        bucket = sum(
-            self.linear(value, pair) for value, pair in zip(record.categorical, self.record_pairs[row])
-        )
-        if record.numeric:
-            bucket += self.hyperplanes[row].signature(record.numeric)
-        return bucket % self.n_buckets
-
-    def score(self, record):
-        if self.tick is not None and record.tick != self.tick:
-            self.counts[1] *= self.alpha
-        self.tick = record.tick
-        buckets = [
-            [self.linear(value, pairs[j]) for pairs in self.feature_pairs]
-            for j, value in enumerate(record.categorical)
-        ]
-        for j, value in enumerate(record.numeric):
-            buckets.append([bucketize_numeric(value, self.minmax[j], self.n_buckets)] * self.n_rows)
-        buckets.append([self.record_bucket(record, row) for row in range(self.n_rows)])
-        terms = []
-        for attr, cells in enumerate(buckets):
-            rows = range(self.n_rows)
-            for kind in (1, 0):
-                for row, cell in zip(rows, cells):
-                    self.counts[kind, attr, row, cell] += 1.0
-            current, total = (
-                float(min(self.counts[kind, attr, row, cell] for row, cell in zip(rows, cells)))
-                for kind in (1, 0)
-            )
-            terms.append(chi2_score(current, total, record.tick))
-        record_term = terms.pop()
-        return RecordScore(record_term + sum(terms), record_term, tuple(terms))
-
+# -- against the detector's own hashing before it went through HashFamily ----
 
 CATEGORY = st.one_of(
     st.text(max_size=4),  # unicode, the empty string included

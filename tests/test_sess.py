@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsketch.events import EdgeEvent
-from streamsketch.hashing import canonical_key
 from streamsketch.midas import MidasDetector, chi2_score
 from streamsketch.sess import (
     FeedbackEvent,
@@ -15,7 +14,8 @@ from streamsketch.sess import (
     Sess3dDetector,
     apply_feedback,
 )
-from streamsketch.sketch import HigherOrderSketch
+
+from oracles import TwoSketchSess3d
 
 
 def test_param_validation():
@@ -143,41 +143,6 @@ def test_3d_node_feedback_scales_row_and_column_once():
         assert np.allclose(untouched, 1.0)
         cur = detector.matrices[1, layer]
         assert cur[r, c] == pytest.approx(2.0)
-
-
-class TwoSketchSess3d:
-    """The higher-order detector as two ``HigherOrderSketch`` tables, decayed
-    and rescaled one at a time, kept as the oracle for the stacked one."""
-
-    def __init__(self, n_rows, n_buckets, alpha, seed):
-        self.total = HigherOrderSketch(n_rows, n_buckets, seed)
-        self.current = HigherOrderSketch(n_rows, n_buckets, seed)
-        self.alpha = alpha
-        self.tick = None
-
-    def score(self, event):
-        cells = self.total.indexes(event.source, event.dest)
-        if self.tick is not None and event.tick != self.tick:
-            self.current.decay(self.alpha)
-        self.tick = event.tick
-        self.current.update_at(cells, event.weight)
-        self.total.update_at(cells, event.weight)
-        return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)
-
-    def feedback(self, feedback, params):
-        total_factor, current_factor = params.factors(feedback.label)
-        if feedback.edge is not None:
-            for layer, cell in enumerate(self.total.indexes(*feedback.edge)):
-                self.total.counts[layer, cell] *= total_factor
-                self.current.counts[layer, cell] *= current_factor
-            return
-        for layer, b in enumerate(self.total.family.indexes(canonical_key(feedback.node))):
-            for sketch, factor in ((self.total, total_factor), (self.current, current_factor)):
-                sketch.matrices[layer, b, :] *= factor
-                col = sketch.matrices[layer, :, b]
-                keep = col[b]
-                col *= factor
-                col[b] = keep
 
 
 NODES = st.integers(0, 5) | st.sampled_from(["a", "b", "c"])

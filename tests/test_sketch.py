@@ -157,8 +157,8 @@ def test_counts_stay_nonnegative_through_mixed_operations():
 
 def _trio(n_buckets=64, seed=4):
     total = CountMinSketch(2, n_buckets, seed=seed)
-    current = CountMinSketch(2, n_buckets, seed=seed, family=total.family)
-    scores = CountMinSketch(2, n_buckets, seed=seed, family=total.family)
+    current = CountMinSketch(2, n_buckets, seed=seed)
+    scores = CountMinSketch(2, n_buckets, seed=seed)
     return total, current, scores
 
 

@@ -2,7 +2,6 @@
 array, and the whole-array tick close matches the per-table close exactly."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -16,42 +15,9 @@ from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
 
+from oracles import LooseEdge, PerTableDetector
+
 SETTINGS = settings(max_examples=80, deadline=None, database=None, derandomize=True)
-
-
-# -- the per-table close, kept as the oracle ------------------------------------
-
-
-def masked_merge(total, current, scores, epsilon, tick):
-    """Conditional merge of one key's tables through boolean masks."""
-    accept = scores < epsilon
-    total[accept] += current[accept]
-    if tick != 1:
-        rejected = ~accept
-        total[rejected] += total[rejected] / (tick - 1)
-
-
-class PerTableDetector(MidasDetector):
-    """MidasDetector whose tick close handles one key's slice of ``counts``
-    at a time: a masked merge per scored key, then one clear or decay per
-    current table."""
-
-    def advance(self, tick):
-        closing = self.clock.advance(tick)
-        if closing is None:
-            return
-        tables = [self.counts[:, k] for k in range(self.counts.shape[1])]
-        if self.variant == "plain":
-            for _, current in tables:
-                current.fill(0.0)
-            self.tick_volume = 0.0
-            return
-        if self.variant == "filtering":
-            for total, current, cache in tables:
-                masked_merge(total, current, cache, self.merge_threshold, closing)
-        for table in tables:
-            table[1] *= self.alpha
-        self.tick_volume *= self.alpha
 
 
 # One step: (tick increment, source, dest, weight, cache poke or None). A poke
@@ -145,16 +111,6 @@ def test_flat_feedback_writes_reach_the_stacked_array():
 
 
 # -- the weight is checked once, on every path ------------------------------------
-
-
-@dataclass
-class LooseEdge:
-    """Has the fields of an EdgeEvent but checks none of them."""
-
-    source: object
-    dest: object
-    tick: int
-    weight: float
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -8,7 +8,6 @@ several chunks), and at infinity (every event through ``process`` inside
 """
 
 import math
-from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -19,6 +18,8 @@ from hypothesis import strategies as st
 from streamsketch import midas
 from streamsketch.events import EdgeEvent
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
+
+from oracles import LooseEdge
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 # (TICK_BATCH_MIN for every variant, TICK_BATCH_MAX)
@@ -135,16 +136,6 @@ def test_huge_weights_overflow_alike():
         assert flags == expected_flags
         assert np.array_equal(detector.counts, oracle.counts, equal_nan=True)  # nan cached scores
     assert non_finite
-
-
-@dataclass
-class LooseEdge:
-    """Has the fields of an EdgeEvent but checks none of them."""
-
-    source: object
-    dest: object
-    tick: int
-    weight: object = 1.0
 
 
 @pytest.mark.parametrize(
