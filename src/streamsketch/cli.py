@@ -266,9 +266,7 @@ def _run_mstream(args) -> int:
         )
         return list(records)
 
-    return _score_input(
-        args, lambda records: [detector.score(record).total for record in records], read=read
-    )
+    return _score_input(args, lambda records: detector.score_many(records), read=read)
 
 
 def _run_sess(args) -> int:
@@ -488,8 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--phi", type=_list_of(float), default="0", help="feedback probability(ies), comma separated"
     )
-    sub.add_argument("--steps", type=int, default=1_000_000)
-    sub.add_argument("--seeds", type=int, default=1, help="number of independent runs")
+    sub.add_argument("--steps", type=_at_least_1, default=1_000_000)
+    sub.add_argument("--seeds", type=_at_least_1, default=1, help="number of independent runs")
     sub.add_argument("--one-sided", action="store_true")
     sub.add_argument("--start-anomalous", action="store_true")
     sub.add_argument("--jobs", type=_at_least_1, default=1, help="parallel runs (threads)")

@@ -84,6 +84,28 @@ def check_shape(n_rows: int, n_buckets: int) -> None:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
 
+def bucket_indexes(rows: np.ndarray, keys, n_buckets: int) -> np.ndarray:
+    """Bucket indexes of integer keys under hash rows, in array passes.
+
+    ``rows[..., r, :]`` is row r's ``(a, b)`` as uint64 and ``keys[..., i]``
+    a key, read mod 2^64; the result is ``[..., r, i]``, each index what
+    ``HashFamily.indexes`` gives for that row. The 122-bit products are
+    evaluated in 32-bit limbs so everything stays inside uint64 arithmetic.
+    """
+    x = _mod_mersenne(np.asarray(keys).astype(np.uint64, copy=False))[..., None, :]
+    x_hi, x_lo = x >> _U32, x & _LOW32
+    a, b = rows[..., :1], rows[..., 1:]  # columns: the products are [..., row, key]
+    a_hi, a_lo = a >> _U32, a & _LOW32
+    # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
+    # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
+    # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
+    top = (a_hi * x_hi) << _U3
+    mid = a_hi * x_lo + a_lo * x_hi
+    mid = (mid >> _U29) + ((mid & _LOW29) << _U32)
+    total = _mod_mersenne(top + mid + _mod_mersenne(a_lo * x_lo) + b)
+    return (total % np.uint64(n_buckets)).astype(np.int64)
+
+
 class HashFamily:
     """A bank of pairwise-independent hash rows over a fixed bucket count.
 
@@ -121,22 +143,9 @@ class HashFamily:
         """Bucket indexes for a batch of integer keys, shape (n_rows, n).
 
         Bit-exact with :meth:`indexes` of each key's canonical key (integers
-        are read mod 2^64); the 122-bit products are evaluated
-        in 32-bit limbs so everything stays inside uint64 arithmetic.
+        are read mod 2^64); see ``bucket_indexes``.
         """
-        x = _mod_mersenne(np.asarray(keys).astype(np.uint64, copy=False))
-        x_hi, x_lo = x >> _U32, x & _LOW32
-        # Every row at once: a and b are columns, so the products are (n_rows, n).
-        a, b = np.array(self._params, dtype=np.uint64).reshape(-1, 2, 1).transpose(1, 0, 2)
-        a_hi, a_lo = a >> _U32, a & _LOW32
-        # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
-        # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
-        # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
-        top = (a_hi * x_hi) << _U3
-        mid = a_hi * x_lo + a_lo * x_hi
-        mid = (mid >> _U29) + ((mid & _LOW29) << _U32)
-        total = _mod_mersenne(top + mid + _mod_mersenne(a_lo * x_lo) + b)
-        return (total % np.uint64(self.n_buckets)).astype(np.int64)
+        return bucket_indexes(np.array(self._params, dtype=np.uint64), keys, self.n_buckets)
 
     def same_layout(self, other: "HashFamily") -> bool:
         return (

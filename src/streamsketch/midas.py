@@ -17,10 +17,12 @@ stacks every count-min table in one array, ``counts[kind, key, row, cell]``
 in whole-array passes and holds the per-item loop that adds, queries and
 scores (``step``), and the same for a run of items that share a tick in a
 few array passes (``step_many``). A detector only maps an item to cells for
-each of its keys. ``MidasDetector.process_many`` scores a whole stream:
-runs of at least ``TICK_BATCH_MIN`` edges take ``step_many`` in chunks of
-at most ``TICK_BATCH_MAX``, shorter runs the per-item ``process``, which is
-also the oracle the batch is tested against with ``==``.
+each of its keys. ``each_run`` splits a whole stream into runs of one tick,
+in chunks of at most ``TICK_BATCH_MAX``: chunks of at least
+``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
+``step_many``, and shorter ones its per-item path, which is also the oracle
+the batch is tested against with ``==``. ``MidasDetector.process_many`` and
+``MstreamDetector.score_many`` score a stream this way.
 
 A separate decision rule turns scores into flags with a bounded
 false-positive probability, using the chi-squared quantile at 1 - eps/2 and
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby, islice
 from operator import attrgetter
 from statistics import NormalDist
@@ -43,13 +46,14 @@ from .hashing import DEFAULT_SEED, HashFamily, check_shape, mix_keys
 from .sketch import check_decay, check_weight, conditional_merge, weights_ok
 
 VARIANTS = ("plain", "relational", "filtering")
-# Per variant, runs of fewer edges than this in one tick take the per-item
-# path in process_many. A batch pays a fixed ~100 numpy calls per run; these
+# Per variant, runs of fewer items than this in one tick take the per-item
+# path in each_run. A batch pays a fixed ~100 numpy calls per run; these
 # are where it broke even with per-item steps on a 2-core x86 box (plain
-# steps are cheaper, scoring one key instead of three).
+# steps are cheaper, scoring one key instead of three). MStream's batch, a
+# relational one over d+1 keys, broke even at ~8 records, so 10 serves it.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
-# process_many hands step_many at most this many edges at a time, so the
-# batch's transient arrays stay a few MB however many edges share a tick.
+# each_run hands a batch at most this many items at a time, so the batch's
+# transient arrays stay a few MB however many items share a tick.
 TICK_BATCH_MAX = 4096
 
 
@@ -338,6 +342,22 @@ class ChiSquaredTables:
         self.tick_volume = float(volume[-1])
         return scores, a[0], s[0], volume
 
+    def each_run(self, items, score_run, score_item) -> None:
+        """Score ``items`` in order: each run of items sharing a ``tick`` is
+        cut into chunks of at most ``TICK_BATCH_MAX``, and a chunk of at least
+        ``TICK_BATCH_MIN[variant]`` goes to ``score_run(chunk, tick)``. Shorter
+        chunks, and chunks ``score_run`` declines by returning False with
+        nothing changed, go to ``score_item`` item by item, which raises at
+        an item the per-item path rejects."""
+        batch_min = TICK_BATCH_MIN[self.variant]
+        for tick, run in groupby(items, attrgetter("tick")):
+            # Chunks are exact at any length: each starts from the tables and
+            # tick_volume the one before it left.
+            while chunk := list(islice(run, TICK_BATCH_MAX)):
+                if len(chunk) < batch_min or not score_run(chunk, tick):
+                    for item in chunk:
+                        score_item(item)
+
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
         """Multiply each key's total and current counts at its cells."""
         for tables, cells in zip(self._by_key, cells_by_key):
@@ -400,28 +420,23 @@ class MidasDetector(ChiSquaredTables):
         each and, when ``rule`` is given, its flag (else None), exactly as
         ``process`` one event at a time would.
 
-        The events of each tick are taken ``TICK_BATCH_MAX`` at a time, and a
-        chunk of at least ``TICK_BATCH_MIN[variant]`` is scored with
-        ``step_many``. Shorter chunks, and chunks holding an event the
-        per-item path rejects, go through ``process`` event by event, which
-        then raises at the offending event.
+        Chunks of one tick go through ``each_run``: ``step_many`` for long
+        ones, ``process`` event by event for short ones and for chunks holding
+        an event the per-item path rejects, which then raises there.
         """
         if mode not in ("max", "sum"):
             raise ValueError(f"unknown combination mode: {mode!r}")
-        batch_min, batch_max = TICK_BATCH_MIN[self.variant], TICK_BATCH_MAX
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
-        for tick, run in groupby(events, attrgetter("tick")):
-            # Chunks are exact at any length: each starts from the tables and
-            # tick_volume the one before it left.
-            while chunk := list(islice(run, batch_max)):
-                if len(chunk) >= batch_min and self._process_run(chunk, tick, rule, mode, scores, flags):
-                    continue
-                for event in chunk:
-                    stats = self.process(event)
-                    scores.append(stats.combined(mode))
-                    if flags is not None:
-                        flags.append(rule.is_flagged(stats))
+
+        def process_one(event) -> None:
+            stats = self.process(event)
+            scores.append(stats.combined(mode))
+            if flags is not None:
+                flags.append(rule.is_flagged(stats))
+
+        run = partial(self._process_run, rule=rule, mode=mode, scores=scores, flags=flags)
+        self.each_run(events, run, process_one)
         return scores, flags
 
     def _process_run(self, run: list, tick: int, rule, mode: str, scores: list, flags) -> bool:

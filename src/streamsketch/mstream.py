@@ -10,17 +10,25 @@ statistics. The per-attribute terms double as an explanation of which
 attribute burst. The counting and scoring are MIDAS-R's: the detector is a
 relational ``midas.ChiSquaredTables`` over d+1 keys, with weight 1 per
 record, so a tick boundary decays every current table in one multiply.
+
+``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
+record at a time, with ``==`` totals: ``ChiSquaredTables.each_run`` sends
+chunks of at least ``midas.TICK_BATCH_MIN["relational"]`` records of one
+tick through a few array passes that end in ``step_many``, and shorter
+chunks through ``score``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial, reduce
+from operator import add
 
 import numpy as np
 
 from .events import MultiAspectRecord
-from .hashing import DEFAULT_SEED, HashFamily, canonical_key, draw_rows
+from .hashing import DEFAULT_SEED, HashFamily, bucket_indexes, canonical_key, draw_rows
 from .midas import ChiSquaredTables
 
 
@@ -45,8 +53,8 @@ class StreamingMinMax:
 
 
 def _check_log_domain(value: float) -> None:
-    if value <= -1.0:
-        raise ValueError(f"numeric value must be > -1 for log1p, got {value}")
+    if not -1.0 < value < math.inf:  # also rejects nan
+        raise ValueError(f"numeric value must be finite and > -1 for log1p, got {value}")
 
 
 def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> int:
@@ -154,6 +162,11 @@ class MstreamDetector(ChiSquaredTables):
             [HashFamily.from_rows(rows[j::n_categorical], n_buckets) for rows in (own, share)]
             for j in range(n_categorical)
         ]
+        # The same rows for score_many, [column, own rows then share rows, (a, b)].
+        self._cat_rows = np.array(
+            [own[j::n_categorical] + share[j::n_categorical] for j in range(n_categorical)],
+            dtype=np.uint64,
+        ).reshape(n_categorical, 2 * n_rows, 2)
         self._hyperplanes = [
             HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
             for _ in range(n_rows)
@@ -197,4 +210,126 @@ class MstreamDetector(ChiSquaredTables):
         self.advance(record.tick)
         terms = self.step(self._buckets(record, categorical), 1.0, record.tick)[0]
         record_term = terms.pop()
-        return RecordScore(record_term + sum(terms), record_term, tuple(terms))
+        # Added left to right (sum() compensates from Python 3.12), as score_many adds.
+        return RecordScore(record_term + reduce(add, terms, 0.0), record_term, tuple(terms))
+
+    def score_many(self, records) -> list[float]:
+        """Insert ``records`` in order and return the ``RecordScore.total`` of
+        each, ``==`` to what ``score`` gives one record at a time; a record
+        ``score`` rejects raises as it would there, with the same state."""
+        totals: list[float] = []
+        self.each_run(
+            records,
+            partial(self._score_run, totals=totals),
+            lambda record: totals.append(self.score(record).total),
+        )
+        return totals
+
+    def _score_run(self, run: list, tick: int, totals: list) -> bool:
+        """Score a run of records sharing ``tick`` in array passes and append
+        the totals; False, with nothing changed, when ``score`` would reject
+        some record (or might: any value the checks below do not take)."""
+        n, n_rows, n_buckets = len(run), self.n_rows, self.n_buckets
+        n_cat, n_num = self.n_categorical, self.n_numeric
+        try:
+            cat_columns = _columns([record.categorical for record in run], n_cat)
+            num_rows = [record.numeric for record in run]
+            num_columns = _columns(num_rows, n_num)
+            if any(set(map(type, column)) != {float} for column in num_columns):
+                return False  # what MultiAspectRecord holds; others take score's checks
+            # math.log1p per value: np.log1p differs in the last bit. It also
+            # rejects values <= -1, as _check_log_domain does.
+            shifted = np.array([list(map(math.log1p, column)) for column in num_columns])
+            keys = [_canonical_keys(column) for column in cat_columns]
+        except (TypeError, ValueError, OverflowError):
+            return False
+        if not np.isfinite(shifted).all():  # as _check_log_domain
+            return False
+        self.advance(tick)
+
+        cells = np.empty((n_cat + n_num + 1, n_rows, n), dtype=np.int64)
+        # [column, own rows then share rows, record]
+        categorical = bucket_indexes(self._cat_rows, np.reshape(keys, (n_cat, n)), n_buckets)
+        cells[:n_cat] = categorical[:, :n_rows]
+        record_bucket = categorical[:, n_rows:].sum(axis=0)  # record_hash before the mod
+        if n_num:
+            cells[n_cat:-1] = _bucketize_many(shifted, self.minmax, n_buckets)[:, None]
+            record_bucket += _signatures_many(self._hyperplanes, np.array(num_rows))
+        cells[-1] = record_bucket % n_buckets
+
+        terms = self.step_many(cells, np.ones(n), tick)[0]
+        feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
+        totals.extend((terms[-1] + feature_sum).tolist())
+        return True
+
+
+def _columns(rows: list, arity: int) -> list:
+    """The columns of equal-length ``rows``; ValueError when some row has
+    another length."""
+    if set(map(len, rows)) != {arity}:
+        raise ValueError("record arity does not match the detector")
+    return list(zip(*rows)) if arity else []
+
+
+def _canonical_keys(values) -> np.ndarray:
+    """``canonical_key`` of each value as a uint64 array. A column of str,
+    bytes and int values, where equal values have equal keys, takes one call
+    per distinct value; any other column one call per value."""
+    convert = canonical_key
+    if set(map(type, values)) <= {str, bytes, int}:
+        convert = {value: canonical_key(value) for value in dict.fromkeys(values)}.__getitem__
+    return np.fromiter(map(convert, values), np.uint64, len(values))
+
+
+def _bucketize_many(shifted: np.ndarray, states: list, n_buckets: int) -> np.ndarray:
+    """The buckets ``bucketize_numeric`` gives, in order, the values whose
+    ``math.log1p`` are ``shifted[column]``; each column's state absorbs them."""
+    inf = math.inf  # the seeds of a column that has seen no value
+    seed_lo = [[inf if state.lo is None else state.lo] for state in states]
+    seed_hi = [[-inf if state.hi is None else state.hi] for state in states]
+    lo = _running(np.minimum, np.concatenate((seed_lo, shifted), axis=1))[:, 1:]
+    hi = _running(np.maximum, np.concatenate((seed_hi, shifted), axis=1))[:, 1:]
+    for state, last_lo, last_hi in zip(states, lo[:, -1].tolist(), hi[:, -1].tolist()):
+        state.lo, state.hi = last_lo, last_hi
+    with np.errstate(invalid="ignore"):  # 0/0 where a column has no spread yet
+        scaled = np.where(hi == lo, 0.0, (shifted - lo) / (hi - lo))
+    return (scaled * n_buckets).astype(np.int64) % n_buckets
+
+
+def _running(extreme: np.ufunc, values: np.ndarray) -> np.ndarray:
+    """``extreme.accumulate`` along each row, as ``StreamingMinMax.absorb`` keeps it.
+
+    On a tie accumulate takes the later value and absorb keeps the earlier;
+    they differ only in a zero's sign. A zero running min (max) means no
+    value before it was below (above) zero, so absorb holds the first zero.
+    """
+    running = extreme.accumulate(values, axis=1)
+    zero = running == 0.0
+    for row in np.flatnonzero(zero.any(axis=1)):
+        running[row, zero[row]] = values[row, zero[row].argmax()]
+    return running
+
+
+def _signatures_many(hyperplanes: list, vectors: np.ndarray) -> np.ndarray:
+    """``[row, i]``: ``hyperplanes[row].signature`` of the float64 ``vectors[i]``.
+
+    The projections are product-sums in a fixed order, whose low bits may
+    differ from ``directions @ v``. Each sign is certified instead: either
+    sum lies within about p 2**-53 sum|d x| of the exact projection, so one
+    beyond 2 (p+1) 2**-53 sum|d x| (plus 2**-1000 for underflow) has the
+    sign ``signature`` sees. A vector with any projection that close to 0,
+    or not finite, takes ``signature`` itself.
+    """
+    directions = np.stack([planes.directions for planes in hyperplanes])  # (rows, k, p)
+    terms = vectors[:, None, None, :] * directions  # (n, rows, k, p)
+    dim = terms.shape[-1]
+    projection = terms[..., 0]
+    for i in range(1, dim):
+        projection = projection + terms[..., i]
+    bound = np.abs(terms).sum(axis=-1) * (2 * (dim + 1) * 2.0**-53) + 2.0**-1000
+    bits = (projection > 0.0).astype(np.int64)
+    values = bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))  # (n, rows)
+    uncertain = ~(np.abs(projection) > bound)  # nan is uncertain too
+    for i, row in zip(*np.nonzero(uncertain.any(axis=-1))):
+        values[i, row] = hyperplanes[row].signature(vectors[i])
+    return values.T

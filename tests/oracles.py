@@ -9,6 +9,8 @@ loops the fast paths replaced. Tests import them with ``from oracles import
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -266,7 +268,7 @@ class LinearHashMstream:
             )
             terms.append(chi2_score(current, total, record.tick))
         record_term = terms.pop()
-        return RecordScore(record_term + sum(terms), record_term, tuple(terms))
+        return RecordScore(record_term + reduce(add, terms, 0.0), record_term, tuple(terms))
 
 
 # -- SESS-3D as two sketches --------------------------------------------------
@@ -307,7 +309,7 @@ class TwoSketchSess3d:
                 col[b] = keep
 
 
-# -- an edge that checks none of its fields -----------------------------------
+# -- an edge and a record that check none of their fields --------------------
 
 
 @dataclass
@@ -318,6 +320,15 @@ class LooseEdge:
     dest: object
     tick: int
     weight: object = 1.0
+
+
+@dataclass
+class LooseRecord:
+    """Has the fields of a MultiAspectRecord but checks none of them."""
+
+    categorical: tuple
+    numeric: tuple
+    tick: int
 
 
 # -- dense submatrices --------------------------------------------------------

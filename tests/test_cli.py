@@ -10,6 +10,7 @@ import pytest
 
 from streamsketch import cli
 from streamsketch.cli import main
+from streamsketch.ingest import parse_record_stream
 
 
 def run_cli(*argv):
@@ -596,6 +597,34 @@ def test_mstream_command(tmp_path):
     assert len(out.read_text().splitlines()) == 50
 
 
+@pytest.mark.parametrize(
+    "tick_column, decay_every", [(True, None), (False, "3"), (False, "12")],
+    ids=["tick-column", "tickless-3", "tickless-12"],
+)
+def test_mstream_prints_the_per_record_totals(tmp_path, capsys, tick_column, decay_every):
+    """Ticks of 12 to 40 records, so most are scored as batches; stdout is
+    FORMAT of what score gives one record at a time."""
+    rng = np.random.default_rng(11)
+    ticks = np.repeat(np.arange(1, 9), rng.integers(12, 41, 8))
+    lines = ["cat:host,cat:service,num:bytes,num:duration" + (",tick" if tick_column else "")]
+    for tick in ticks.tolist():
+        host, service = rng.integers(0, 6), rng.integers(0, 3)
+        row = f"h{host},s{service},{rng.lognormal(6, 1.5):.1f},{rng.exponential(2):.3f}"
+        lines.append(row + (f",{tick}" if tick_column else ""))
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["mstream", "--input", str(path), "--seed", "9"]
+    assert run_cli(*argv, *(["--decay-every", decay_every] if decay_every else [])) == 0
+
+    schema, records = parse_record_stream(
+        path.read_text().splitlines(), tick_every=int(decay_every) if decay_every else None
+    )
+    detector = cli.MstreamDetector(schema.n_categorical, schema.n_numeric, seed=9)
+    expected = [cli.FORMAT.format(detector.score(record).total) for record in records]
+    assert len(expected) == len(ticks)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in expected)
+
+
 def test_sess_command_applies_feedback(tmp_path):
     edges = tmp_path / "edges.csv"
     feedback = tmp_path / "feedback.txt"
@@ -709,13 +738,28 @@ def test_pomdp_sweep_emits_grid(tmp_path):
 
 
 def test_pomdp_rejects_zero_seeds(capsys):
-    assert run_cli(
-        "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "imitate",
-        "--steps", "100", "--seeds", "0",
-    ) == 1
+    with pytest.raises(SystemExit) as err:
+        run_cli(
+            "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "imitate",
+            "--steps", "100", "--seeds", "0",
+        )
+    assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: accuracy_sweep needs at least one seed\n"
+    assert "argument --seeds: must be >= 1, got 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--steps", "0"), ("--steps", "-5"), ("--seeds", "-2"), ("--steps", "1e3")]
+)
+def test_pomdp_steps_and_seeds_below_1_exit_2_naming_the_option(capsys, option, value):
+    argv = ["pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "imitate", "--steps", "100"]
+    with pytest.raises(SystemExit) as err:
+        run_cli(*argv, option, value)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: " in captured.err
 
 
 @pytest.mark.parametrize("q_hat", ["0", "-0.5", "nan", "2"])

@@ -1,10 +1,11 @@
 """Tick-batched scoring is exact: ``MidasDetector.process_many`` against the
-per-item ``process`` it replaces, compared with ``==``.
+per-item ``process`` it replaces, and ``MstreamDetector.score_many`` against
+the per-record ``score``, compared with ``==``.
 
 Every case runs with ``TICK_BATCH_MIN`` at 1 (every run of one tick goes
 through ``step_many``), at 1 with ``TICK_BATCH_MAX`` at 3 (a run spans
-several chunks), and at infinity (every event through ``process`` inside
-``process_many``); each is held to a plain ``process`` loop.
+several chunks), and at infinity (every item through the per-item path
+inside ``each_run``); each is held to a plain per-item loop.
 """
 
 import math
@@ -16,10 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamsketch import midas
-from streamsketch.events import EdgeEvent
+from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
+from streamsketch.mstream import HyperplaneHash, MstreamDetector, _signatures_many
 
-from oracles import LooseEdge
+from oracles import LooseEdge, LooseRecord
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 # (TICK_BATCH_MIN for every variant, TICK_BATCH_MAX)
@@ -182,3 +184,186 @@ def test_unknown_mode_is_rejected_before_any_event():
     with pytest.raises(ValueError, match="unknown combination mode"):
         detector.process_many([EdgeEvent("u", "v", 1)], mode="mean")
     assert detector.clock.tick is None
+
+
+# -- MStream ------------------------------------------------------------------
+
+CATEGORIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(2**64 - 1, 2**64 + 1),
+    st.sampled_from(["a", "b", "é", ""]),
+    st.sampled_from([b"a", b"\x00"]),
+    st.tuples(st.integers(0, 2), st.sampled_from(["a", b"a"])),
+)
+NUMERICS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 1e300, -0.999999, -1.0 + 2.0**-52, 5e-324]),
+    st.floats(-0.999, 1e6),
+)
+RECORD_SHAPES = [(1, 1), (3, 16), (1, 1024), (3, 1024)]  # (rows, buckets)
+
+
+@st.composite
+def record_streams(draw):
+    """(n_categorical, n_numeric, records): repeated values, and some
+    columns constant."""
+    n_categorical = draw(st.integers(0, 2))
+    n_numeric = draw(st.integers(0 if n_categorical else 1, 3))
+    constant = [draw(st.one_of(st.none(), NUMERICS)) for _ in range(n_numeric)]
+    pool = draw(st.lists(CATEGORIES, min_size=1, max_size=4))
+    steps = draw(st.lists(st.sampled_from([0, 0, 0, 0, 1, 2]), min_size=1, max_size=40))
+    tick = draw(FIRST_TICKS) - 1
+    records = []
+    for step in steps:
+        tick += step
+        categorical = tuple(draw(st.sampled_from(pool)) for _ in range(n_categorical))
+        numeric = tuple(draw(NUMERICS) if c is None else c for c in constant)
+        records.append(MultiAspectRecord(categorical, numeric, max(tick, 1)))
+    return n_categorical, n_numeric, records
+
+
+def mstream_state(detector):
+    """Everything scoring leaves behind; repr keeps the sign of a zero."""
+    minmax = [(repr(m.lo), repr(m.hi)) for m in detector.minmax]
+    return detector.counts.copy(), minmax, detector.tick_volume, detector.clock.tick
+
+
+def assert_same_state(got, expected, limits=None):
+    assert np.array_equal(got[0], expected[0]), limits
+    assert got[1:] == expected[1:], limits
+
+
+def check_mstream_exact(n_categorical, n_numeric, records, shape):
+    n_rows, n_buckets = shape
+    make = lambda: MstreamDetector(n_categorical, n_numeric, n_rows, n_buckets, seed=5)
+    oracle = make()
+    expected = [oracle.score(record).total for record in records]
+    for limits in BATCH_LIMITS:
+        detector = make()
+        with batch_limits(*limits):
+            assert detector.score_many(records) == expected, limits
+        assert_same_state(mstream_state(detector), mstream_state(oracle), limits)
+
+
+@SETTINGS
+@given(stream=record_streams(), shape=st.sampled_from(RECORD_SHAPES))
+@example(  # a constant column, -0.0 after 0.0, and one tick of 2**53 + 1
+    stream=(1, 2, [MultiAspectRecord(("a",), (0.0, 3.0), 2**53 + 1)] * 2
+            + [MultiAspectRecord(("b",), (-0.0, 3.0), 2**53 + 1)] * 2),
+    shape=(1, 16),
+)
+def test_score_many_matches_score(stream, shape):
+    check_mstream_exact(*stream, shape)
+
+
+def test_score_many_on_long_ticks_of_string_records():
+    """Ticks of 1, 30 and 200 records with repeated string categories."""
+    rng = np.random.default_rng(8)
+    records, tick = [], 1
+    for size in (1, 30, 200, 30, 1, 200):
+        for _ in range(size):
+            host, service = f"h{rng.integers(0, 12)}", f"s{rng.integers(0, 3)}"
+            numeric = (float(rng.lognormal(6.0, 1.5)), float(rng.exponential(2.0)))
+            records.append(MultiAspectRecord((host, service), numeric, tick))
+        tick += 1
+    check_mstream_exact(2, 2, records, (2, 1024))
+
+
+NEAR_ZERO = st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3)
+
+
+@SETTINGS
+@given(
+    d=st.tuples(NEAR_ZERO, NEAR_ZERO),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    nudge=st.sampled_from([0.0, 2.0**-52, -(2.0**-52), 2.0**-40]),
+)
+def test_batch_signature_is_signature_near_zero_projections(d, scale, nudge):
+    """Projections exactly 0 or within rounding of 0 take signature's sign."""
+    a, b = d
+    directions = np.array([[a, b], [b, -a], [1.0, 1.0], [a, a]])
+    planes = HyperplaneHash(directions)
+    vectors = np.array([
+        [b * scale, -a * scale * (1.0 + nudge)],  # 0 or nearly so on the first plane
+        [a * scale, b * scale],  # on the second
+        [scale, -scale * (1.0 + nudge)],  # on the third
+        [1.0, -1.0],
+        [0.0, 0.0],
+        [-0.0, 0.0],
+    ])
+    other = HyperplaneHash(directions[::-1].copy())
+    expected = [[planes.signature(v) for v in vectors], [other.signature(v) for v in vectors]]
+    assert _signatures_many([planes, other], vectors).tolist() == expected
+
+
+def test_batch_signature_falls_back_only_near_zero():
+    """Cancellation that summation order decides takes signature; clear
+    signs never do."""
+    planes = HyperplaneHash(np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.5]]))
+    # The first plane projects these to 1, 1 and 3 exactly; summed in order,
+    # to 0, 0 and 4.
+    cancelling = np.array([[1e16, 1.0, -1e16], [-1e16, 1.0, 1e16], [1e16, 3.0, -1e16]])
+    calls = []
+    original = HyperplaneHash.signature
+
+    def counted(self, vector):
+        calls.append(vector.tolist())
+        return original(self, vector)
+
+    with mock.patch.object(HyperplaneHash, "signature", counted):
+        assert _signatures_many([planes], cancelling).tolist() == [
+            [original(planes, v) for v in cancelling]
+        ]
+        assert calls == cancelling.tolist()
+        calls.clear()
+        clear = np.random.default_rng(2).uniform(1.0, 2.0, (50, 3)) * [1, 1, 0.1]
+        assert _signatures_many([planes], clear).tolist() == [[original(planes, v) for v in clear]]
+    assert calls == []
+
+
+class Floaty:
+    """Converts to a float, but does not compare with one."""
+
+    def __float__(self):
+        return 2.0
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (LooseRecord(("u",), (1.0,), 2), ValueError),  # two numeric columns expected
+        (LooseRecord((1.0,), (1.0, 2.0), 2), TypeError),  # no categorical key, though == 1
+        (LooseRecord(("u",), (math.nan, 2.0), 2), ValueError),  # not finite
+        (LooseRecord(("u",), (1.0, -1.0), 2), ValueError),  # outside log1p's domain
+        (LooseRecord(("u",), (1.0, "2"), 2), TypeError),  # numpy would read it as 2.0
+        (LooseRecord(("u",), (1.0, Floaty()), 2), TypeError),  # log1p would read it as 2.0
+        (LooseRecord(("u",), (1.0, 2.0), 1), ValueError),  # tick regression
+    ],
+    ids=[
+        "arity", "float-category", "nan", "log-domain", "str-numeric", "floaty", "tick-regression"
+    ],
+)
+def test_a_rejected_record_raises_where_score_does(bad, error):
+    """A chunk holding a record score rejects is scored record by record, so
+    the error, and the state it leaves, are those of score."""
+    records = [LooseRecord((i % 3,), (float(i), 0.5 * i), 1 + i // 6) for i in range(18)]
+    records[14] = LooseRecord(bad.categorical, bad.numeric, 3 if bad.tick == 2 else bad.tick)
+    oracle = MstreamDetector(1, 2, n_buckets=16, seed=4)
+    with pytest.raises(error) as expected:
+        for record in records:
+            oracle.score(record)
+    detector = MstreamDetector(1, 2, n_buckets=16, seed=4)
+    with batch_limits(1, 4), pytest.raises(error) as got:
+        detector.score_many(records)
+    assert str(got.value) == str(expected.value)
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+
+
+def test_records_take_the_batch_path():
+    records = [MultiAspectRecord((i % 3, "x"), (float(i),), 1 + i // 6) for i in range(18)]
+    oracle = MstreamDetector(2, 1, n_buckets=16, seed=4)
+    expected = [oracle.score(record).total for record in records]
+    detector = MstreamDetector(2, 1, n_buckets=16, seed=4)
+    per_record = AssertionError("per record")
+    with batch_limits(1), mock.patch.object(MstreamDetector, "score", side_effect=per_record):
+        assert detector.score_many(records) == expected
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
