@@ -4,6 +4,7 @@ the tick clock every detector keeps."""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 
@@ -32,7 +33,12 @@ class TickClock:
 
 
 def _check_tick(tick: int) -> None:
-    """Ticks start at 1 and must convert to a float: scores divide by them."""
+    """Ticks are integers (``operator.index`` takes ints, numpy integers and
+    bools) from 1 and must convert to a float: scores divide by them."""
+    try:
+        tick = operator.index(tick)
+    except TypeError:
+        raise ValueError(f"tick must be an integer, got {tick}") from None
     if tick < 1:
         raise ValueError(f"tick must be >= 1, got {tick}")
     try:

@@ -3,6 +3,8 @@
 Each hash row is ((a * x + b) mod P) mod n_buckets with P the Mersenne
 prime 2^61 - 1, a random odd multiplier and a random offset, drawn from a
 seeded generator so results are reproducible across runs and platforms.
+MStream's hyperplane record hash keeps that promise too: it sums each
+projection in a fixed order, not BLAS's.
 Keys are canonicalised to integers in [0, 2^64) first, by the caller, once
 per key; strings go through blake2b so bucket choices never depend on
 Python's per-process hash randomisation.

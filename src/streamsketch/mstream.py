@@ -15,7 +15,10 @@ record, so a tick boundary decays every current table in one multiply.
 record at a time, with ``==`` totals: ``ChiSquaredTables.each_run`` sends
 chunks of at least ``midas.TICK_BATCH_MIN["relational"]`` records of one
 tick through a few array passes that end in ``step_many``, and shorter
-chunks through ``score``.
+chunks through ``score``. The two paths share one arithmetic, so the batch
+is exact by construction: a projection is the same left-to-right
+product-sum in both, and a log-shifted value is ``math.log1p(x) + 0.0``,
+which holds no -0.0.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> i
     maximum itself into bucket 0.
     """
     _check_log_domain(value)
-    shifted = math.log1p(value)
+    shifted = math.log1p(value) + 0.0  # -0.0 becomes 0.0: equal values, equal bits
     state.absorb(shifted)
     scaled = state.normalize(shifted)
     return int(scaled * n_buckets) % n_buckets
@@ -83,8 +86,10 @@ class HyperplaneHash:
     """Signature of a numeric vector from k random hyperplanes.
 
     k = ceil(log2(n_buckets)) directions with i.i.d. standard-normal entries,
-    fixed at construction. Each strictly positive projection contributes one
-    bit; the bit string read as an integer is the bucket.
+    fixed at construction. A projection is the product-sum taken left to
+    right over the attributes, so its bits do not depend on the platform.
+    Each strictly positive projection contributes one bit; the bit string
+    read as an integer is the bucket.
     """
 
     directions: np.ndarray  # (k, p)
@@ -101,7 +106,7 @@ class HyperplaneHash:
                 f"numeric part has dimension {v.shape[0]}, "
                 f"hyperplanes expect {self.directions.shape[1]}"
             )
-        bits = self.directions @ v > 0.0
+        bits = _projections(self.directions, v) > 0.0
         value = 0
         for i, bit in enumerate(bits):
             if bit:
@@ -238,8 +243,9 @@ class MstreamDetector(ChiSquaredTables):
             if any(set(map(type, column)) != {float} for column in num_columns):
                 return False  # what MultiAspectRecord holds; others take score's checks
             # math.log1p per value: np.log1p differs in the last bit. It also
-            # rejects values <= -1, as _check_log_domain does.
-            shifted = np.array([list(map(math.log1p, column)) for column in num_columns])
+            # rejects values <= -1, as _check_log_domain does. + 0.0 as in
+            # bucketize_numeric.
+            shifted = np.array([list(map(math.log1p, column)) for column in num_columns]) + 0.0
             keys = [_canonical_keys(column) for column in cat_columns]
         except (TypeError, ValueError, OverflowError):
             return False
@@ -282,13 +288,15 @@ def _canonical_keys(values) -> np.ndarray:
 
 
 def _bucketize_many(shifted: np.ndarray, states: list, n_buckets: int) -> np.ndarray:
-    """The buckets ``bucketize_numeric`` gives, in order, the values whose
-    ``math.log1p`` are ``shifted[column]``; each column's state absorbs them."""
+    """The buckets ``bucketize_numeric`` gives, in order, the values it would
+    shift to ``shifted[column]``; each column's state absorbs them. Shifted
+    values hold no -0.0, so equal values are equal bits and a running min or
+    max is ``absorb``'s whichever of two equal values it keeps."""
     inf = math.inf  # the seeds of a column that has seen no value
     seed_lo = [[inf if state.lo is None else state.lo] for state in states]
     seed_hi = [[-inf if state.hi is None else state.hi] for state in states]
-    lo = _running(np.minimum, np.concatenate((seed_lo, shifted), axis=1))[:, 1:]
-    hi = _running(np.maximum, np.concatenate((seed_hi, shifted), axis=1))[:, 1:]
+    lo = np.minimum.accumulate(np.concatenate((seed_lo, shifted), axis=1), axis=1)[:, 1:]
+    hi = np.maximum.accumulate(np.concatenate((seed_hi, shifted), axis=1), axis=1)[:, 1:]
     for state, last_lo, last_hi in zip(states, lo[:, -1].tolist(), hi[:, -1].tolist()):
         state.lo, state.hi = last_lo, last_hi
     with np.errstate(invalid="ignore"):  # 0/0 where a column has no spread yet
@@ -296,40 +304,21 @@ def _bucketize_many(shifted: np.ndarray, states: list, n_buckets: int) -> np.nda
     return (scaled * n_buckets).astype(np.int64) % n_buckets
 
 
-def _running(extreme: np.ufunc, values: np.ndarray) -> np.ndarray:
-    """``extreme.accumulate`` along each row, as ``StreamingMinMax.absorb`` keeps it.
-
-    On a tie accumulate takes the later value and absorb keeps the earlier;
-    they differ only in a zero's sign. A zero running min (max) means no
-    value before it was below (above) zero, so absorb holds the first zero.
-    """
-    running = extreme.accumulate(values, axis=1)
-    zero = running == 0.0
-    for row in np.flatnonzero(zero.any(axis=1)):
-        running[row, zero[row]] = values[row, zero[row].argmax()]
-    return running
+def _projections(directions: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Projections of ``vectors`` on ``directions`` (broadcast together, the
+    attributes on the last axis), each product-sum taken left to right over
+    the attributes: one order of IEEE operations on every build and CPU,
+    where BLAS's ``@`` may sum in another."""
+    terms = directions * vectors
+    projection = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        projection = projection + terms[..., i]
+    return projection
 
 
 def _signatures_many(hyperplanes: list, vectors: np.ndarray) -> np.ndarray:
-    """``[row, i]``: ``hyperplanes[row].signature`` of the float64 ``vectors[i]``.
-
-    The projections are product-sums in a fixed order, whose low bits may
-    differ from ``directions @ v``. Each sign is certified instead: either
-    sum lies within about p 2**-53 sum|d x| of the exact projection, so one
-    beyond 2 (p+1) 2**-53 sum|d x| (plus 2**-1000 for underflow) has the
-    sign ``signature`` sees. A vector with any projection that close to 0,
-    or not finite, takes ``signature`` itself.
-    """
+    """``[row, i]``: ``hyperplanes[row].signature`` of the float64 ``vectors[i]``,
+    from the same projections."""
     directions = np.stack([planes.directions for planes in hyperplanes])  # (rows, k, p)
-    terms = vectors[:, None, None, :] * directions  # (n, rows, k, p)
-    dim = terms.shape[-1]
-    projection = terms[..., 0]
-    for i in range(1, dim):
-        projection = projection + terms[..., i]
-    bound = np.abs(terms).sum(axis=-1) * (2 * (dim + 1) * 2.0**-53) + 2.0**-1000
-    bits = (projection > 0.0).astype(np.int64)
-    values = bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))  # (n, rows)
-    uncertain = ~(np.abs(projection) > bound)  # nan is uncertain too
-    for i, row in zip(*np.nonzero(uncertain.any(axis=-1))):
-        values[i, row] = hyperplanes[row].signature(vectors[i])
-    return values.T
+    bits = (_projections(directions, vectors[:, None, None, :]) > 0.0).astype(np.int64)
+    return (bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))).T

@@ -237,6 +237,21 @@ def test_huge_ticks_rejected():
     assert MultiAspectRecord(("u",), (), big).tick == big
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tick: EdgeEvent(1, 2, tick),
+        lambda tick: MultiAspectRecord(("a",), (1.0,), tick),
+    ],
+)
+def test_ticks_must_be_integers(make):
+    for bad in (1.5, 2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match=f"tick must be an integer, got {bad}"):
+            make(bad)
+    assert make(np.int64(3)).tick == 3
+    assert make(True).tick == 1
+
+
 def test_record_stream_rejects_numeric_values_outside_log_domain():
     _, records = parse_record_stream(["cat:a,num:x,tick", "u,-0.5,1", "v,-1,1"])
     with pytest.raises(ValueError, match="line 3: numeric value must be > -1"):
