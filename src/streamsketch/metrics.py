@@ -5,6 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
+def reject_nan(scores) -> None:
+    """Raise ValueError naming the 1-based position of the first nan score."""
+    nan = np.flatnonzero(np.isnan(np.asarray(scores, dtype=np.float64)))
+    if nan.size:
+        raise ValueError(f"score {nan[0] + 1} is nan")
+
+
 def roc_auc(scores, labels) -> float:
     """Area under the ROC curve via average ranks (ties share their rank).
 
@@ -16,9 +23,7 @@ def roc_auc(scores, labels) -> float:
     y = np.asarray(labels)
     if s.shape != y.shape or s.ndim != 1:
         raise ValueError("scores and labels must be equal-length 1-D sequences")
-    nan = np.flatnonzero(np.isnan(s))
-    if nan.size:
-        raise ValueError(f"score {nan[0] + 1} is nan")
+    reject_nan(s)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     n_pos = int((y == 1).sum())

@@ -50,7 +50,7 @@ VARIANTS = ("plain", "relational", "filtering")
 # path in each_run. A batch pays a fixed ~100 numpy calls per run; these
 # are where it broke even with per-item steps on a 2-core x86 box (plain
 # steps are cheaper, scoring one key instead of three). MStream's batch, a
-# relational one over d+1 keys, broke even at ~8 records, so 10 serves it.
+# relational one over d+1 keys, breaks even at ~5-6 records, so 10 serves it.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
 # each_run hands a batch at most this many items at a time, so the batch's
 # transient arrays stay a few MB however many items share a tick.
@@ -66,7 +66,10 @@ def chi2_score(current: float, total: float, tick: int) -> float:
     if tick <= 1 or total == 0.0:
         return 0.0
     diff = current - total / tick
-    return diff * diff * tick * tick / (total * (tick - 1))
+    score = diff * diff * tick * tick / (total * (tick - 1))
+    if score != score:  # inf / inf: finite counts at a tick near the float limit
+        score = diff * tick / (tick - 1) * (diff * tick / total)
+    return score
 
 
 def filtering_score(current: float, total: float, tick: int) -> float:
@@ -74,7 +77,10 @@ def filtering_score(current: float, total: float, tick: int) -> float:
     if tick <= 1 or total == 0.0:
         return 0.0
     diff = current + total - current * tick
-    return diff * diff / (total * (tick - 1))
+    score = diff * diff / (total * (tick - 1))
+    if score != score:  # as in chi2_score
+        score = diff / (tick - 1) * (diff / total)
+    return score
 
 
 # Overflow to inf and nan, and the zero totals _scores_many divides by, give
@@ -94,6 +100,10 @@ def _scores_many(current: np.ndarray, total: np.ndarray, tick: int, filtering: b
     else:
         diff = current - total / t
         score = diff * diff * t * t / (total * t1)
+    nan = np.isnan(score)
+    if nan.any():  # the factored forms, as the scalar scores take them
+        factored = diff / t1 * (diff / total) if filtering else diff * t / t1 * (diff * t / total)
+        score = np.where(nan, factored, score)
     return np.where(total == 0.0, 0.0, score)  # the guard, after dividing by zero
 
 

@@ -1,8 +1,13 @@
 import contextlib
 import io
 import json
+import math
+import os
 import re
+import subprocess
 import sys
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +15,11 @@ import pytest
 
 from streamsketch import cli
 from streamsketch.cli import main
+from streamsketch.events import EdgeEvent
 from streamsketch.ingest import parse_record_stream
+from streamsketch.metrics import reject_nan
+from streamsketch.midas import ChiSquaredTables, DecisionRule, MidasDetector
+from streamsketch.synth import synth_burst_stream
 
 
 def run_cli(*argv):
@@ -794,3 +803,119 @@ def test_pomdp_bad_list_or_jobs_value_exits_2_naming_the_option(capsys, option, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+# -- output writing ----------------------------------------------------------
+
+
+class CountingStream(io.StringIO):
+    """A text stream that counts its ``write`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_scores_go_out_in_bounded_chunks_with_the_per_line_bytes(tmp_path, monkeypatch):
+    # Ticks of 1 to 40 edges, so both the batch and the per-item path score.
+    rows, tick = [], 1
+    while len(rows) < 5000:
+        rows += [(i % 13, (i * 7) % 11, tick) for i in range(1 + (tick * 7) % 40)]
+        tick += 1
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, rows)
+    detector = MidasDetector("relational", seed=42)
+    rule = DecisionRule.for_detector(0.05, detector)
+    scores, flags = detector.process_many([EdgeEvent(u, v, t) for u, v, t in rows], rule)
+    expected = "".join(f"{s:.9g},{1 if f else 0}\n" for s, f in zip(scores, flags))
+
+    out = CountingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run_cli("midas-r", "--flag-epsilon", "0.05", "--input", str(edges)) == 0
+    assert out.getvalue() == expected
+    assert out.writes <= math.ceil(len(rows) / cli.WRITE_CHUNK) + 1
+
+
+def test_synth_edges_go_out_in_bounded_chunks_with_the_per_line_bytes(monkeypatch):
+    events, _ = synth_burst_stream(seed=5)
+    expected = "".join(f"{e.source},{e.dest},{e.tick}\n" for e in events)
+    out = CountingStream()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert run_cli("synth", "--kind", "burst", "--seed", "5", "--out-edges", "-") == 0
+    assert out.getvalue() == expected
+    assert out.writes <= math.ceil(len(events) / cli.WRITE_CHUNK) + 1
+
+
+def _run_cli_process(argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "streamsketch.cli", *argv],
+        capture_output=True, env=env, timeout=120, check=False,
+    )
+
+
+def test_output_bytes_do_not_depend_on_an_unbuffered_stdout(tmp_path):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(i % 9, (i * 5) % 7, 1 + i // 30) for i in range(3000)])
+    argv = ["midas-r", "--flag-epsilon", "0.05", "--time", "--input", str(edges)]
+    buffered, unbuffered = (_run_cli_process(argv, flag) for flag in (False, True))
+    assert buffered.returncode == unbuffered.returncode == 0
+    assert len(buffered.stdout.splitlines()) == 3000
+    assert buffered.stdout == unbuffered.stdout
+    assert json.loads(unbuffered.stderr)["items"] == 3000
+
+
+def test_importing_the_cli_leaves_out_what_only_pomdp_and_synth_use():
+    code = (
+        "import sys, streamsketch.cli\n"
+        "names = ('streamsketch.pomdp', 'streamsketch.synth', 'concurrent.futures')\n"
+        "print(','.join(name for name in names if name in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\n"
+
+
+@pytest.mark.parametrize(
+    "per_tick, batches", [((2, 1), 0), ((12, 12), 2)], ids=["per-item", "batch"]
+)
+def test_a_nan_score_exits_1_by_its_position_with_empty_stdout(
+    tmp_path, capsys, monkeypatch, per_tick, batches
+):
+    # The counts overflow to inf, and the first edge of tick 2 scores nan.
+    step_many = ChiSquaredTables.step_many
+    steps = []
+
+    def counted_step_many(self, *args, **kwargs):
+        steps.append(self)
+        return step_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChiSquaredTables, "step_many", counted_step_many)
+    edges = tmp_path / "edges.csv"
+    first, second = per_tick
+    edges.write_text("u,v,1e308,1\n" * first + "u,v,1e308,2\n" * second)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli("midas-r", "--has-weight", "--input", str(edges)) == 1
+    assert caught == []
+    assert len(steps) == batches
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: score {first + 1} is nan\n"
+
+
+def test_reject_nan_names_the_first_nan_and_passes_inf():
+    reject_nan([0.0, math.inf, -math.inf])
+    reject_nan([])
+    with pytest.raises(ValueError, match=r"^score 2 is nan$"):
+        reject_nan([math.inf, math.nan, math.nan])

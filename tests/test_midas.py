@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from streamsketch.midas import (
     DecisionRule,
     MidasDetector,
     StepStats,
+    _scores_many,
     chi2_quantile_1dof,
     chi2_score,
     filtering_score,
@@ -38,6 +40,20 @@ def test_degenerate_guards_score_zero():
     assert chi2_score(3, 0, 9) == 0.0
     assert filtering_score(3, 7, 1) == 0.0
     assert filtering_score(3, 0, 9) == 0.0
+
+
+@pytest.mark.parametrize("filtering", [False, True], ids=["chi2", "filtering"])
+def test_finite_counts_at_the_largest_float_tick_score_a_number(filtering):
+    # The product diff^2 t^2 (or diff^2) overflows, and so does the divisor.
+    tick = int(sys.float_info.max)
+    score = filtering_score if filtering else chi2_score
+    current, total = np.array([1.0, 1.0, 0.5, 3.0]), np.array([2.0, 3.0, 4.0, 2.0])
+    values = [score(a, s, tick) for a, s in zip(current.tolist(), total.tolist())]
+    assert not any(math.isnan(value) for value in values)
+    assert values[0] == pytest.approx(tick / 2, rel=1e-12)  # a = 1, s = 2: about t/2
+    with np.errstate(all="ignore"):  # as step_many and flags_many call it
+        assert np.array_equal(_scores_many(current, total, tick, filtering), values)
+    assert math.isnan(score(math.inf, math.inf, 3))  # counts that overflowed stay nan
 
 
 def test_first_edge_scores_zero():
