@@ -1,10 +1,10 @@
 """Single-pass, constant-memory anomaly detection over streams.
 
 Counting sketches back a family of detectors: chi-squared edge scorers with
-a guaranteed-false-positive decision rule, dense-submatrix edge and graph
-scorers with a 2-approximation peel, a multi-aspect record scorer, labelled
-feedback sharpening, and a two-state feedback simulator. A CSV harness and
-CLI wire each detector to files.
+a decision rule that flags at a false-positive target, dense-submatrix edge
+and graph scorers with a 2-approximation peel, a multi-aspect record scorer,
+labelled feedback sharpening, and a two-state feedback simulator. A CSV
+harness and CLI wire each detector to files.
 
 The package re-exports the detectors, the sketches and what the library
 quick start uses; everything else is imported from its own module.

@@ -1,9 +1,11 @@
 """Command-line harness: every detector wired to CSV files.
 
-One score is written per input line (per window for the graph scorers) as
-decimal text with 9 significant digits, once every item is scored and
-``WRITE_CHUNK`` lines per write call; ``--eval`` swaps the score listing
-for a metrics JSON object.
+Every detector command runs one loop, ``_score_input``: it reads up to
+``midas.TICK_BATCH_MAX`` items, scores them and rejects a nan score by its
+input line. Once the input ends, one score is written per input line (per
+window for the graph scorers) as decimal text with 9 significant digits,
+``WRITE_CHUNK`` lines per write call; ``--eval`` swaps the score listing for
+a metrics JSON object.
 
 Each option is declared once, on its command's parser. A ``--config FILE``
 of ``key=value`` lines is read as ``--key=value`` arguments placed before
@@ -34,7 +36,7 @@ import re
 import sys
 import time
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -49,10 +51,10 @@ from .ingest import (
     parse_record_stream,
     window_aggregate,
 )
-from .metrics import reject_nan, roc_auc
-from .midas import DecisionRule, MidasDetector
+from .metrics import roc_auc
+from .midas import TICK_BATCH_MAX, DecisionRule, MidasDetector
 from .mstream import MstreamDetector
-from .sess import FeedbackEvent, SharpeningParams, Sess3dDetector, apply_feedback
+from .sess import SharpeningParams, Sess3dDetector, apply_feedback, score_with_feedback
 
 FORMAT = "{:.9g}"
 COMMENT = re.compile(r"(?:^|\s)#.*")  # a config comment: '#' at line start or after whitespace
@@ -131,22 +133,11 @@ def _given(args, *names) -> dict:
     return {name: value for name, value in values.items() if value is not None}
 
 
-@contextlib.contextmanager
-def _open_input(path: str):
+def _open(path: str, mode: str = "r"):
+    """``path`` opened as UTF-8 text; ``-`` is stdin or stdout, left open."""
     if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            yield handle
-
-
-@contextlib.contextmanager
-def _open_output(path: str):
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return open(path, mode, encoding="utf-8")
 
 
 def _write_lines(out, lines) -> None:
@@ -170,50 +161,71 @@ def _read_labels(path: str, count: int, items: str = "scores") -> list[int]:
     return labels
 
 
-def _score_input(args, score_all, read=None, flags=None, labels=None) -> int:
-    """The pipeline behind every detector command: read all input, score
-    it, then write the scores and the ``--time`` line.
+def _score_lines(held):
+    """The ``score`` or ``score,flag`` lines of held ``(scores, flags)`` chunks."""
+    for values, flags in held:
+        if flags is None:
+            yield from map((FORMAT + "\n").format, values.tolist())
+        else:
+            for value, flagged in zip(values.tolist(), flags.tolist()):
+                yield FORMAT.format(value) + (",1\n" if flagged else ",0\n")
 
-    ``read(handle)`` returns the items, edges by default, and
-    ``score_all(items)`` their scores; only the scoring is timed. When
-    ``flags`` is given, ``score_all`` fills it with one flag per score and
-    the output lines become ``score,flag``. ``--eval`` writes the AUC of the
-    scores against ``labels(items)``, or against the ``--labels`` file when
-    ``labels`` is None. Nothing is written before every item is scored, so
-    bad input leaves the output empty, and so does a nan score, which is
-    rejected by its position. The lines go out ``WRITE_CHUNK`` at a time.
+
+def _score_input(args, start, labels=None) -> int:
+    """The pipeline behind every detector command: read and score the input
+    a chunk at a time, then write.
+
+    ``start(lines)`` reads what must come first from the input's ``Lines``
+    (a record header, or anograph's windows) and returns a lazy item iterator
+    and a chunk scorer: ``score(chunk, first)`` gives the scores of the items
+    in ``chunk``, the first of which is item ``first`` of the stream, and
+    their flags, or None. A chunk holds up to ``TICK_BATCH_MAX`` items, each
+    with the input line it was parsed from. A nan score is rejected by its
+    line; the others are held as float64, 8 bytes each. Nothing is written,
+    and no ``--output`` file is opened, until the input ends, so bad input
+    leaves the output empty; the lines are formatted as they are written.
+    ``--eval`` writes the AUC of the scores against the ``labels(chunk)`` of
+    each chunk, or the ``--labels`` file when ``labels`` is None. ``--time``
+    reports the scoring time summed over chunks.
     """
     if args.eval and args.labels is None:
         raise ValueError("--eval requires --labels")
-    with _open_input(args.input) as handle:
-        if read is None:
-            items = list(parse_edge_stream(handle, has_weight=args.has_weight))
-        else:
-            items = read(handle)
+    held, truth = [], []  # per chunk: its scores as float64, and its flags or None
+    n, elapsed = 0, 0.0
     # A nan is rejected below and inf is a valid score, so numpy's
-    # floating-point warnings would only add noise to stderr.
-    with np.errstate(all="ignore"):
-        started = time.perf_counter()
-        scores = score_all(items)
-        elapsed = time.perf_counter() - started
-    reject_nan(scores)
+    # floating-point warnings, from reading (anograph sums window weights)
+    # or from scoring, would only add noise to stderr.
+    with _open(args.input) as handle, np.errstate(all="ignore"):
+        lines = Lines(handle)
+        items, score = start(lines)
+        while True:
+            chunk, where = [], []
+            for item in islice(items, TICK_BATCH_MAX):
+                chunk.append(item)
+                where.append(lines.lineno)  # the line the item was parsed from
+            if not chunk:
+                break
+            started = time.perf_counter()
+            scores, flags = score(chunk, n)
+            elapsed += time.perf_counter() - started
+            values = np.asarray(scores, dtype=np.float64)
+            nan = np.flatnonzero(np.isnan(values))
+            if nan.size:
+                raise ValueError(f"line {where[nan[0]]}: score is nan")
+            n += len(chunk)
+            held.append((values, flags if flags is None else np.asarray(flags, dtype=bool)))
+            if args.eval and labels is not None:
+                truth.extend(labels(chunk))
 
+    output = _score_lines(held)
     if args.eval:
-        truth = _read_labels(args.labels, len(scores)) if labels is None else labels(items)
-        auc = roc_auc(scores, truth)
-    with _open_output(args.output) as out:
-        if args.eval:
-            json.dump({"auc": auc}, out)
-            out.write("\n")
-        elif flags is not None:
-            _write_lines(out, (
-                FORMAT.format(value) + (",1\n" if flagged else ",0\n")
-                for value, flagged in zip(scores, flags)
-            ))
-        else:
-            _write_lines(out, map((FORMAT + "\n").format, scores))
+        truth = _read_labels(args.labels, n) if labels is None else truth
+        scores = np.concatenate([np.empty(0)] + [values for values, _ in held])
+        output = [json.dumps({"auc": roc_auc(scores, truth)}) + "\n"]
+    with _open(args.output, "w") as out:
+        _write_lines(out, output)
     if args.time:
-        print(json.dumps({"seconds": round(elapsed, 6), "items": len(scores)}), file=sys.stderr)
+        print(json.dumps({"seconds": round(elapsed, 6), "items": n}), file=sys.stderr)
     return 0
 
 
@@ -224,64 +236,64 @@ SKETCH = ("n_rows", "n_buckets", "alpha")
 BURST_SHAPE = ("n_background", "n_burst", "n_nodes", "burst_tick", "n_ticks", "burst_span")
 
 
+def _edges(args, score):
+    """A ``start`` for ``_score_input``: the input's edges, scored by ``score``."""
+    return lambda lines: (parse_edge_stream(lines, has_weight=args.has_weight), score)
+
+
 def _run_midas(args, variant: str) -> int:
     detector = MidasDetector(variant, seed=args.seed, **_given(args, *SKETCH, "merge_threshold"))
-    flag_eps = args.flag_epsilon
-    rule = DecisionRule.for_detector(flag_eps, detector) if flag_eps is not None else None
-    flags = [] if rule is not None else None
-
-    def score_all(events) -> list[float]:
-        scores, found = detector.process_many(events, rule, args.score_mode)
-        if flags is not None:
-            flags.extend(found)
-        return scores
-
-    return _score_input(args, score_all, flags=flags)
+    eps = args.flag_epsilon
+    rule = None if eps is None else DecisionRule.for_detector(eps, detector)
+    start = _edges(args, lambda events, _: detector.process_many(events, rule, args.score_mode))
+    return _score_input(args, start)
 
 
 def _run_anoedge(args, which: str) -> int:
     cls = AnoEdgeGlobal if which == "global" else AnoEdgeLocal
     detector = cls(seed=args.seed, **_given(args, *SKETCH))
-    if which == "global":
-        return _score_input(args, detector.score_many)
-    # The local scorer's maintained submatrix is sequential state.
-    return _score_input(args, lambda events: [detector.score(e) for e in events])
+
+    def score(events, first):
+        if which == "global":
+            return detector.score_many(events), None
+        # The local scorer's maintained submatrix is sequential state.
+        return [detector.score(event) for event in events], None
+
+    return _score_input(args, _edges(args, score))
 
 
 def _run_anograph(args, variant: str) -> int:
     spec = WindowSpec(**_given(args, "window_ticks", "anomaly_edge_threshold"))
     k = _given(args, "k")
 
-    def read(handle) -> list:
+    def score(windows, first):
+        # The peel's best density starts at the whole matrix's and only rises,
+        # so a window scores inf, never nan, and needs no line of its own.
+        return [anograph_score(window, variant=variant, **k) for window, _ in windows], None
+
+    def start(lines):
         """Sealed windows with their labels, one per ``window_ticks``."""
-        events = list(parse_edge_stream(handle, has_weight=args.has_weight))
+        events = list(parse_edge_stream(lines, has_weight=args.has_weight))
         n = len(events)
         edge_labels = _read_labels(args.labels, n, "edges") if args.labels else [0] * n
-        return window_aggregate(
+        windows = window_aggregate(
             events, edge_labels, spec, seed=args.seed, **_given(args, "n_rows", "n_buckets")
         )
+        return iter(windows), score
 
-    return _score_input(
-        args,
-        lambda windows: [anograph_score(w, variant=variant, **k) for w, _ in windows],
-        read=read,
-        labels=lambda windows: [label for _, label in windows],
-    )
+    return _score_input(args, start, labels=lambda windows: [label for _, label in windows])
 
 
 def _run_mstream(args) -> int:
-    detector = None
-
-    def read(handle) -> list:
-        nonlocal detector
-        schema, records = parse_record_stream(handle, **_given(args, "tick_every"))
+    def start(lines):
+        schema, records = parse_record_stream(lines, **_given(args, "tick_every"))
         # The attribute split comes from the file's header.
         detector = MstreamDetector(
             schema.n_categorical, schema.n_numeric, seed=args.seed, **_given(args, *SKETCH)
         )
-        return list(records)
+        return records, lambda chunk, _: (detector.score_many(chunk), None)
 
-    return _score_input(args, lambda records: detector.score_many(records), read=read)
+    return _score_input(args, start)
 
 
 def _run_sess(args) -> int:
@@ -297,24 +309,19 @@ def _run_sess(args) -> int:
     for feedback in node_feedback:
         apply_feedback(detector, feedback, params)
 
-    def score_all(events) -> list[float]:
-        scores = []
-        for index, event in enumerate(events):
-            scores.append(detector.score(event))
-            label = edge_labels.get(index)
-            if label is not None:
-                feedback = FeedbackEvent(
-                    label, edge=(event.source, event.dest), index=index
-                )
-                apply_feedback(detector, feedback, params)
+    def checked_edges(lines):
+        """The input's edges, then a check that they reach every labelled index."""
+        n = 0
+        for n, event in enumerate(parse_edge_stream(lines, has_weight=args.has_weight), 1):
+            yield event
         last = max(edge_labels, default=-1)
-        if last >= len(scores):
-            raise ValueError(
-                f"feedback index {last} is past the end of the stream ({len(scores)} edges)"
-            )
-        return scores
+        if last >= n:
+            raise ValueError(f"feedback index {last} is past the end of the stream ({n} edges)")
 
-    return _score_input(args, score_all)
+    def score(events, first):
+        return score_with_feedback(detector, events, edge_labels, params, first), None
+
+    return _score_input(args, lambda lines: (checked_edges(lines), score))
 
 
 def _run_pomdp(args) -> int:
@@ -325,36 +332,18 @@ def _run_pomdp(args) -> int:
     process = TwoStateProcess(
         p=args.p, q=args.q, start_anomalous=bool(args.start_anomalous), seed=args.seed
     )
-    if args.predictor == "imitate":
-        sweep_values = args.q_hat if args.q_hat is not None else [args.q]
-        param_name = "q_hat"
-    else:
-        sweep_values = args.wait if args.wait is not None else [None]
-        param_name = "L"
+    imitate = args.predictor == "imitate"
+    values = (args.q_hat or [args.q]) if imitate else (args.wait or [None])
+    p_hat = args.p if args.p_hat is None else args.p_hat
     seeds = [args.seed + i for i in range(args.seeds)]
-
     tasks = []
-    for value in sweep_values:
-        for phi in args.phi:
-            if args.predictor == "imitate":
-                config = PredictorConfig(
-                    kind="imitate",
-                    p_hat=args.p_hat if args.p_hat is not None else args.p,
-                    q_hat=value,
-                    phi=phi,
-                    one_sided=args.one_sided,
-                )
-                shown = value
-            else:
-                config = PredictorConfig(
-                    kind="opt",
-                    q_hat=args.q_hat_single,
-                    wait_steps=value,
-                    phi=phi,
-                    one_sided=args.one_sided,
-                )
-                shown = config.resolved_wait()
-            tasks.append((shown, phi, config))
+    for value, phi in product(values, args.phi):
+        if imitate:
+            given = {"p_hat": p_hat, "q_hat": value}
+        else:
+            given = {"q_hat": args.q_hat_single, "wait_steps": value}
+        config = PredictorConfig(args.predictor, phi=phi, one_sided=args.one_sided, **given)
+        tasks.append((value if imitate else config.resolved_wait(), phi, config))
 
     def run(task):
         shown, phi, config = task
@@ -367,8 +356,8 @@ def _run_pomdp(args) -> int:
     else:
         rows = [run(task) for task in tasks]
 
-    with _open_output(args.output) as out:
-        out.write(f"{param_name},phi,mean_accuracy,std_accuracy\n")
+    with _open(args.output, "w") as out:
+        out.write(f"{'q_hat' if imitate else 'L'},phi,mean_accuracy,std_accuracy\n")
         _write_lines(out, (
             f"{shown},{FORMAT.format(phi)},{mean:.6f},{std:.6f}\n"
             for shown, phi, mean, std in rows
@@ -390,10 +379,10 @@ def _run_synth(args) -> int:
         # The labels mark the monitored pair, not anomalies.
         labels = [1 if (e.source, e.dest) == pair else 0 for e in events]
 
-    with _open_output(args.out_edges) as out:
+    with _open(args.out_edges, "w") as out:
         _write_lines(out, (f"{event.source},{event.dest},{event.tick}\n" for event in events))
     if args.out_labels:
-        with _open_output(args.out_labels) as out:
+        with _open(args.out_labels, "w") as out:
             _write_lines(out, (f"{label}\n" for label in labels))
     return 0
 

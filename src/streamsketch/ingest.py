@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .densegraph import GraphWindow
@@ -35,6 +36,8 @@ class Lines:
     line is handled with the line's location in front: ``line N: ...``, or
     ``NAME:N: ...`` for an input given a ``name``. Decode errors pass
     through unchanged: the file is read ahead, so the number would be wrong.
+    The stream parsers read a ``Lines`` they are given through it, so its
+    owner can follow ``lineno``: the line of the item just parsed.
     """
 
     def __init__(self, lines: Iterable[str], name: str | None = None):
@@ -89,7 +92,7 @@ def parse_edge_stream(lines: Iterable[str], has_weight: bool = False) -> Iterato
     """Yield EdgeEvents from CSV rows, validating arity and tick order."""
     arity = 4 if has_weight else 3
     clock = TickClock()
-    with Lines(lines) as rows:
+    with (lines if isinstance(lines, Lines) else Lines(lines)) as rows:
         for line in rows:
             parts = line.split(DELIMITER)
             if len(parts) != arity:
@@ -160,7 +163,7 @@ def parse_record_stream(
     """
     if tick_every is not None and tick_every < 1:
         raise ValueError(f"tick_every (records per synthetic tick) must be >= 1, got {tick_every}")
-    reader = Lines(lines)
+    reader = lines if isinstance(lines, Lines) else Lines(lines)
     rows = iter(reader)
     with reader:
         header = next(rows, None)
@@ -273,25 +276,11 @@ def window_aggregate(
             f"edges ({len(edges)}) and labels ({len(labels)}) differ in length"
         )
     windows: list[tuple[GraphWindow, int]] = []
-    current_bucket = None
-    window = None
-    positives = 0
-
-    def seal():
-        nonlocal window, positives
-        if window is not None:
-            label = 1 if positives >= spec.anomaly_edge_threshold else 0
-            windows.append((window, label))
-        window = None
+    for _, run in groupby(zip(edges, labels), key=lambda pair: spec.bucket(pair[0].tick)):
+        window = GraphWindow(HigherOrderSketch(n_rows, n_buckets, seed))
         positives = 0
-
-    for event, label in zip(edges, labels):
-        bucket = spec.bucket(event.tick)
-        if bucket != current_bucket:
-            seal()
-            current_bucket = bucket
-            window = GraphWindow(HigherOrderSketch(n_rows, n_buckets, seed))
-        window.add(event)
-        positives += int(label)
-    seal()
+        for event, label in run:
+            window.add(event)
+            positives += int(label)
+        windows.append((window, 1 if positives >= spec.anomaly_edge_threshold else 0))
     return windows

@@ -80,6 +80,19 @@ def apply_feedback(detector, feedback: FeedbackEvent, params: SharpeningParams) 
         raise ValueError("flat-layout detectors only support edge feedback")
 
 
+def score_with_feedback(detector, events, edge_labels: dict, params, start: int = 0) -> list[float]:
+    """Score ``events``, the first at 0-based stream position ``start``, in
+    order. After scoring the event at a position ``edge_labels`` holds, apply
+    that label as edge feedback, so it acts from the next event on."""
+    scores = []
+    for i, event in enumerate(events, start):
+        scores.append(detector.score(event))
+        if i in edge_labels:
+            feedback = FeedbackEvent(edge_labels[i], edge=(event.source, event.dest), index=i)
+            apply_feedback(detector, feedback, params)
+    return scores
+
+
 class Sess3dDetector(ChiSquaredTables):
     """Edge scorer on the higher-order layout with feedback support.
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -257,7 +258,7 @@ def test_eval_mode_rejects_a_nan_score_by_its_position(tmp_path, capsys):
         assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: score 3 is nan\n"
+    assert captured.err == "error: line 3: score is nan\n"
 
 
 def test_eval_subcommand(tmp_path, capsys):
@@ -911,7 +912,7 @@ def test_a_nan_score_exits_1_by_its_position_with_empty_stdout(
     assert len(steps) == batches
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: score {first + 1} is nan\n"
+    assert captured.err == f"error: line {first + 1}: score is nan\n"
 
 
 def test_reject_nan_names_the_first_nan_and_passes_inf():
@@ -919,3 +920,126 @@ def test_reject_nan_names_the_first_nan_and_passes_inf():
     reject_nan([])
     with pytest.raises(ValueError, match=r"^score 2 is nan$"):
         reject_nan([math.inf, math.nan, math.nan])
+
+
+OVERFLOW = "u,v,1e308,1\nu,v,1e308,1\nu,v,1e308,2\n"  # the third edge scores nan
+
+
+@pytest.mark.parametrize("command", ["midas", "midas-r", "midas-f", "sess"])
+def test_a_nan_score_names_its_input_line(tmp_path, capsys, command):
+    edges = tmp_path / "edges.csv"
+    edges.write_text("\n" + OVERFLOW.replace("\n", "\n\n", 1))  # blank lines count
+    argv = [command, "--has-weight", "--input", str(edges)]
+    if command == "sess":
+        argv += ["--feedback", os.devnull]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 5: score is nan\n"
+
+
+def test_a_nan_is_reported_before_a_bad_line_in_a_later_chunk(tmp_path, capsys, monkeypatch):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(OVERFLOW + "u,v,1,2\nu,v,x,2\n")
+    argv = ["midas-r", "--has-weight", "--input", str(edges)]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == "error: line 5: non-numeric weight 'x'\n"
+    monkeypatch.setattr(cli, "TICK_BATCH_MAX", 3)
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr() == ("", "error: line 3: score is nan\n")
+
+
+@pytest.mark.parametrize("command", ["anograph", "anograph-k"])
+def test_an_overflowing_window_scores_inf_without_a_warning(tmp_path, capsys, command):
+    edges = tmp_path / "edges.csv"
+    edges.write_text(OVERFLOW)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(command, "--has-weight", "--window-ticks", "2", "--input", str(edges)) == 0
+    assert caught == []
+    assert capsys.readouterr() == ("inf\n1e+308\n", "")
+
+
+def chunk_cases(tmp_path) -> dict[str, list[str]]:
+    """Argument lists whose output must not depend on the chunk size. Ticks
+    hold 1 to 40 items, so chunks of 29 cut ticks on the batch path and
+    smaller chunks on the per-item path; sess labels sit on both sides of
+    every boundary between chunks of 1, 3 and 7 edges."""
+    sizes = [3, 25, 1, 14, 40, 2, 12, 7, 11]
+    ticks = [tick for tick, size in enumerate(sizes, 1) for _ in range(size)]
+    rows = [(i % 5, (i * 3) % 7, tick) for i, tick in enumerate(ticks)]
+
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    edges = ["--input", write("edges.csv", "".join(f"{u},{v},{t}\n" for u, v, t in rows))]
+    labels = write("labels.txt", "".join(f"{int(u == v)}\n" for u, v, _ in rows))
+    feedback = "2,1\n3,0\n6,1\n7,1\n20,0\n21,1\n"
+    records = [f"c{i % 4},{(i * 7) % 13}" for i in range(len(ticks))]
+    cases = {command: [command, *edges] for command in DETECTOR_COMMANDS}
+    cases.update({
+        "midas-flags": ["midas", "--flag-epsilon", "0.05", *edges],
+        "midas-f-flags": ["midas-f", "--flag-epsilon", "0.05", *edges],
+        "midas-f-time": ["midas-f", "--time", *edges],
+        "midas-r-eval": ["midas-r", "--eval", "--labels", labels, *edges],
+        "anograph-eval": [
+            "anograph", "--window-ticks", "2", "--tau", "2", "--eval", "--labels", labels, *edges,
+        ],
+        "mstream": ["mstream", "--input", write("records.csv", "cat:a,num:x,tick\n" + "".join(
+            f"{record},{tick}\n" for record, tick in zip(records, ticks)
+        ))],
+        "mstream-tickless": ["mstream", "--decay-every", "5", "--input", write(
+            "tickless.csv", "cat:a,num:x\n" + "".join(f"{record}\n" for record in records)
+        )],
+        "sess": ["sess", "--feedback", write("feedback.txt", feedback), *edges],
+        "sess-3d": [
+            "sess", "--layout", "3d", "--feedback", write("nodes.txt", feedback + "node,3,1\n"),
+            *edges,
+        ],
+        "sess-past-the-end": ["sess", "--feedback", write("late.txt", f"6,1\n{len(rows)},1\n"), *edges],
+    })
+    return cases
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 29])
+def test_output_does_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch, size):
+    cases = chunk_cases(tmp_path)
+    expected = {}
+    for name, argv in cases.items():
+        code = run_cli(*argv)
+        expected[name] = code, *capsys.readouterr()
+    assert expected["sess-past-the-end"][0] == 1
+    assert expected["midas-f-time"][2].startswith('{"seconds": ')
+    monkeypatch.setattr(cli, "TICK_BATCH_MAX", size)
+    for name, argv in cases.items():
+        code = run_cli(*argv)
+        out, err = capsys.readouterr()
+        if name == "midas-f-time":  # the seconds differ; the item count may not
+            assert json.loads(err)["items"] == json.loads(expected[name][2])["items"]
+            err = expected[name][2]
+        assert (code, out, err) == expected[name], name
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_by_the_held_scores_alone(tmp_path):
+    """The edges are not held: each extra edge costs only its held score and
+    flag (9 bytes), where holding the edges costs ~120."""
+    peaks = {}
+    out = tmp_path / "out.txt"
+    for n in (20_000, 20_000, 80_000):
+        edges = tmp_path / f"edges-{n}.csv"
+        write_edges(edges, [(i % 97, (i * 7) % 89, 1 + i // 500) for i in range(n)])
+        # The first run is a warm-up: it allocates what any run allocates once.
+        argv = ["midas-r", "--flag-epsilon", "0.05", "--input", str(edges), "--output", str(out)]
+        peaks[n] = _traced_peak(argv)
+    assert (peaks[80_000] - peaks[20_000]) / 60_000 < 32

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamsketch.cli import main
@@ -52,6 +52,10 @@ def assert_names_a_line(err: str, n_lines: int) -> None:
 @pytest.mark.parametrize("weight", [[], ["--has-weight"]], ids=["unweighted", "weighted"])
 @pytest.mark.parametrize("command", EDGE_COMMANDS)
 @SETTINGS
+# Weighted counts that overflow: the third edge scores nan under the
+# chi-squared commands, midas, midas-r, midas-f and sess.
+@example(text="u,v,1e308,1\nu,v,1e308,1\nu,v,1e308,2\n")
+@example(text="1,2,1e308,1\n\n1,2,1e308,1\n 1,2,1e308,2\n")
 @given(text=EDGE_TEXT)
 def test_edge_commands_on_any_edge_text_exit_0_or_1(command, weight, text):
     feedback = ["--feedback", os.devnull] if command == "sess" else []  # no labels

@@ -13,6 +13,7 @@ from streamsketch.sess import (
     SharpeningParams,
     Sess3dDetector,
     apply_feedback,
+    score_with_feedback,
 )
 
 from oracles import TwoSketchSess3d
@@ -231,3 +232,32 @@ def test_feedback_improves_ranking_on_a_poisoned_attack():
         return roc_auc(scores, labels)
 
     assert run(True) > run(False)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    cut=st.integers(0, 30),
+    labels=st.dictionaries(st.integers(0, 29), st.integers(0, 1), max_size=6),
+    layout=st.sampled_from(["flat", "3d"]),
+)
+def test_score_with_feedback_is_the_same_split_at_any_position(cut, labels, layout):
+    """Feedback indexes are absolute: scoring a stream in two runs, the second
+    starting at position ``cut``, gives the scores of one run, and a label
+    acts from the event after the one it names."""
+    events = [EdgeEvent(i % 3, (i * 2) % 5, 1 + i // 4) for i in range(30)]
+    make = partial(Sess3dDetector if layout == "3d" else partial(MidasDetector, "relational"), seed=3)
+    params = SharpeningParams()
+    whole = score_with_feedback(make(), events, labels, params)
+    detector = make()
+    split = score_with_feedback(detector, events[:cut], labels, params)
+    split += score_with_feedback(detector, events[cut:], labels, params, start=cut)
+    assert split == whole
+
+    detector = make()
+    by_hand = []
+    for index, event in enumerate(events):
+        by_hand.append(detector.score(event))
+        if index in labels:
+            feedback = FeedbackEvent(labels[index], edge=(event.source, event.dest))
+            apply_feedback(detector, feedback, params)
+    assert by_hand == whole
