@@ -15,14 +15,17 @@ the current tick is compared against its historical per-tick mean.
 stacks every count-min table in one array, ``counts[kind, key, row, cell]``
 (kinds: total, current and, for filtering, the score cache), closes a tick
 in whole-array passes and holds the per-item loop that adds, queries and
-scores (``step``), and the same for a run of items that share a tick in a
-few array passes (``step_many``). A detector only maps an item to cells for
-each of its keys. ``each_run`` splits a whole stream into runs of one tick,
-in chunks of at most ``TICK_BATCH_MAX``: chunks of at least
-``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
+scores (``step``, on Python floats through one flat view of ``counts``),
+and the same for a run of items that share a tick in a few array passes
+(``step_many``). A detector only maps an item to cells for each of its
+keys. ``each_run`` cuts a whole stream into pieces of at most
+``TICK_BATCH_MAX`` items and each piece into runs of one tick: runs of at
+least ``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
 ``step_many``, and shorter ones its per-item path, which is also the oracle
-the batch is tested against with ``==``. ``MidasDetector.process_many`` and
-``MstreamDetector.score_many`` score a stream this way.
+the batch is tested against with ``==``. ``MidasDetector.process_many``
+scores a stream this way, on cells it hashes a piece at a time, so an edge
+of a short tick pays no hashing of its own; ``MstreamDetector.score_many``
+hashes each run itself, as its numeric bucketizers are sequential state.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -35,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
+from itertools import groupby, islice, repeat
 from operator import attrgetter
 from statistics import NormalDist
 
@@ -172,9 +175,11 @@ class DecisionRule:
     chi-squared approximation behind the rule holds: the plain variant, an
     edge whose per-tick count is well above 1 at a steady rate, and a sketch
     of at least ``guaranteed_shape(epsilon, nu)``. Elsewhere it is only a
-    threshold: on a stationary stream with no anomaly at epsilon 0.05, plain
+    threshold: on stationary streams with no anomaly at epsilon 0.05, plain
     MIDAS flags a pair arriving about once per tick 2.2% of the time, but
-    70-88% of all edges, which are sparse and mostly first sightings.
+    70-88% of all edges, which are sparse and mostly first sightings (pooled
+    over three streams, each detector seeded with its stream's seed; the
+    README gives the figures per shape and seed).
     """
 
     epsilon: float
@@ -246,11 +251,26 @@ class ChiSquaredTables:
         self.merge_threshold = merge_threshold
         n_kinds = 3 if variant == "filtering" else 2
         self.counts = np.zeros((n_kinds, n_keys, n_rows, n_buckets**order))
-        self._by_key = [tuple(self.counts[:, k]) for k in range(n_keys)]  # 2-d views per kind
-        # Flat cell of (key, row, cell 0) in one kind, for step_many.
+        # Flat cell of (key, row, cell 0) in one kind: an array for step_many,
+        # ints for step and scale, which add a multiple of _kind_size to reach
+        # the same cell in another kind.
         self._row_base = (np.arange(n_keys * n_rows) * n_buckets**order).reshape(n_keys, n_rows, 1)
+        self._row_offsets = self._row_base[..., 0].tolist()
+        self._kind_size = self.counts[0].size
+        self._flat = memoryview(self.counts.reshape(-1))  # Python floats in and out
         self.clock = TickClock()
         self.tick_volume = 0.0  # weight in the current-count tables, N_t
+
+    def __getstate__(self):
+        """A copy or a pickle holds ``counts``, not the view onto it, which
+        would come back as a detached array (or not at all)."""
+        state = self.__dict__.copy()
+        del state["_flat"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._flat = memoryview(self.counts.reshape(-1))
 
     def advance(self, tick: int) -> None:
         """Move the clock to ``tick``, closing the tick it leaves: a fill (plain),
@@ -258,17 +278,17 @@ class ChiSquaredTables:
         closing = self.clock.advance(tick)
         if closing is None:
             return
-        counts = self.counts
+        total, current, *cache = self.counts
         if self.variant == "plain":
-            counts[1].fill(0.0)
+            current.fill(0.0)
             self.tick_volume = 0.0
             return
         # Filtering closes out the tick that just ended: totals absorb current
         # counts (or their own per-tick mean when the cached score crossed the
         # threshold), keeping the mean level unchanged.
-        if self.variant == "filtering":
-            conditional_merge(counts[0], counts[1], counts[2], self.merge_threshold, closing)
-        counts[1] *= self.alpha
+        if cache:
+            conditional_merge(total, current, cache[0], self.merge_threshold, closing)
+        current *= self.alpha
         self.tick_volume *= self.alpha  # decayed residue still counts toward N_t
 
     def step(self, cells_by_key, weight: float, tick: int) -> tuple[list[float], float, float]:
@@ -278,28 +298,29 @@ class ChiSquaredTables:
         counts only (totals change at tick close) and caches each score."""
         self.tick_volume += weight
         filtering = self.variant == "filtering"
+        counts, kind = self._flat, self._kind_size
         scores = []
-        for tables, cells in zip(self._by_key, cells_by_key):
-            total, current = tables[0], tables[1]
+        for offsets, cells in zip(self._row_offsets, cells_by_key):
             a = s = math.inf
             # Inline row loops: a helper call per row costs more than its arithmetic.
-            for row, cell in enumerate(cells):
-                value = current[row, cell] + weight
-                current[row, cell] = value
+            for offset, cell in zip(offsets, cells):
+                total = offset + cell
+                current = total + kind
+                value = counts[current] + weight
+                counts[current] = value
                 if value < a:
                     a = value
-                value = total[row, cell]
+                value = counts[total]
                 if not filtering:
                     value += weight
-                    total[row, cell] = value
+                    counts[total] = value
                 if value < s:
                     s = value
             a, s = float(a), float(s)
             if filtering:
                 score = filtering_score(a, s, tick)
-                cache = tables[2]
-                for row, cell in enumerate(cells):
-                    cache[row, cell] = score
+                for offset, cell in zip(offsets, cells):
+                    counts[offset + cell + 2 * kind] = score
             else:
                 score = chi2_score(a, s, tick)
             if not scores:
@@ -361,28 +382,43 @@ class ChiSquaredTables:
         self.tick_volume = float(volume[-1])
         return scores, a[0], s[0], volume
 
-    def each_run(self, items, score_run, score_item) -> None:
-        """Score ``items`` in order: each run of items sharing a ``tick`` is
-        cut into chunks of at most ``TICK_BATCH_MAX``, and a chunk of at least
-        ``TICK_BATCH_MIN[variant]`` goes to ``score_run(chunk, tick)``. Shorter
-        chunks, and chunks ``score_run`` declines by returning False with
-        nothing changed, go to ``score_item`` item by item, which raises at
-        an item the per-item path rejects."""
+    def each_run(self, items, score_run, score_item, hash_piece=None) -> None:
+        """Score ``items`` in order, in pieces of at most ``TICK_BATCH_MAX``.
+
+        ``hash_piece(piece)``, when given, returns the cells ``[key, row,
+        item]`` of a whole piece, or None when some item cannot be hashed.
+        Each run of a piece's items that share a ``tick`` takes its slice of
+        those cells (None without them). A run of at least
+        ``TICK_BATCH_MIN[variant]`` items goes to ``score_run(run, tick,
+        cells)``. Shorter runs, and runs ``score_run`` declines by returning
+        False with nothing changed, go to ``score_item(item, cells)`` item by
+        item, the cells as lists of ints per key; it raises at an item the
+        per-item path rejects."""
         batch_min = TICK_BATCH_MIN[self.variant]
-        for tick, run in groupby(items, attrgetter("tick")):
-            # Chunks are exact at any length: each starts from the tables and
-            # tick_volume the one before it left.
-            while chunk := list(islice(run, TICK_BATCH_MAX)):
-                if len(chunk) < batch_min or not score_run(chunk, tick):
-                    for item in chunk:
-                        score_item(item)
+        items = iter(items)
+        # Runs are exact at any length: each starts from the tables and
+        # tick_volume the one before it left.
+        while piece := list(islice(items, TICK_BATCH_MAX)):
+            cells = None if hash_piece is None else hash_piece(piece)
+            end = 0
+            for tick, run in groupby(piece, attrgetter("tick")):
+                run = list(run)
+                start, end = end, end + len(run)
+                run_cells = None if cells is None else cells[..., start:end]
+                if len(run) < batch_min or not score_run(run, tick, run_cells):
+                    by_item = repeat(None)
+                    if run_cells is not None:  # [item][key][row], as Python ints for step
+                        by_item = run_cells.transpose(2, 0, 1).tolist()
+                    for item, item_cells in zip(run, by_item):
+                        score_item(item, item_cells)
 
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
         """Multiply each key's total and current counts at its cells."""
-        for tables, cells in zip(self._by_key, cells_by_key):
-            for row, cell in enumerate(cells):
-                tables[0][row, cell] *= total_factor
-                tables[1][row, cell] *= current_factor
+        counts, kind = self._flat, self._kind_size
+        for offsets, cells in zip(self._row_offsets, cells_by_key):
+            for offset, cell in zip(offsets, cells):
+                counts[offset + cell] *= total_factor
+                counts[offset + cell + kind] *= current_factor
 
     def state_bytes(self) -> int:
         return int(self.counts.nbytes)
@@ -423,11 +459,13 @@ class MidasDetector(ChiSquaredTables):
         keys = self._keys(hashing.canonical_key(source), hashing.canonical_key(dest))
         return tuple(map(self.family.indexes, keys))
 
-    def process(self, event: EdgeEvent) -> StepStats:
-        """Insert one edge and return its scores and supporting counts."""
+    def process(self, event: EdgeEvent, cells=None) -> StepStats:
+        """Insert one edge and return its scores and supporting counts;
+        ``cells``, when given, are the edge's ``cells``, hashed ahead."""
         w = event.weight
         check_weight(w)  # before the clock moves: a rejected edge changes nothing
-        cells = self.cells(event.source, event.dest)
+        if cells is None:
+            cells = self.cells(event.source, event.dest)
         t = event.tick
         self.advance(t)
         scores, a, s = self.step(cells, w, t)
@@ -439,43 +477,54 @@ class MidasDetector(ChiSquaredTables):
         each and, when ``rule`` is given, its flag (else None), exactly as
         ``process`` one event at a time would.
 
-        Chunks of one tick go through ``each_run``: ``step_many`` for long
-        ones, ``process`` event by event for short ones and for chunks holding
-        an event the per-item path rejects, which then raises there.
+        ``each_run`` hashes each piece of events once, then sends long runs
+        of one tick to ``step_many`` and short ones to ``process`` on their
+        cells. A piece holding an id with no canonical key, and a run holding
+        a weight the per-item path rejects, go through ``process`` event by
+        event, which then raises there.
         """
         if mode not in ("max", "sum"):
             raise ValueError(f"unknown combination mode: {mode!r}")
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
 
-        def process_one(event) -> None:
-            stats = self.process(event)
+        def process_one(event, cells) -> None:
+            stats = self.process(event, cells)
             scores.append(stats.combined(mode))
             if flags is not None:
                 flags.append(rule.is_flagged(stats))
 
         run = partial(self._process_run, rule=rule, mode=mode, scores=scores, flags=flags)
-        self.each_run(events, run, process_one)
+        self.each_run(events, run, process_one, self._hash_piece)
         return scores, flags
 
-    def _process_run(self, run: list, tick: int, rule, mode: str, scores: list, flags) -> bool:
-        """Score one run of events sharing ``tick`` with ``step_many`` and
-        append to ``scores`` and ``flags``; False, with nothing changed, when
-        some event would be rejected."""
-        n = len(run)
+    def _hash_piece(self, piece: list):
+        """The cells ``[key, row, event]`` of a piece of events, one
+        ``indexes_many`` call per key; None when some id has no canonical key."""
+        n = len(piece)
+        try:
+            u = np.fromiter(map(hashing.canonical_key, [e.source for e in piece]), np.uint64, n)
+            v = np.fromiter(map(hashing.canonical_key, [e.dest for e in piece]), np.uint64, n)
+        except (TypeError, ValueError, OverflowError):
+            return None
+        return np.stack([self.family.indexes_many(key) for key in self._keys(u, v)])
+
+    def _process_run(
+        self, run: list, tick: int, cells, rule, mode: str, scores: list, flags
+    ) -> bool:
+        """Score one run of events sharing ``tick`` on its ``cells`` with
+        ``step_many`` and append to ``scores`` and ``flags``; False, with
+        nothing changed, when some event would be rejected."""
+        if cells is None:
+            return False
         try:
             weights = np.asarray([event.weight for event in run])
-            u = np.fromiter(map(hashing.canonical_key, [e.source for e in run]), np.uint64, n)
-            v = np.fromiter(map(hashing.canonical_key, [e.dest for e in run]), np.uint64, n)
         except (TypeError, ValueError, OverflowError):
             return False
         if not weights_ok(weights):
             return False
-        weights = weights.astype(np.float64)
-        keys = self._keys(u, v)
-        cells = self.family.indexes_many(np.concatenate(keys)).reshape(self.n_rows, len(keys), n)
         self.advance(tick)
-        per_key, a, s, volume = self.step_many(cells.transpose(1, 0, 2), weights, tick)
+        per_key, a, s, volume = self.step_many(cells, weights.astype(np.float64), tick)
         scores.extend(_combine_many(per_key, mode).tolist())
         if flags is not None:
             flags.extend(rule.flags_many(a, s, volume, tick).tolist())

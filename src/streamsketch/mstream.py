@@ -13,9 +13,9 @@ record, so a tick boundary decays every current table in one multiply.
 
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
 record at a time, with ``==`` totals: ``ChiSquaredTables.each_run`` sends
-chunks of at least ``midas.TICK_BATCH_MIN["relational"]`` records of one
+runs of at least ``midas.TICK_BATCH_MIN["relational"]`` records of one
 tick through a few array passes that end in ``step_many``, and shorter
-chunks through ``score``. The two paths share one arithmetic, so the batch
+runs through ``score``. The two paths share one arithmetic, so the batch
 is exact by construction: a projection is the same left-to-right
 product-sum in both, and a log-shifted value is ``math.log1p(x) + 0.0``,
 which holds no -0.0.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import add
 
 import numpy as np
@@ -223,10 +223,10 @@ class MstreamDetector(ChiSquaredTables):
         each, ``==`` to what ``score`` gives one record at a time; a record
         ``score`` rejects raises as it would there, with the same state."""
         totals: list[float] = []
-        self.each_run(
+        self.each_run(  # no cells: the numeric bucketizers are sequential state
             records,
-            partial(self._score_run, totals=totals),
-            lambda record: totals.append(self.score(record).total),
+            lambda run, tick, _: self._score_run(run, tick, totals),
+            lambda record, _: totals.append(self.score(record).total),
         )
         return totals
 

@@ -111,7 +111,11 @@ class Sess3dDetector(ChiSquaredTables):
     ):
         super().__init__("relational", 1, n_rows, n_buckets, alpha, order=2)
         self.family = HashFamily(n_rows, n_buckets, seed)
-        self.matrices = self.counts.reshape(2, n_rows, n_buckets, n_buckets)  # kind, row, r, c
+
+    @property
+    def matrices(self):
+        """``counts`` as ``[kind, row, r, c]``: a view, so a copy's is its own."""
+        return self.counts.reshape(2, self.n_rows, self.n_buckets, self.n_buckets)
 
     def cells(self, source, dest) -> tuple:
         """The edge's cell in every row, for the one key."""

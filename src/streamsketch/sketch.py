@@ -57,7 +57,7 @@ def conditional_merge(total, current, scores, epsilon: float, tick: int) -> None
     rejected cells are saved, all cells added, the saved ones written back.
     """
     flat = total.reshape(-1)  # a view, as total is contiguous
-    rejected = np.flatnonzero(~(scores < epsilon))
+    rejected = (~(scores < epsilon)).reshape(-1).nonzero()[0]  # np.flatnonzero, less its wrapper
     kept = flat[rejected]
     total += current
     if tick != 1:
@@ -231,7 +231,11 @@ class HigherOrderSketch(_CountTable):
 
     def __init__(self, n_rows: int = 2, n_buckets: int = 32, seed: int = DEFAULT_SEED):
         super().__init__(HashFamily(n_rows, n_buckets, seed))
-        self.matrices = self.counts.reshape(n_rows, n_buckets, n_buckets)
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """``counts`` as ``[row, r, c]``: a view, so a copy's is its own."""
+        return self.counts.reshape(self.n_rows, self.n_buckets, self.n_buckets)
 
     def indexes(self, source, dest) -> tuple[int, ...]:
         """The (source, dest) cell of every row; see ``matrix_cells``."""

@@ -161,6 +161,46 @@ def test_criterion_03_false_positive_bound():
     )
 
 
+# -- the flag rate where the bound does not hold ------------------------------------
+
+# (variant, rows, buckets) -> the all-edge and monitored-pair flag rates at
+# epsilon 0.05 on stationary streams with no anomaly, as the README and
+# DecisionRule's docstring state them: seeds 0-2, hash rows seeded with the
+# stream's seed as in criterion 3, edges at tick >= 2, pooled over the seeds.
+NULL_FLAG_RATES = {
+    ("plain", 2, 1024): ("70%", "2.2%"),
+    ("plain", 4, 1024): ("88%", "2.0%"),
+    ("relational", 2, 1024): ("21%", "10%"),
+}
+
+
+def at_rounding(rate, stated):
+    """``rate`` as a percentage with as many decimals as ``stated`` has."""
+    return f"{rate:.{len(stated.rstrip('%').partition('.')[2])}%}"
+
+
+def test_null_flag_rates_are_the_stated_ones():
+    streams = []
+    for seed in range(3):
+        events, pair = synth_stationary_stream(seed=seed)
+        later = np.array([event.tick >= 2 for event in events])
+        on_pair = later & np.array([(event.source, event.dest) == pair for event in events])
+        streams.append((events, later, on_pair))
+    for (variant, n_rows, n_buckets), stated in NULL_FLAG_RATES.items():
+        flagged, decisions = np.zeros(2), np.zeros(2)  # all edges, the monitored pair
+        for seed, (events, later, on_pair) in enumerate(streams):
+            detector = MidasDetector(variant, n_rows=n_rows, n_buckets=n_buckets, seed=seed)
+            _, flags = detector.process_many(events, DecisionRule.for_detector(0.05, detector))
+            flags = np.array(flags)
+            flagged += flags[later].sum(), flags[on_pair].sum()
+            decisions += later.sum(), on_pair.sum()
+        rates = flagged / decisions
+        got = tuple(map(at_rounding, rates, stated))
+        print(f"[null flag rate] {variant} {n_rows}x{n_buckets}: all edges {rates[0]:.2%}, "
+              f"monitored pair {rates[1]:.2%}")
+        assert got == stated, (variant, n_rows, n_buckets)
+
+
 # -- 4. microcluster detection at desk scale ----------------------------------------
 
 

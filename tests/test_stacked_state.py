@@ -1,7 +1,11 @@
 """Stacked detector state: every table of a detector is a slice of one
-array, and the whole-array tick close matches the per-table close exactly."""
+array, the whole-array tick close matches the per-table close exactly, and
+a copied detector counts in its own array."""
 
+import copy
 import math
+import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,3 +154,74 @@ def test_bad_weight_of_a_duck_typed_event_changes_no_higher_order_state(make, sc
         score(detector, LooseEdge("u", "v", 2, bad))
     assert all(map(np.array_equal, state(detector), before))
     assert detector.clock.tick == 1
+
+
+# -- a copy counts in its own stacked array -----------------------------------------
+
+
+def edge_stream(n, offset=0):
+    return [EdgeEvent(i % 5, (i * 3) % 7, 1 + (offset + i) // 3, 1.0 + i % 2) for i in range(n)]
+
+
+def score_edges(detector, events):
+    return [detector.process(event) for event in events]
+
+
+def score_sess(detector, events):
+    """Scores with edge and node feedback halfway."""
+    half = len(events) // 2
+    scores = [detector.score(event) for event in events[:half]]
+    params = SharpeningParams(2.0, 0.3)
+    apply_feedback(detector, FeedbackEvent(1, edge=(events[0].source, events[0].dest)), params)
+    apply_feedback(detector, FeedbackEvent(0, node=events[1].source), params)
+    return scores + [detector.score(event) for event in events[half:]]
+
+
+def score_records(detector, events):
+    records = [MultiAspectRecord((e.source,), (float(e.dest),), e.tick) for e in events]
+    return [detector.score(record) for record in records]
+
+
+COPIED = {
+    **{
+        variant: (partial(MidasDetector, variant, merge_threshold=THRESHOLD), score_edges)
+        for variant in VARIANTS
+    },
+    "mstream": (partial(MstreamDetector, 1, 1, alpha=0.5), score_records),
+    "sess-3d": (Sess3dDetector, score_sess),
+}
+COPY_ROUTES = {"deepcopy": copy.deepcopy, "pickle": lambda d: pickle.loads(pickle.dumps(d))}
+
+
+@pytest.mark.parametrize("route", list(COPY_ROUTES))
+@pytest.mark.parametrize("name", list(COPIED))
+def test_a_copied_detector_scores_as_its_original(name, route):
+    """A copy taken mid-stream steps, closes ticks and takes feedback on its
+    own counts: after one suffix it scores and counts as an uncopied twin."""
+    make, score = COPIED[name]
+    original = make(n_rows=2, n_buckets=8, seed=5)
+    score(original, edge_stream(20))
+    clone = COPY_ROUTES[route](original)
+    suffix = edge_stream(20, offset=20)
+    assert score(clone, suffix) == score(original, suffix)
+    assert np.array_equal(clone.counts, original.counts)
+    assert clone.tick_volume == original.tick_volume
+
+
+@pytest.mark.parametrize("route", list(COPY_ROUTES))
+@pytest.mark.parametrize(
+    "make, score",
+    [
+        (AnoEdgeGlobal, AnoEdgeGlobal.score_many),
+        (AnoEdgeLocal, lambda d, events: [d.score(event) for event in events]),
+    ],
+    ids=["anoedge-g", "anoedge-l"],
+)
+def test_a_copied_higher_order_detector_scores_as_its_original(make, score, route):
+    """The same for the detectors that read the sketch's ``matrices``."""
+    original = make(n_rows=2, n_buckets=8, seed=5)
+    score(original, edge_stream(20))
+    clone = COPY_ROUTES[route](original)
+    suffix = edge_stream(20, offset=20)
+    assert score(clone, suffix) == score(original, suffix)
+    assert np.array_equal(clone.sketch.counts, original.sketch.counts)

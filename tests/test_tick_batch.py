@@ -4,8 +4,10 @@ the per-record ``score``, compared with ``==``.
 
 Every case runs with ``TICK_BATCH_MIN`` at 1 (every run of one tick goes
 through ``step_many``), at 1 with ``TICK_BATCH_MAX`` at 3 (a run spans
-several chunks), and at infinity (every item through the per-item path
-inside ``each_run``); each is held to a plain per-item loop.
+several pieces), and at infinity (every item through the per-item path
+inside ``each_run``, on cells hashed a piece at a time), there also with
+``TICK_BATCH_MAX`` at 3 (pieces cut across ticks); each is held to a plain
+per-item loop.
 """
 
 import math
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from streamsketch import midas
 from streamsketch.events import EdgeEvent, MultiAspectRecord
+from streamsketch.hashing import HashFamily
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
 from streamsketch.mstream import HyperplaneHash, MstreamDetector, _signatures_many
 
@@ -25,7 +28,7 @@ from oracles import LooseEdge, LooseRecord
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 # (TICK_BATCH_MIN for every variant, TICK_BATCH_MAX)
-BATCH_LIMITS = [(1, midas.TICK_BATCH_MAX), (1, 3), (math.inf, midas.TICK_BATCH_MAX)]
+BATCH_LIMITS = [(1, midas.TICK_BATCH_MAX), (1, 3), (math.inf, midas.TICK_BATCH_MAX), (math.inf, 3)]
 SHAPES = [(1, 1), (2, 4), (3, 16), (2, 1024)]  # (rows, buckets); one bucket collides everything
 
 IDS = st.one_of(
@@ -140,7 +143,7 @@ def test_huge_weights_overflow_alike():
     assert non_finite
 
 
-@pytest.mark.parametrize(
+REJECTED_EVENTS = pytest.mark.parametrize(
     "bad, error",
     [
         (LooseEdge("u", "v", 2, math.nan), ValueError),
@@ -151,9 +154,9 @@ def test_huge_weights_overflow_alike():
     ],
     ids=["nan-weight", "negative-weight", "str-weight", "list-id", "tick-regression"],
 )
-def test_a_rejected_event_raises_where_process_does(bad, error):
-    """A run holding an event the per-item path rejects is scored item by item,
-    so the error and the state it leaves are those of process."""
+
+
+def check_rejected(bad, error, limits):
     events = [LooseEdge(i % 3, i % 5, 1 + i // 6) for i in range(18)]
     events[14] = LooseEdge(bad.source, bad.dest, 3 if bad.tick == 2 else bad.tick, bad.weight)
     oracle = MidasDetector("filtering", n_rows=2, n_buckets=8, seed=4)
@@ -161,11 +164,25 @@ def test_a_rejected_event_raises_where_process_does(bad, error):
         for event in events:
             oracle.process(event)
     detector = MidasDetector("filtering", n_rows=2, n_buckets=8, seed=4)
-    with batch_limits(1, 4), pytest.raises(error):
+    with batch_limits(*limits), pytest.raises(error):
         detector.process_many(events)
     assert np.array_equal(detector.counts, oracle.counts)
     assert detector.tick_volume == oracle.tick_volume
     assert detector.clock.tick == oracle.clock.tick
+
+
+@REJECTED_EVENTS
+def test_a_rejected_event_raises_where_process_does(bad, error):
+    """A run holding an event the per-item path rejects is scored item by item,
+    so the error and the state it leaves are those of process."""
+    check_rejected(bad, error, (1, 4))
+
+
+@REJECTED_EVENTS
+def test_a_rejected_event_of_a_short_run_raises_where_process_does(bad, error):
+    """The same where every run is short: the event's piece failed to hash
+    (list-id) or its cells were hashed ahead (the rest)."""
+    check_rejected(bad, error, (math.inf, 4))
 
 
 def test_numpy_scalar_weights_take_the_batch_path():
@@ -175,6 +192,18 @@ def test_numpy_scalar_weights_take_the_batch_path():
     detector = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
     per_item = mock.patch.object(MidasDetector, "process", side_effect=AssertionError("per item"))
     with batch_limits(1), per_item:
+        assert detector.process_many(events) == expected
+    assert np.array_equal(detector.counts, oracle.counts)
+
+
+def test_short_runs_step_on_cells_hashed_a_piece_at_a_time():
+    """Runs too short to batch are not hashed edge by edge."""
+    events = [EdgeEvent(i % 3, f"n{i % 5}", 1 + i // 2) for i in range(30)]
+    oracle = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    expected = one_by_one(oracle, events, None, "max")
+    detector = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    per_edge = mock.patch.object(HashFamily, "indexes", side_effect=AssertionError("per edge"))
+    with batch_limits(math.inf, 8), per_edge:
         assert detector.process_many(events) == expected
     assert np.array_equal(detector.counts, oracle.counts)
 
