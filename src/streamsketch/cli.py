@@ -249,17 +249,9 @@ def _run_midas(args, variant: str) -> int:
     return _score_input(args, start)
 
 
-def _run_anoedge(args, which: str) -> int:
-    cls = AnoEdgeGlobal if which == "global" else AnoEdgeLocal
+def _run_anoedge(args, cls) -> int:
     detector = cls(seed=args.seed, **_given(args, *SKETCH))
-
-    def score(events, first):
-        if which == "global":
-            return detector.score_many(events), None
-        # The local scorer's maintained submatrix is sequential state.
-        return [detector.score(event) for event in events], None
-
-    return _score_input(args, _edges(args, score))
+    return _score_input(args, _edges(args, lambda events, _: (detector.score_many(events), None)))
 
 
 def _run_anograph(args, variant: str) -> int:
@@ -443,15 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
         if variant == "filtering":
             sub.add_argument("--merge-threshold", type=float)
         sub.add_argument(
-            "--flag-epsilon", type=float, help="emit score,flag pairs at this false-positive level"
+            "--flag-epsilon", type=float,
+            help="emit score,flag pairs with FLAG_EPSILON as the flag threshold;"
+            " it bounds the false-positive rate only where the README says",
         )
         sub.set_defaults(handler=lambda a, v=variant: _run_midas(a, v), score_mode="max")
 
-    for name, which in (("anoedge-g", "global"), ("anoedge-l", "local")):
+    anoedges = (("anoedge-g", "global", AnoEdgeGlobal), ("anoedge-l", "local", AnoEdgeLocal))
+    for name, which, cls in anoedges:
         sub = subs.add_parser(name, help=f"dense-submatrix edge scorer ({which})")
         _add_edge_common(sub)
         sub.add_argument("--alpha", type=float)
-        sub.set_defaults(handler=lambda a, w=which: _run_anoedge(a, w))
+        sub.set_defaults(handler=lambda a, cls=cls: _run_anoedge(a, cls))
 
     for name, variant in (("anograph", "full"), ("anograph-k", "topk")):
         sub = subs.add_parser(name, help=f"dense-submatrix graph scorer ({variant})")

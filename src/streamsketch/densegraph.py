@@ -112,6 +112,119 @@ def edge_submatrix_density(matrix, row: int, col: int) -> float:
     return float(expand_many(m[None], [row], [col])[0])
 
 
+@dataclass(slots=True)
+class _Submatrix:
+    """A submatrix (S, T) of one matrix, with the sums the greedy steps read.
+
+    State is kept per axis, 0 for rows and 1 for columns: ``inside[axis]``
+    marks the axis's lines in the submatrix, ``gain[axis]`` holds each line's
+    sum against the other axis's members (for lines inside and outside), and
+    ``size[axis]`` counts the members. ``total`` is the sum of M[S, T].
+    """
+
+    inside: list  # two 1-D bool arrays
+    gain: list  # two 1-D float64 arrays
+    total: float
+    size: list  # two ints
+
+    @classmethod
+    def whole(cls, m: np.ndarray) -> "_Submatrix":
+        inside = [np.ones(n, dtype=bool) for n in m.shape]
+        gain = [m.sum(axis=1), m.sum(axis=0)]
+        return cls(inside, gain, float(gain[0].sum()), list(m.shape))
+
+    @classmethod
+    def seeded(cls, n_buckets: int, rng: np.random.Generator) -> "_Submatrix":
+        """A 1x1 submatrix at a random row, then a random column; all sums 0."""
+        inside = [np.zeros(n_buckets, dtype=bool), np.zeros(n_buckets, dtype=bool)]
+        for members in inside:
+            members[int(rng.integers(n_buckets))] = True
+        return cls(inside, [np.zeros(n_buckets), np.zeros(n_buckets)], 0.0, [1, 1])
+
+    def density(self) -> float:
+        return self.total / math.sqrt(self.size[0] * self.size[1])
+
+    def density_after(self, axis: int, i: int, step: int) -> float:
+        """The density once line ``i`` of ``axis`` is added (step 1) or dropped (-1)."""
+        size = self.size
+        return (self.total + step * float(self.gain[axis][i])) / math.sqrt(
+            size[0] * size[1] + step * size[1 - axis]
+        )
+
+    def move(self, axis: int, i: int, matrix: np.ndarray, step: int) -> None:
+        """Add line ``i`` of ``axis`` (``step`` 1) or drop it (``step`` -1)."""
+        self.total += step * float(self.gain[axis][i])
+        other = self.gain[1 - axis]
+        line = matrix[i, :] if axis == 0 else matrix[:, i]
+        (np.add if step > 0 else np.subtract)(other, line, out=other)
+        self.inside[axis][i] = step > 0
+        self.size[axis] += step
+
+    def lightest(self) -> list:
+        """Per axis, the member with the smallest gain (lowest index on ties) and
+        that gain; if all members' gains are inf, line 0, member or not, and inf."""
+        light = []
+        for members, gain in zip(self.inside, self.gain):
+            cand = np.where(members, gain, np.inf)
+            i = cand.argmin()
+            light.append((i, cand[i]))
+        return light
+
+    # AnoEdge-L's per-edge steps on its maintained submatrix.
+
+    def on_update(self, r: int, c: int, weight: float) -> None:
+        (in_rows, in_cols), (row_gain, col_gain) = self.inside, self.gain
+        if in_cols[c]:
+            row_gain[r] += weight
+        if in_rows[r]:
+            col_gain[c] += weight
+            if in_cols[c]:
+                self.total += weight
+
+    def on_decay(self, alpha: float) -> None:
+        for gain in self.gain:
+            gain *= alpha
+        self.total *= alpha
+
+    def expand(self, r: int, c: int, matrix: np.ndarray) -> None:
+        """Adopt the edge's row, then its column, when that raises the density."""
+        for axis, i in ((0, r), (1, c)):
+            if not self.inside[axis][i] and self.density_after(axis, i, 1) > self.density():
+                self.move(axis, i, matrix, 1)
+
+    def condense(self, matrix: np.ndarray) -> None:
+        """Drop the lightest row or column while that raises the density;
+        a column wins a tie with a row."""
+        while True:
+            current = best = self.density()
+            drop = None
+            for axis, (i, _) in enumerate(self.lightest()):
+                if self.size[axis] > 1:
+                    shrunk = self.density_after(axis, i, -1)
+                    if shrunk > current and shrunk >= best:
+                        best, drop = shrunk, (axis, i)
+            if drop is None:
+                return
+            self.move(*drop, matrix, -1)
+
+    def likelihood(self, r: int, c: int, matrix: np.ndarray) -> float:
+        """Mean of the cells covered by crossing (r, c) through the submatrix.
+
+        The cross is the submatrix's rows in column c, its columns in row r,
+        and the cell (r, c) itself, counted once each.
+        """
+        (in_rows, in_cols), (row_gain, col_gain) = self.inside, self.gain
+        total = float(col_gain[c]) + float(row_gain[r])
+        count = self.size[0] + self.size[1]
+        if in_rows[r] and in_cols[c]:
+            total -= float(matrix[r, c])
+            count -= 1
+        elif not in_rows[r] and not in_cols[c]:
+            total += float(matrix[r, c])
+            count += 1
+        return total / count
+
+
 def anograph_density(matrix) -> float:
     """Max density along a greedy peel of the whole matrix.
 
@@ -121,38 +234,18 @@ def anograph_density(matrix) -> float:
     best submatrix of any shape.
     """
     m = _as_matrix(matrix)
-    if float(m.min(initial=0.0)) < 0.0:
+    if not (m >= 0.0).all():  # also rejects nan
         raise ValueError("matrix entries must be nonnegative")
-    n_rows, n_cols = m.shape
-    alive_rows = np.ones(n_rows, dtype=bool)
-    alive_cols = np.ones(n_cols, dtype=bool)
-    row_sums = m.sum(axis=1)
-    col_sums = m.sum(axis=0)
-    total = float(row_sums.sum())
-    size_rows, size_cols = n_rows, n_cols
-    best = total / math.sqrt(size_rows * size_cols)
-
-    while size_rows > 0 and size_cols > 0:
-        cand_rows = np.where(alive_rows, row_sums, np.inf)
-        cand_cols = np.where(alive_cols, col_sums, np.inf)
-        r = int(np.argmin(cand_rows))
-        c = int(np.argmin(cand_cols))
+    sub = _Submatrix.whole(m)
+    best = sub.density()
+    while True:
+        (r, row_gain), (c, col_gain) = sub.lightest()
         # Strict < keeps ties on the column branch.
-        if cand_rows[r] < cand_cols[c]:
-            total -= float(row_sums[r])
-            col_sums -= m[r, :]
-            alive_rows[r] = False
-            size_rows -= 1
-        else:
-            total -= float(col_sums[c])
-            row_sums -= m[:, c]
-            alive_cols[c] = False
-            size_cols -= 1
-        if size_rows > 0 and size_cols > 0:
-            density = total / math.sqrt(size_rows * size_cols)
-            if density > best:
-                best = density
-    return float(best)
+        axis, i = (0, r) if row_gain < col_gain else (1, c)
+        sub.move(axis, i, m, -1)
+        if not all(sub.size):
+            return float(best)
+        best = max(best, sub.density())
 
 
 def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:
@@ -245,129 +338,6 @@ class AnoEdgeGlobal:
         return best.reshape(count, n_layers).min(axis=1).tolist()
 
 
-@dataclass
-class _LocalSubmatrix:
-    """One layer's maintained dense submatrix with incremental sums."""
-
-    in_rows: np.ndarray
-    in_cols: np.ndarray
-    row_gain: np.ndarray  # per-row sum against the current columns
-    col_gain: np.ndarray
-    total: float = 0.0
-    size_rows: int = 1
-    size_cols: int = 1
-
-    @classmethod
-    def seeded(cls, n_buckets: int, rng: np.random.Generator) -> "_LocalSubmatrix":
-        in_rows = np.zeros(n_buckets, dtype=bool)
-        in_cols = np.zeros(n_buckets, dtype=bool)
-        in_rows[int(rng.integers(n_buckets))] = True
-        in_cols[int(rng.integers(n_buckets))] = True
-        return cls(
-            in_rows=in_rows,
-            in_cols=in_cols,
-            row_gain=np.zeros(n_buckets),
-            col_gain=np.zeros(n_buckets),
-        )
-
-    def density(self) -> float:
-        return self.total / math.sqrt(self.size_rows * self.size_cols)
-
-    def on_update(self, r: int, c: int, weight: float) -> None:
-        if self.in_cols[c]:
-            self.row_gain[r] += weight
-        if self.in_rows[r]:
-            self.col_gain[c] += weight
-            if self.in_cols[c]:
-                self.total += weight
-
-    def on_decay(self, alpha: float) -> None:
-        self.row_gain *= alpha
-        self.col_gain *= alpha
-        self.total *= alpha
-
-    def _add_row(self, r: int, matrix: np.ndarray) -> None:
-        self.total += float(self.row_gain[r])
-        self.col_gain += matrix[r, :]
-        self.in_rows[r] = True
-        self.size_rows += 1
-
-    def _add_col(self, c: int, matrix: np.ndarray) -> None:
-        self.total += float(self.col_gain[c])
-        self.row_gain += matrix[:, c]
-        self.in_cols[c] = True
-        self.size_cols += 1
-
-    def expand(self, r: int, c: int, matrix: np.ndarray) -> None:
-        """Adopt the edge's row or column when doing so raises the density."""
-        if not self.in_rows[r]:
-            grown = (self.total + float(self.row_gain[r])) / math.sqrt(
-                (self.size_rows + 1) * self.size_cols
-            )
-            if grown > self.density():
-                self._add_row(r, matrix)
-        if not self.in_cols[c]:
-            grown = (self.total + float(self.col_gain[c])) / math.sqrt(
-                self.size_rows * (self.size_cols + 1)
-            )
-            if grown > self.density():
-                self._add_col(c, matrix)
-
-    def condense(self, matrix: np.ndarray) -> None:
-        """Drop min-sum rows or columns while each drop raises the density."""
-        while True:
-            current = self.density()
-            best_gain = current
-            drop_row = drop_col = -1
-            if self.size_rows > 1:
-                cand = np.where(self.in_rows, self.row_gain, np.inf)
-                r = int(np.argmin(cand))
-                shrunk = (self.total - float(self.row_gain[r])) / math.sqrt(
-                    (self.size_rows - 1) * self.size_cols
-                )
-                if shrunk > best_gain:
-                    best_gain = shrunk
-                    drop_row = r
-            if self.size_cols > 1:
-                cand = np.where(self.in_cols, self.col_gain, np.inf)
-                c = int(np.argmin(cand))
-                shrunk = (self.total - float(self.col_gain[c])) / math.sqrt(
-                    self.size_rows * (self.size_cols - 1)
-                )
-                if shrunk >= best_gain and shrunk > current:
-                    best_gain = shrunk
-                    drop_col = c
-                    drop_row = -1
-            if drop_col >= 0:
-                self.total -= float(self.col_gain[drop_col])
-                self.row_gain -= matrix[:, drop_col]
-                self.in_cols[drop_col] = False
-                self.size_cols -= 1
-            elif drop_row >= 0:
-                self.total -= float(self.row_gain[drop_row])
-                self.col_gain -= matrix[drop_row, :]
-                self.in_rows[drop_row] = False
-                self.size_rows -= 1
-            else:
-                return
-
-    def likelihood(self, r: int, c: int, matrix: np.ndarray) -> float:
-        """Mean of the cells covered by crossing (r, c) through the submatrix.
-
-        The cross is the submatrix's rows in column c, its columns in row r,
-        and the cell (r, c) itself, counted once each.
-        """
-        total = float(self.col_gain[c]) + float(self.row_gain[r])
-        count = self.size_rows + self.size_cols
-        if self.in_rows[r] and self.in_cols[c]:
-            total -= float(matrix[r, c])
-            count -= 1
-        elif not self.in_rows[r] and not self.in_cols[c]:
-            total += float(matrix[r, c])
-            count += 1
-        return total / count
-
-
 class AnoEdgeLocal:
     """Edge scorer that maintains one dense submatrix per layer across the
     stream and reports each edge's likelihood against it.
@@ -388,7 +358,7 @@ class AnoEdgeLocal:
         self.alpha = alpha
         self.clock = TickClock()
         rng = np.random.default_rng(seed)
-        self.states = [_LocalSubmatrix.seeded(n_buckets, rng) for _ in range(n_rows)]
+        self.states = [_Submatrix.seeded(n_buckets, rng) for _ in range(n_rows)]
 
     def score(self, event: EdgeEvent) -> float:
         check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
@@ -410,6 +380,11 @@ class AnoEdgeLocal:
             if score is None or value < score:
                 score = value
         return float(score)
+
+    def score_many(self, events) -> list[float]:
+        """Scores of ``events`` in stream order, one ``score`` call each: the
+        maintained submatrices are sequential state."""
+        return [self.score(event) for event in events]
 
 
 @dataclass

@@ -14,12 +14,12 @@ from operator import add
 
 import numpy as np
 
-from streamsketch.densegraph import AnoEdgeGlobal, _as_matrix, _topk_densities
+from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal, _as_matrix, _topk_densities
 from streamsketch.events import EdgeEvent
-from streamsketch.hashing import canonical_key
+from streamsketch.hashing import DEFAULT_SEED, canonical_key
 from streamsketch.midas import MidasDetector, chi2_score, filtering_score
 from streamsketch.mstream import HyperplaneHash, RecordScore, StreamingMinMax, bucketize_numeric
-from streamsketch.sketch import HigherOrderSketch
+from streamsketch.sketch import HigherOrderSketch, check_weight
 
 
 # -- exact counters for the chi-squared scorers -------------------------------
@@ -489,6 +489,204 @@ class OracleAnoEdgeGlobal(AnoEdgeGlobal):
             oracle_expand(self.sketch.matrices[layer], *divmod(cell, self.sketch.n_buckets))
             for layer, cell in enumerate(cells)
         )
+
+
+def oracle_peel(matrix) -> float:
+    """``anograph_density`` before the peel moved onto ``_Submatrix``: max
+    density along a greedy peel of the whole matrix.
+
+    Starting from the full matrix, repeatedly drop the row with the smallest
+    sum or the column with the smallest sum, tracking the density of every
+    intermediate submatrix. The result is at least half the density of the
+    best submatrix of any shape.
+    """
+    m = _as_matrix(matrix)
+    if float(m.min(initial=0.0)) < 0.0:
+        raise ValueError("matrix entries must be nonnegative")
+    n_rows, n_cols = m.shape
+    alive_rows = np.ones(n_rows, dtype=bool)
+    alive_cols = np.ones(n_cols, dtype=bool)
+    row_sums = m.sum(axis=1)
+    col_sums = m.sum(axis=0)
+    total = float(row_sums.sum())
+    size_rows, size_cols = n_rows, n_cols
+    best = total / math.sqrt(size_rows * size_cols)
+
+    while size_rows > 0 and size_cols > 0:
+        cand_rows = np.where(alive_rows, row_sums, np.inf)
+        cand_cols = np.where(alive_cols, col_sums, np.inf)
+        r = int(np.argmin(cand_rows))
+        c = int(np.argmin(cand_cols))
+        # Strict < keeps ties on the column branch.
+        if cand_rows[r] < cand_cols[c]:
+            total -= float(row_sums[r])
+            col_sums -= m[r, :]
+            alive_rows[r] = False
+            size_rows -= 1
+        else:
+            total -= float(col_sums[c])
+            row_sums -= m[:, c]
+            alive_cols[c] = False
+            size_cols -= 1
+        if size_rows > 0 and size_cols > 0:
+            density = total / math.sqrt(size_rows * size_cols)
+            if density > best:
+                best = density
+    return float(best)
+
+
+@dataclass
+class OracleLocalSubmatrix:
+    """AnoEdge-L's per-layer submatrix before it moved onto ``_Submatrix``:
+    one layer's maintained dense submatrix with incremental sums."""
+
+    in_rows: np.ndarray
+    in_cols: np.ndarray
+    row_gain: np.ndarray  # per-row sum against the current columns
+    col_gain: np.ndarray
+    total: float = 0.0
+    size_rows: int = 1
+    size_cols: int = 1
+
+    @classmethod
+    def seeded(cls, n_buckets: int, rng: np.random.Generator) -> "OracleLocalSubmatrix":
+        in_rows = np.zeros(n_buckets, dtype=bool)
+        in_cols = np.zeros(n_buckets, dtype=bool)
+        in_rows[int(rng.integers(n_buckets))] = True
+        in_cols[int(rng.integers(n_buckets))] = True
+        return cls(
+            in_rows=in_rows,
+            in_cols=in_cols,
+            row_gain=np.zeros(n_buckets),
+            col_gain=np.zeros(n_buckets),
+        )
+
+    def density(self) -> float:
+        return self.total / math.sqrt(self.size_rows * self.size_cols)
+
+    def on_update(self, r: int, c: int, weight: float) -> None:
+        if self.in_cols[c]:
+            self.row_gain[r] += weight
+        if self.in_rows[r]:
+            self.col_gain[c] += weight
+            if self.in_cols[c]:
+                self.total += weight
+
+    def on_decay(self, alpha: float) -> None:
+        self.row_gain *= alpha
+        self.col_gain *= alpha
+        self.total *= alpha
+
+    def _add_row(self, r: int, matrix: np.ndarray) -> None:
+        self.total += float(self.row_gain[r])
+        self.col_gain += matrix[r, :]
+        self.in_rows[r] = True
+        self.size_rows += 1
+
+    def _add_col(self, c: int, matrix: np.ndarray) -> None:
+        self.total += float(self.col_gain[c])
+        self.row_gain += matrix[:, c]
+        self.in_cols[c] = True
+        self.size_cols += 1
+
+    def expand(self, r: int, c: int, matrix: np.ndarray) -> None:
+        """Adopt the edge's row or column when doing so raises the density."""
+        if not self.in_rows[r]:
+            grown = (self.total + float(self.row_gain[r])) / math.sqrt(
+                (self.size_rows + 1) * self.size_cols
+            )
+            if grown > self.density():
+                self._add_row(r, matrix)
+        if not self.in_cols[c]:
+            grown = (self.total + float(self.col_gain[c])) / math.sqrt(
+                self.size_rows * (self.size_cols + 1)
+            )
+            if grown > self.density():
+                self._add_col(c, matrix)
+
+    def condense(self, matrix: np.ndarray) -> None:
+        """Drop min-sum rows or columns while each drop raises the density."""
+        while True:
+            current = self.density()
+            best_gain = current
+            drop_row = drop_col = -1
+            if self.size_rows > 1:
+                cand = np.where(self.in_rows, self.row_gain, np.inf)
+                r = int(np.argmin(cand))
+                shrunk = (self.total - float(self.row_gain[r])) / math.sqrt(
+                    (self.size_rows - 1) * self.size_cols
+                )
+                if shrunk > best_gain:
+                    best_gain = shrunk
+                    drop_row = r
+            if self.size_cols > 1:
+                cand = np.where(self.in_cols, self.col_gain, np.inf)
+                c = int(np.argmin(cand))
+                shrunk = (self.total - float(self.col_gain[c])) / math.sqrt(
+                    self.size_rows * (self.size_cols - 1)
+                )
+                if shrunk >= best_gain and shrunk > current:
+                    best_gain = shrunk
+                    drop_col = c
+                    drop_row = -1
+            if drop_col >= 0:
+                self.total -= float(self.col_gain[drop_col])
+                self.row_gain -= matrix[:, drop_col]
+                self.in_cols[drop_col] = False
+                self.size_cols -= 1
+            elif drop_row >= 0:
+                self.total -= float(self.row_gain[drop_row])
+                self.col_gain -= matrix[drop_row, :]
+                self.in_rows[drop_row] = False
+                self.size_rows -= 1
+            else:
+                return
+
+    def likelihood(self, r: int, c: int, matrix: np.ndarray) -> float:
+        """Mean of the cells covered by crossing (r, c) through the submatrix.
+
+        The cross is the submatrix's rows in column c, its columns in row r,
+        and the cell (r, c) itself, counted once each.
+        """
+        total = float(self.col_gain[c]) + float(self.row_gain[r])
+        count = self.size_rows + self.size_cols
+        if self.in_rows[r] and self.in_cols[c]:
+            total -= float(matrix[r, c])
+            count -= 1
+        elif not self.in_rows[r] and not self.in_cols[c]:
+            total += float(matrix[r, c])
+            count += 1
+        return total / count
+
+
+class OracleAnoEdgeLocal(AnoEdgeLocal):
+    """AnoEdge-L with the row and column copies of every per-edge step."""
+
+    def __init__(self, n_rows=2, n_buckets=32, alpha=0.9, seed=DEFAULT_SEED):
+        super().__init__(n_rows, n_buckets, alpha, seed)
+        rng = np.random.default_rng(seed)
+        self.states = [OracleLocalSubmatrix.seeded(n_buckets, rng) for _ in range(n_rows)]
+
+    def score(self, event: EdgeEvent) -> float:
+        check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
+        cells = self.sketch.indexes(event.source, event.dest)
+        if self.clock.advance(event.tick) is not None:
+            self.sketch.decay(self.alpha)
+            for state in self.states:
+                state.on_decay(self.alpha)
+        self.sketch.update_at(cells, event.weight)
+        score = None
+        for layer, cell in enumerate(cells):
+            r, c = divmod(cell, self.sketch.n_buckets)
+            state = self.states[layer]
+            matrix = self.sketch.matrices[layer]
+            state.on_update(r, c, event.weight)
+            state.expand(r, c, matrix)
+            state.condense(matrix)
+            value = state.likelihood(r, c, matrix)
+            if score is None or value < score:
+                score = value
+        return float(score)
 
 
 # -- metrics ------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Exactness of the lock-step expansion kernel and the chunked AnoEdge-G
-scorer against slow per-edge oracles.
+"""Exactness of the dense-submatrix kernels against slow oracles: the
+lock-step expansion kernel and the chunked AnoEdge-G scorer, and the greedy
+peel and AnoEdge-L on their one row-and-column submatrix bookkeeping.
 
 The oracles, in ``oracles.py``, are the scalar expansion and the per-edge
 ``AnoEdgeGlobal.score`` body as they stood before scoring moved to
-``expand_many``. Every comparison is exact (``==`` or ``np.array_equal``):
-the kernel does the same float operations per lane in the same order, so
-any difference is a bug.
+``expand_many``, and the peel and AnoEdge-L's per-layer submatrix as they
+stood with a row copy and a column copy of every step. Every comparison is
+exact (``==`` or ``np.array_equal``): the fast code does the same float
+operations in the same order, so any difference is a bug.
 """
 
 import gc
@@ -13,12 +15,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamsketch.cli import FORMAT, main
 from streamsketch.densegraph import (
     SNAPSHOT_BUDGET_BYTES,
     AnoEdgeGlobal,
+    AnoEdgeLocal,
     GraphWindow,
+    anograph_density,
     anograph_score,
     edge_submatrix_density,
     expand_many,
@@ -26,7 +32,14 @@ from streamsketch.densegraph import (
 from streamsketch.events import EdgeEvent
 from streamsketch.sketch import HigherOrderSketch
 
-from oracles import OracleAnoEdgeGlobal, anograph_k_density, oracle_expand, oracle_topk
+from oracles import (
+    OracleAnoEdgeGlobal,
+    OracleAnoEdgeLocal,
+    anograph_k_density,
+    oracle_expand,
+    oracle_peel,
+    oracle_topk,
+)
 
 
 # -- the kernel ------------------------------------------------------------------
@@ -227,6 +240,76 @@ def test_snapshot_buffer_is_fixed_and_bounded():
     assert one_tick - short < allowance
 
 
+# -- the greedy peel and AnoEdge-L ------------------------------------------------
+
+EXACT = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def peel_matrices(draw):
+    """Up to 8x8, of small integers so that ties are common, with a few cells
+    of 1e308 whose sums overflow to inf (and then to nan as lines drop)."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, 3), min_size=n_rows * n_cols, max_size=n_rows * n_cols)
+    m = np.array(draw(cells), dtype=float).reshape(n_rows, n_cols)
+    cell = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+    for r, c in draw(st.lists(cell, max_size=3)):
+        m[r, c] = 1e308
+    return m
+
+
+@EXACT
+@given(peel_matrices())
+def test_peel_matches_two_copy_oracle(m):
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 cells
+        assert anograph_density(m) == oracle_peel(m)
+
+
+@st.composite
+def local_streams(draw):
+    """A detector shape and a weighted stream with tick gaps of 0 to 3."""
+    shape = {
+        "n_rows": draw(st.integers(1, 3)),
+        "n_buckets": draw(st.sampled_from([1, 2, 3, 8, 16])),
+        "alpha": draw(st.sampled_from([0.1, 0.5, 0.9, 0.99])),
+        "seed": draw(st.integers(0, 50)),
+    }
+    weights = st.sampled_from([1.0, 1.0, 0.0, 0.5, 2.5, 7.0]) | st.floats(0.0, 50.0)
+    steps = st.tuples(st.integers(0, 3), st.integers(0, 12), st.integers(0, 12), weights)
+    tick, events = 1, []
+    for gap, source, dest, weight in draw(st.lists(steps, min_size=1, max_size=60)):
+        tick += gap
+        events.append(EdgeEvent(source, dest, tick, weight=weight))
+    return shape, events
+
+
+# Seed 2 starts the 2x2 layer at cell (1, 0) and hashes node ids 0 and 1 to
+# rows and columns 0 and 1. The first three edges grow the submatrix to the
+# whole matrix; after the fourth, [[1, 0], [2, 1]], row 0 and column 1 tie as
+# the lightest lines and dropping either helps, so condense drops the column.
+# Random streams seldom reach such a tie.
+TIE = ({"n_rows": 1, "n_buckets": 2, "alpha": 0.5, "seed": 2},
+       [EdgeEvent(u, v, 1) for u, v in [(1, 0), (0, 0), (1, 1), (1, 0)]])
+
+
+@EXACT
+@given(local_streams())
+@example(TIE)
+def test_anoedge_local_matches_two_copy_oracle(stream):
+    shape, events = stream
+    detector, oracle = AnoEdgeLocal(**shape), OracleAnoEdgeLocal(**shape)
+    assert detector.score_many(events) == [oracle.score(event) for event in events]
+    assert np.array_equal(detector.sketch.counts, oracle.sketch.counts)
+    assert detector.clock.tick == oracle.clock.tick
+    for state, want in zip(detector.states, oracle.states, strict=True):
+        assert np.array_equal(state.inside[0], want.in_rows)
+        assert np.array_equal(state.inside[1], want.in_cols)
+        assert np.array_equal(state.gain[0], want.row_gain)
+        assert np.array_equal(state.gain[1], want.col_gain)
+        assert state.total == want.total
+        assert state.size == [want.size_rows, want.size_cols]
+
+
 # -- the command -----------------------------------------------------------------
 
 
@@ -238,4 +321,15 @@ def test_anoedge_g_cli_output_is_the_oracle(tmp_path, capsys):
     oracle = OracleAnoEdgeGlobal(n_rows=2, n_buckets=32, alpha=0.9, seed=21)
     want = "".join(FORMAT.format(oracle.score(event)) + "\n" for event in events)
     assert main(["anoedge-g", "--input", str(path), "--seed", "21"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_anoedge_l_cli_output_is_the_oracle(tmp_path, capsys):
+    rng = np.random.default_rng(9)
+    events = _stream("three_chunks", 32, rng)
+    path = tmp_path / "edges.csv"
+    path.write_text("".join(f"{e.source},{e.dest},{e.tick}\n" for e in events))
+    oracle = OracleAnoEdgeLocal(n_rows=2, n_buckets=32, alpha=0.9, seed=21)
+    want = "".join(FORMAT.format(oracle.score(event)) + "\n" for event in events)
+    assert main(["anoedge-l", "--input", str(path), "--seed", "21"]) == 0
     assert capsys.readouterr().out == want

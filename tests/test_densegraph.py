@@ -97,6 +97,8 @@ def test_peel_rejects_bad_input():
         anograph_density(np.zeros((0, 0)))
     with pytest.raises(ValueError):
         anograph_density(np.array([[1.0, -0.5], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        anograph_density(np.array([[math.nan, 1.0], [1.0, 1.0]]))
 
 
 def test_peel_matches_slow_reference():
@@ -199,7 +201,7 @@ def test_anoedge_local_first_edge_covers_three_cells():
     detector = AnoEdgeLocal(seed=11)
     cells = detector.sketch.indexes("u", "v")
     disjoint = all(
-        not state.in_rows[r] and not state.in_cols[c]
+        not state.inside[0][r] and not state.inside[1][c]
         for state, (r, c) in zip(detector.states, (divmod(cell, 32) for cell in cells))
     )
     assert disjoint  # holds for this seed; the point of the value below
@@ -207,16 +209,15 @@ def test_anoedge_local_first_edge_covers_three_cells():
 
 
 def test_anoedge_local_likelihood_of_current_cell_is_its_value():
-    from streamsketch.densegraph import _LocalSubmatrix
+    from streamsketch.densegraph import _Submatrix
 
     matrix = np.zeros((8, 8))
     matrix[3, 4] = 7.5
-    state = _LocalSubmatrix(
-        in_rows=np.eye(8, dtype=bool)[3],
-        in_cols=np.eye(8, dtype=bool)[4],
-        row_gain=matrix[:, 4].copy(),
-        col_gain=matrix[3, :].copy(),
+    state = _Submatrix(
+        inside=[np.eye(8, dtype=bool)[3], np.eye(8, dtype=bool)[4]],
+        gain=[matrix[:, 4].copy(), matrix[3, :].copy()],
         total=7.5,
+        size=[1, 1],
     )
     assert state.likelihood(3, 4, matrix) == pytest.approx(7.5)
 
@@ -232,14 +233,14 @@ def test_anoedge_local_state_matches_recomputation():
             EdgeEvent(int(rng.integers(0, 60)), int(rng.integers(0, 60)), tick)
         )
     for state, matrix in zip(detector.states, detector.sketch.matrices):
-        rows = np.flatnonzero(state.in_rows)
-        cols = np.flatnonzero(state.in_cols)
-        assert state.size_rows == rows.size and state.size_cols == cols.size
+        rows = np.flatnonzero(state.inside[0])
+        cols = np.flatnonzero(state.inside[1])
+        assert state.size[0] == rows.size and state.size[1] == cols.size
         np.testing.assert_allclose(
-            state.row_gain, matrix[:, cols].sum(axis=1), atol=1e-9
+            state.gain[0], matrix[:, cols].sum(axis=1), atol=1e-9
         )
         np.testing.assert_allclose(
-            state.col_gain, matrix[rows, :].sum(axis=0), atol=1e-9
+            state.gain[1], matrix[rows, :].sum(axis=0), atol=1e-9
         )
         assert state.total == pytest.approx(
             float(matrix[np.ix_(rows, cols)].sum()), abs=1e-9

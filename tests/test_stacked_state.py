@@ -132,7 +132,7 @@ def test_bad_weight_of_a_duck_typed_event_reaches_no_table(variant, bad):
 
 def local_state(detector):
     """AnoEdge-L's sketch and the running sums of its maintained submatrices."""
-    sums = [[s.row_gain, s.col_gain, np.array([s.total])] for s in detector.states]
+    sums = [[*s.gain, np.array([s.total])] for s in detector.states]
     return [detector.sketch.counts] + [array for layer in sums for array in layer]
 
 
@@ -213,7 +213,7 @@ def test_a_copied_detector_scores_as_its_original(name, route):
     "make, score",
     [
         (AnoEdgeGlobal, AnoEdgeGlobal.score_many),
-        (AnoEdgeLocal, lambda d, events: [d.score(event) for event in events]),
+        (AnoEdgeLocal, AnoEdgeLocal.score_many),
     ],
     ids=["anoedge-g", "anoedge-l"],
 )
