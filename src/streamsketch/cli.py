@@ -257,6 +257,8 @@ def _run_anoedge(args, cls) -> int:
 def _run_anograph(args, variant: str) -> int:
     spec = WindowSpec(**_given(args, "window_ticks", "anomaly_edge_threshold"))
     k = _given(args, "k")
+    if k.get("k", 1) < 1:  # before the input is read, as WindowSpec checks its fields
+        raise ValueError(f"k must be >= 1, got {k['k']}")
 
     def score(windows, first):
         # The peel's best density starts at the whole matrix's and only rises,

@@ -238,14 +238,16 @@ def anograph_density(matrix) -> float:
         raise ValueError("matrix entries must be nonnegative")
     sub = _Submatrix.whole(m)
     best = sub.density()
-    while True:
+    # The best density only rises, so an inf one is final; peeling on takes inf - inf.
+    while best < math.inf:
         (r, row_gain), (c, col_gain) = sub.lightest()
         # Strict < keeps ties on the column branch.
         axis, i = (0, r) if row_gain < col_gain else (1, c)
         sub.move(axis, i, m, -1)
         if not all(sub.size):
-            return float(best)
+            break
         best = max(best, sub.density())
+    return float(best)
 
 
 def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:

@@ -442,35 +442,40 @@ class MidasDetector(ChiSquaredTables):
         merge_threshold: float = 1000.0,
         seed: int = DEFAULT_SEED,
     ):
-        n_keys = 1 if variant == "plain" else 3  # see _keys
+        n_keys = 1 if variant == "plain" else 3  # see _key_cells
         super().__init__(variant, n_keys, n_rows, n_buckets, alpha, merge_threshold)
         self.family = HashFamily(n_rows, n_buckets, seed)
 
-    def _keys(self, u, v) -> tuple:
-        """The keys an edge is scored on, from the canonical keys of its
-        source ``u`` and destination ``v`` (ints, or uint64 arrays for a run):
-        the edge, as the canonical key of (source, dest), then its source and
-        destination unless plain."""
+    def _key_cells(self, u, v, indexes) -> tuple:
+        """The cells, by ``indexes``, of each key an edge is scored on, from the
+        canonical keys of its source ``u`` and destination ``v`` (ints, or
+        uint64 arrays for a piece): the edge, as the canonical key of (source,
+        dest), then its source and destination unless plain."""
         edge = mix_keys((u, v))
-        return (edge,) if self.variant == "plain" else (edge, u, v)
+        keys = (edge,) if self.variant == "plain" else (edge, u, v)
+        return tuple(map(indexes, keys))
 
     def cells(self, source, dest) -> tuple:
         """The bucket in every row of each key the edge is scored on."""
-        keys = self._keys(hashing.canonical_key(source), hashing.canonical_key(dest))
-        return tuple(map(self.family.indexes, keys))
+        canonical = hashing.canonical_key
+        return self._key_cells(canonical(source), canonical(dest), self.family.indexes)
 
-    def process(self, event: EdgeEvent, cells=None) -> StepStats:
-        """Insert one edge and return its scores and supporting counts;
-        ``cells``, when given, are the edge's ``cells``, hashed ahead."""
+    def _insert(self, event: EdgeEvent, cells=None):
+        """Add one edge and return ``step``'s scores and counts."""
         w = event.weight
         check_weight(w)  # before the clock moves: a rejected edge changes nothing
         if cells is None:
             cells = self.cells(event.source, event.dest)
         t = event.tick
         self.advance(t)
-        scores, a, s = self.step(cells, w, t)
+        return self.step(cells, w, t)
+
+    def process(self, event: EdgeEvent, cells=None) -> StepStats:
+        """Insert one edge and return its scores and supporting counts;
+        ``cells``, when given, are the edge's ``cells``, hashed ahead."""
+        scores, a, s = self._insert(event, cells)
         node_scores = scores[1:] or (None, None)  # source, dest
-        return StepStats(t, scores[0], *node_scores, a, s, self.tick_volume)
+        return StepStats(event.tick, scores[0], *node_scores, a, s, self.tick_volume)
 
     def process_many(self, events, rule: DecisionRule | None = None, mode: str = "max"):
         """Insert ``events`` in order; return the ``combined(mode)`` score of
@@ -499,15 +504,15 @@ class MidasDetector(ChiSquaredTables):
         return scores, flags
 
     def _hash_piece(self, piece: list):
-        """The cells ``[key, row, event]`` of a piece of events, one
-        ``indexes_many`` call per key; None when some id has no canonical key."""
+        """The cells ``[key, row, event]`` of a piece of events, by ``_key_cells``
+        on ``indexes_many``; None when some id has no canonical key."""
         n = len(piece)
         try:
             u = np.fromiter(map(hashing.canonical_key, [e.source for e in piece]), np.uint64, n)
             v = np.fromiter(map(hashing.canonical_key, [e.dest for e in piece]), np.uint64, n)
         except (TypeError, ValueError, OverflowError):
             return None
-        return np.stack([self.family.indexes_many(key) for key in self._keys(u, v)])
+        return np.stack(self._key_cells(u, v, self.family.indexes_many))
 
     def _process_run(
         self, run: list, tick: int, cells, rule, mode: str, scores: list, flags
@@ -531,8 +536,9 @@ class MidasDetector(ChiSquaredTables):
         return True
 
     def score(self, event: EdgeEvent) -> float:
-        """Insert the edge and return the max over its scored keys."""
-        return self.process(event).combined("max")
+        """Insert the edge and return the max over its scored keys, as
+        ``process(event).combined("max")`` would."""
+        return max(self._insert(event)[0])
 
     def score_and_flag(self, event: EdgeEvent, rule: DecisionRule) -> tuple[float, bool]:
         stats = self.process(event)

@@ -8,7 +8,7 @@ sketch guarantees survive in-place feedback.
 
 Two layouts are supported: the flat count-min layout of MIDAS-R, and a
 higher-order layout hashing sources to matrix rows and destinations to
-columns. Both are ``midas.ChiSquaredTables``, so edge feedback is one
+columns. Both are ``midas.MidasDetector``s, so edge feedback is one
 ``scale`` of the edge's cells on either. Only the higher-order layout can
 absorb node-level feedback, by rescaling a whole hashed row and column.
 """
@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .events import EdgeEvent
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key
-from .midas import ChiSquaredTables
-from .sketch import check_weight, matrix_cells
+from .midas import ChiSquaredTables, MidasDetector
+from .sketch import matrix_cells
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,13 +92,14 @@ def score_with_feedback(detector, events, edge_labels: dict, params, start: int 
     return scores
 
 
-class Sess3dDetector(ChiSquaredTables):
+class Sess3dDetector(MidasDetector):
     """Edge scorer on the higher-order layout with feedback support.
 
-    A relational ``ChiSquaredTables`` with one key whose row holds an
+    A relational ``MidasDetector`` on one key whose row holds an
     ``n_buckets x n_buckets`` matrix: one hash family sends sources to
     matrix rows and destinations to columns, which is what makes node
-    feedback expressible.
+    feedback expressible. Scoring is MIDAS-R's; only the map from keys to
+    cells, ``matrices`` and ``scale_node`` are its own.
     """
 
     def __init__(
@@ -109,7 +109,7 @@ class Sess3dDetector(ChiSquaredTables):
         alpha: float = 0.5,
         seed: int = DEFAULT_SEED,
     ):
-        super().__init__("relational", 1, n_rows, n_buckets, alpha, order=2)
+        ChiSquaredTables.__init__(self, "relational", 1, n_rows, n_buckets, alpha, order=2)
         self.family = HashFamily(n_rows, n_buckets, seed)
 
     @property
@@ -117,15 +117,9 @@ class Sess3dDetector(ChiSquaredTables):
         """``counts`` as ``[kind, row, r, c]``: a view, so a copy's is its own."""
         return self.counts.reshape(2, self.n_rows, self.n_buckets, self.n_buckets)
 
-    def cells(self, source, dest) -> tuple:
-        """The edge's cell in every row, for the one key."""
-        return (matrix_cells(self.family, source, dest),)
-
-    def score(self, event: EdgeEvent) -> float:
-        check_weight(event.weight)  # before the clock moves: a rejected edge changes nothing
-        cells = self.cells(event.source, event.dest)
-        self.advance(event.tick)
-        return self.step(cells, event.weight, event.tick)[0][0]
+    def _key_cells(self, u, v, indexes) -> tuple:
+        """The one key's cells: source ``u``'s bucket is the row, dest ``v``'s the column."""
+        return (matrix_cells(indexes(u), indexes(v), self.n_buckets),)
 
     def scale_node(self, node, total_factor: float, current_factor: float) -> None:
         """Multiply the node's matrix row and column, the shared cell once: sources

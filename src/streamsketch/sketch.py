@@ -208,12 +208,10 @@ class CountMinSketch(_CountTable):
         conditional_merge(self.counts, current.counts, scores.counts, epsilon, tick)
 
 
-def matrix_cells(family: HashFamily, source, dest) -> tuple[int, ...]:
-    """The cell of matrix entry (source, dest) in every row of a higher-order
-    table whose rows and columns ``family`` hashes, as ``r * n_buckets + c``."""
-    n_buckets = family.n_buckets
-    canonical = hashing.canonical_key
-    rows, cols = family.indexes(canonical(source)), family.indexes(canonical(dest))
+def matrix_cells(rows, cols, n_buckets: int) -> tuple:
+    """The cell of matrix entry (r, c) in every hash row of a higher-order
+    table, as ``r * n_buckets + c``: ``rows`` and ``cols`` hold each hash row's
+    row and column bucket, an int for one entry or an array for many."""
     return tuple(r * n_buckets + c for r, c in zip(rows, cols))
 
 
@@ -239,7 +237,8 @@ class HigherOrderSketch(_CountTable):
 
     def indexes(self, source, dest) -> tuple[int, ...]:
         """The (source, dest) cell of every row; see ``matrix_cells``."""
-        return matrix_cells(self.family, source, dest)
+        indexes, canonical = self.family.indexes, hashing.canonical_key
+        return matrix_cells(indexes(canonical(source)), indexes(canonical(dest)), self.n_buckets)
 
     def update(self, source, dest, weight: float = 1.0) -> None:
         self.update_at(self.indexes(source, dest), weight)
@@ -250,8 +249,8 @@ class HigherOrderSketch(_CountTable):
         return self.query_at(self.indexes(source, dest))
 
     def _cells_many(self, sources: np.ndarray, dests: np.ndarray) -> np.ndarray:
-        rows = self.family.indexes_many(sources)
-        return rows * self.n_buckets + self.family.indexes_many(dests)
+        indexes = self.family.indexes_many
+        return np.array(matrix_cells(indexes(sources), indexes(dests), self.n_buckets))
 
     def update_many(self, sources: np.ndarray, dests: np.ndarray, weight: float = 1.0) -> None:
         """Batch update for integer node ids; equivalent to one-by-one."""

@@ -12,6 +12,7 @@ operations in the same order, so any difference is a bug.
 
 import gc
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from streamsketch.densegraph import (
     AnoEdgeGlobal,
     AnoEdgeLocal,
     GraphWindow,
+    _Submatrix,
     anograph_density,
     anograph_score,
     edge_submatrix_density,
@@ -263,6 +265,26 @@ def peel_matrices(draw):
 def test_peel_matches_two_copy_oracle(m):
     with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 cells
         assert anograph_density(m) == oracle_peel(m)
+
+
+# Every column and the last two rows sum to inf, so the starting density is
+# inf; a peel that went on would drop row 0, then column 0, then column 0 again.
+INF_LINES = np.array([[0.0, 0.0], [1e308, 1e308], [1e308, 1e308]])
+
+
+@EXACT
+@given(peel_matrices())
+@example(INF_LINES)
+def test_peel_drops_only_lines_still_in(m):
+    move = _Submatrix.move
+
+    def checked_move(sub, axis, i, matrix, step):
+        assert step == -1 and sub.inside[axis][i], (axis, i)
+        move(sub, axis, i, matrix, step)
+
+    with mock.patch.object(_Submatrix, "move", checked_move):
+        with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 cells
+            anograph_density(m)
 
 
 @st.composite

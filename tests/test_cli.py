@@ -396,6 +396,18 @@ def test_errors_name_the_file_and_line(tmp_path, capsys, monkeypatch, argv, file
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_anograph_k_checks_k_before_reading_an_empty_input(tmp_path, capsys, k):
+    """As --window-ticks and --tau are, --k is checked whether or not a
+    window is ever scored."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text("")
+    assert run_cli("anograph-k", "--input", str(edges), "--k", k) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: k must be >= 1, got {k}\n"
+
+
 @pytest.mark.parametrize("side", ["--input", "--feedback"])
 def test_undecodable_file_reports_the_decode_error_without_a_line(tmp_path, capsys, side):
     argv = detector_argv(tmp_path, "sess")

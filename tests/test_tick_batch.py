@@ -1,6 +1,8 @@
 """Tick-batched scoring is exact: ``MidasDetector.process_many`` against the
-per-item ``process`` it replaces, and ``MstreamDetector.score_many`` against
-the per-record ``score``, compared with ``==``.
+per-item ``process`` it replaces, SESS-3D's inherited ``process_many``
+against its two-sketch oracle, and ``MstreamDetector.score_many`` against
+the per-record ``score``, compared with ``==``. ``MidasDetector.score`` is
+held to ``process`` the same way.
 
 Every case runs with ``TICK_BATCH_MIN`` at 1 (every run of one tick goes
 through ``step_many``), at 1 with ``TICK_BATCH_MAX`` at 3 (a run spans
@@ -11,6 +13,7 @@ per-item loop.
 """
 
 import math
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,8 +26,9 @@ from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import HashFamily
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
 from streamsketch.mstream import HyperplaneHash, MstreamDetector, _signatures_many
+from streamsketch.sess import Sess3dDetector
 
-from oracles import LooseEdge, LooseRecord
+from oracles import LooseEdge, LooseRecord, TwoSketchSess3d
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 # (TICK_BATCH_MIN for every variant, TICK_BATCH_MAX)
@@ -213,6 +217,70 @@ def test_unknown_mode_is_rejected_before_any_event():
     with pytest.raises(ValueError, match="unknown combination mode"):
         detector.process_many([EdgeEvent("u", "v", 1)], mode="mean")
     assert detector.clock.tick is None
+
+
+# -- SESS-3D and score ----------------------------------------------------------
+
+# Weights near the float limit give inf scores, also at FIRST_TICKS' 2**53 + 1,
+# and nan ones once a total overflows to inf beside a finite current count.
+# Weights of at most 1e306 reach neither inf counts nor nan in 60 edges.
+HUGE_EDGES = st.lists(
+    st.tuples(IDS, IDS, st.sampled_from([0, 0, 0, 1, 2]), WEIGHTS | st.floats(1e300, 1e308)),
+    min_size=1,
+    max_size=60,
+)
+# On one bucket, every detector scores inf by tick 3 and all but filtering nan at tick 4.
+OVERFLOW = [(1, 2, 0, 1e306), (2, 1, 0, 3.0), (1, 2, 1, 1e306), (1, 2, 1, 1e308), (1, 2, 1, 1e308)]
+SMALL_SHAPES = SHAPES[:3]  # a SESS-3D row holds n_buckets ** 2 cells
+
+
+def same_scores(got, expected) -> bool:
+    """``==`` element by element, a nan matching a nan."""
+    return np.array_equal(got, expected, equal_nan=True)
+
+
+@SETTINGS
+@given(edges=HUGE_EDGES, first_tick=FIRST_TICKS, shape=st.sampled_from(SMALL_SHAPES))
+@example(edges=OVERFLOW, first_tick=1, shape=(1, 1))
+def test_sess_3d_process_many_matches_its_two_sketch_oracle(edges, first_tick, shape):
+    """SESS-3D inherits process_many: each run of BATCH_LIMITS gives the
+    scores and counts of the per-edge oracle."""
+    events = stream(edges, first_tick)
+    oracle = TwoSketchSess3d(*shape, alpha=0.5, seed=3)
+    with np.errstate(over="ignore"):  # the oracle adds numpy scalars
+        expected = [oracle.score(event) for event in events]
+    for limits in BATCH_LIMITS:
+        detector = Sess3dDetector(*shape, alpha=0.5, seed=3)
+        with batch_limits(*limits):
+            scores, _ = detector.process_many(events)
+        assert same_scores(scores, expected), limits
+        assert np.array_equal(detector.counts[:, 0], [oracle.total.counts, oracle.current.counts])
+
+
+DETECTORS = {
+    **{variant: partial(MidasDetector, variant) for variant in VARIANTS},
+    "sess-3d": Sess3dDetector,
+}
+
+
+@SETTINGS
+@given(
+    edges=HUGE_EDGES,
+    first_tick=FIRST_TICKS,
+    name=st.sampled_from(sorted(DETECTORS)),
+    shape=st.sampled_from(SMALL_SHAPES),
+)
+@example(edges=OVERFLOW, first_tick=1, name="relational", shape=(1, 1))
+def test_score_is_process_combined_max(edges, first_tick, name, shape):
+    """score skips StepStats but gives what process(event).combined("max")
+    gives, edge by edge."""
+    make = partial(DETECTORS[name], n_rows=shape[0], n_buckets=shape[1], seed=3)
+    scorer, processor = make(), make()
+    with np.errstate(over="ignore"):  # filtering's tick close sums counts near the limit
+        for event in stream(edges, first_tick):
+            assert same_scores(scorer.score(event), processor.process(event).combined("max"))
+    assert np.array_equal(scorer.counts, processor.counts, equal_nan=True)  # nan cached scores
+    assert scorer.tick_volume == processor.tick_volume
 
 
 # -- MStream ------------------------------------------------------------------
