@@ -22,10 +22,11 @@ keys. ``each_run`` cuts a whole stream into pieces of at most
 ``TICK_BATCH_MAX`` items and each piece into runs of one tick: runs of at
 least ``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
 ``step_many``, and shorter ones its per-item path, which is also the oracle
-the batch is tested against with ``==``. ``MidasDetector.process_many``
-scores a stream this way, on cells it hashes a piece at a time, so an edge
-of a short tick pays no hashing of its own; ``MstreamDetector.score_many``
-hashes each run itself, as its numeric bucketizers are sequential state.
+the batch is tested against with ``==``. A detector hashes each piece once
+and each run takes its slice. ``MidasDetector.process_many`` scores a
+stream this way, so an edge of a short tick pays no hashing of its own;
+``MstreamDetector.score_many`` hashes all but its numeric buckets, which
+are sequential state, and leaves short runs to its per-record path.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -54,7 +55,8 @@ VARIANTS = ("plain", "relational", "filtering")
 # path in each_run. A batch pays a fixed ~100 numpy calls per run; these
 # are where it broke even with per-item steps on a 2-core x86 box (plain
 # steps are cheaper, scoring one key instead of three). MStream's batch, a
-# relational one over d+1 keys, breaks even at ~5-6 records, so 10 serves it.
+# relational one over d+1 keys on a piece hashed once, breaks even at ~3
+# records, so 10 serves it.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
 # each_run hands a batch at most this many items at a time, so the batch's
 # transient arrays stay a few MB however many items share a tick.
@@ -382,35 +384,30 @@ class ChiSquaredTables:
         self.tick_volume = float(volume[-1])
         return scores, a[0], s[0], volume
 
-    def each_run(self, items, score_run, score_item, hash_piece=None) -> None:
+    def each_run(self, items, score_run, score_items, hash_piece) -> None:
         """Score ``items`` in order, in pieces of at most ``TICK_BATCH_MAX``.
 
-        ``hash_piece(piece)``, when given, returns the cells ``[key, row,
-        item]`` of a whole piece, or None when some item cannot be hashed.
+        ``hash_piece(piece)`` returns a tuple of arrays that hold a whole
+        piece's hashes, one item per position of their last axis, or None.
         Each run of a piece's items that share a ``tick`` takes its slice of
-        those cells (None without them). A run of at least
+        each array (None without them). A run of at least
         ``TICK_BATCH_MIN[variant]`` items goes to ``score_run(run, tick,
-        cells)``. Shorter runs, and runs ``score_run`` declines by returning
-        False with nothing changed, go to ``score_item(item, cells)`` item by
-        item, the cells as lists of ints per key; it raises at an item the
-        per-item path rejects."""
+        hashes)``. Shorter runs, and runs ``score_run`` declines by returning
+        False with nothing changed, go to ``score_items(run, hashes)``, the
+        per-item path, which raises at an item it rejects."""
         batch_min = TICK_BATCH_MIN[self.variant]
         items = iter(items)
         # Runs are exact at any length: each starts from the tables and
         # tick_volume the one before it left.
         while piece := list(islice(items, TICK_BATCH_MAX)):
-            cells = None if hash_piece is None else hash_piece(piece)
+            hashes = hash_piece(piece)
             end = 0
             for tick, run in groupby(piece, attrgetter("tick")):
                 run = list(run)
                 start, end = end, end + len(run)
-                run_cells = None if cells is None else cells[..., start:end]
-                if len(run) < batch_min or not score_run(run, tick, run_cells):
-                    by_item = repeat(None)
-                    if run_cells is not None:  # [item][key][row], as Python ints for step
-                        by_item = run_cells.transpose(2, 0, 1).tolist()
-                    for item, item_cells in zip(run, by_item):
-                        score_item(item, item_cells)
+                run_hashes = None if hashes is None else [part[..., start:end] for part in hashes]
+                if len(run) < batch_min or not score_run(run, tick, run_hashes):
+                    score_items(run, run_hashes)
 
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
         """Multiply each key's total and current counts at its cells."""
@@ -493,35 +490,41 @@ class MidasDetector(ChiSquaredTables):
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
 
-        def process_one(event, cells) -> None:
-            stats = self.process(event, cells)
-            scores.append(stats.combined(mode))
-            if flags is not None:
-                flags.append(rule.is_flagged(stats))
+        def process_each(run, hashes) -> None:
+            by_event = repeat(None)
+            if hashes is not None:  # [event][key][row], as Python ints for step
+                by_event = hashes[0].transpose(2, 0, 1).tolist()
+            for event, cells in zip(run, by_event):
+                stats = self.process(event, cells)
+                scores.append(stats.combined(mode))
+                if flags is not None:
+                    flags.append(rule.is_flagged(stats))
 
         run = partial(self._process_run, rule=rule, mode=mode, scores=scores, flags=flags)
-        self.each_run(events, run, process_one, self._hash_piece)
+        self.each_run(events, run, process_each, self._hash_piece)
         return scores, flags
 
     def _hash_piece(self, piece: list):
         """The cells ``[key, row, event]`` of a piece of events, by ``_key_cells``
-        on ``indexes_many``; None when some id has no canonical key."""
+        on ``indexes_many``, as ``each_run`` takes them; None when some id has
+        no canonical key."""
         n = len(piece)
         try:
             u = np.fromiter(map(hashing.canonical_key, [e.source for e in piece]), np.uint64, n)
             v = np.fromiter(map(hashing.canonical_key, [e.dest for e in piece]), np.uint64, n)
         except (TypeError, ValueError, OverflowError):
             return None
-        return np.stack(self._key_cells(u, v, self.family.indexes_many))
+        return (np.stack(self._key_cells(u, v, self.family.indexes_many)),)
 
     def _process_run(
-        self, run: list, tick: int, cells, rule, mode: str, scores: list, flags
+        self, run: list, tick: int, hashes, rule, mode: str, scores: list, flags
     ) -> bool:
-        """Score one run of events sharing ``tick`` on its ``cells`` with
+        """Score one run of events sharing ``tick`` on its cells with
         ``step_many`` and append to ``scores`` and ``flags``; False, with
         nothing changed, when some event would be rejected."""
-        if cells is None:
+        if hashes is None:
             return False
+        cells, = hashes
         try:
             weights = np.asarray([event.weight for event in run])
         except (TypeError, ValueError, OverflowError):

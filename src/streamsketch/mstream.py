@@ -12,13 +12,17 @@ relational ``midas.ChiSquaredTables`` over d+1 keys, with weight 1 per
 record, so a tick boundary decays every current table in one multiply.
 
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
-record at a time, with ``==`` totals: ``ChiSquaredTables.each_run`` sends
-runs of at least ``midas.TICK_BATCH_MIN["relational"]`` records of one
-tick through a few array passes that end in ``step_many``, and shorter
-runs through ``score``. The two paths share one arithmetic, so the batch
-is exact by construction: a projection is the same left-to-right
-product-sum in both, and a log-shifted value is ``math.log1p(x) + 0.0``,
-which holds no -0.0.
+record at a time, with ``==`` totals. ``ChiSquaredTables.each_run`` cuts
+it into pieces of up to ``midas.TICK_BATCH_MAX`` records, each hashed once
+when it holds a run long enough to batch: canonical keys, bucket indexes,
+log-shifted values and hyperplane signs, none of which depends on the
+records before. Runs of at least ``midas.TICK_BATCH_MIN["relational"]``
+records of one tick then only bucketize their numeric values, whose
+running min/max is sequential state, and go through a few array passes
+that end in ``step_many``; shorter runs go through ``score``. The two paths
+share one arithmetic, so the batch is exact by construction: a projection
+is the same left-to-right product-sum in both, and a log-shifted value is
+``math.log1p(x) + 0.0``, which holds no -0.0.
 """
 
 from __future__ import annotations
@@ -26,13 +30,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from itertools import groupby
+from operator import add, attrgetter
 
 import numpy as np
 
+from . import midas
 from .events import MultiAspectRecord
 from .hashing import DEFAULT_SEED, HashFamily, bucket_indexes, canonical_key, draw_rows
 from .midas import ChiSquaredTables
+
+# Records per block of a piece's bucket indexes and hyperplane signs.
+HASH_BLOCK = 1024
 
 
 @dataclass
@@ -223,47 +232,76 @@ class MstreamDetector(ChiSquaredTables):
         each, ``==`` to what ``score`` gives one record at a time; a record
         ``score`` rejects raises as it would there, with the same state."""
         totals: list[float] = []
-        self.each_run(  # no cells: the numeric bucketizers are sequential state
+        self.each_run(
             records,
-            lambda run, tick, _: self._score_run(run, tick, totals),
-            lambda record, _: totals.append(self.score(record).total),
+            lambda run, tick, hashes: self._score_run(run, tick, hashes, totals),
+            lambda run, _: totals.extend(self.score(record).total for record in run),
+            self._hash_piece,
         )
         return totals
 
-    def _score_run(self, run: list, tick: int, totals: list) -> bool:
-        """Score a run of records sharing ``tick`` in array passes and append
-        the totals; False, with nothing changed, when ``score`` would reject
-        some record (or might: any value the checks below do not take)."""
-        n, n_rows, n_buckets = len(run), self.n_rows, self.n_buckets
+    def _hash_piece(self, piece: list):
+        """The stateless hashes of a piece of records, as ``each_run`` takes
+        them: the cells ``[row, record]`` of each categorical key, then of the
+        whole record, then each numeric value shifted as ``bucketize_numeric``
+        shifts it, ``[column, record]``. None when the piece holds no run long
+        enough to batch, or some record ``score`` would reject (or might: any
+        value the checks below do not take)."""
+        batch_min = midas.TICK_BATCH_MIN[self.variant]
+        runs = groupby(piece, attrgetter("tick"))
+        if not any(len(list(run)) >= batch_min for _, run in runs):
+            return None  # every run goes through score, which hashes it
+        n, n_rows, n_buckets = len(piece), self.n_rows, self.n_buckets
         n_cat, n_num = self.n_categorical, self.n_numeric
         try:
-            cat_columns = _columns([record.categorical for record in run], n_cat)
-            num_rows = [record.numeric for record in run]
-            num_columns = _columns(num_rows, n_num)
+            keys = [_canonical_keys(c) for c in _columns([r.categorical for r in piece], n_cat)]
+            num_columns = _columns([record.numeric for record in piece], n_num)
             if any(set(map(type, column)) != {float} for column in num_columns):
-                return False  # what MultiAspectRecord holds; others take score's checks
+                return None  # what MultiAspectRecord holds; others take score's checks
             # math.log1p per value: np.log1p differs in the last bit. It also
             # rejects values <= -1, as _check_log_domain does. + 0.0 as in
             # bucketize_numeric.
-            shifted = np.array([list(map(math.log1p, column)) for column in num_columns]) + 0.0
-            keys = [_canonical_keys(column) for column in cat_columns]
+            shifted = np.array([np.fromiter(map(math.log1p, c), float, n) for c in num_columns])
+            shifted += 0.0
         except (TypeError, ValueError, OverflowError):
-            return False
+            return None
         if not np.isfinite(shifted).all():  # as _check_log_domain
+            return None
+
+        # int32 buckets where they fit, and the products taken a block of
+        # records and one family of rows at a time: the arrays held across
+        # the piece stay small, and so do the transient ones, which keeps the
+        # peak RSS where hashing run by run left it.
+        dtype = np.int32 if n_buckets <= 2**31 else np.int64
+        categorical = [np.empty((n_rows, n), dtype=dtype) for _ in keys]
+        record = np.empty((n_rows, n), dtype=dtype)
+        for lo in range(0, n, HASH_BLOCK):
+            block = slice(lo, lo + HASH_BLOCK)
+            bucket = 0  # record_hash before the mod
+            if n_num:
+                vectors = np.array([column[block] for column in num_columns]).T
+                bucket = _signatures_many(self._hyperplanes, vectors)
+            for own, rows, column_keys in zip(categorical, self._cat_rows, keys):
+                own[:, block] = bucket_indexes(rows[:n_rows], column_keys[block], n_buckets)
+                bucket = bucket + bucket_indexes(rows[n_rows:], column_keys[block], n_buckets)
+            record[:, block] = bucket % n_buckets
+        return *categorical, record, shifted
+
+    def _score_run(self, run: list, tick: int, hashes, totals: list) -> bool:
+        """Score a run of records sharing ``tick`` on its slice of the piece's
+        hashes and append the totals; False, with nothing changed, without
+        them. Only the numeric buckets are left to find, from the running
+        min/max."""
+        if hashes is None:
             return False
+        *categorical, record, shifted = hashes
         self.advance(tick)
-
-        cells = np.empty((n_cat + n_num + 1, n_rows, n), dtype=np.int64)
-        # [column, own rows then share rows, record]
-        categorical = bucket_indexes(self._cat_rows, np.reshape(keys, (n_cat, n)), n_buckets)
-        cells[:n_cat] = categorical[:, :n_rows]
-        record_bucket = categorical[:, n_rows:].sum(axis=0)  # record_hash before the mod
-        if n_num:
-            cells[n_cat:-1] = _bucketize_many(shifted, self.minmax, n_buckets)[:, None]
-            record_bucket += _signatures_many(self._hyperplanes, np.array(num_rows))
-        cells[-1] = record_bucket % n_buckets
-
-        terms = self.step_many(cells, np.ones(n), tick)[0]
+        numeric = ()
+        if self.n_numeric:  # one bucket per value, the same in every row
+            buckets = _bucketize_many(shifted, self.minmax, self.n_buckets)[:, None]
+            numeric = np.broadcast_to(buckets, (self.n_numeric, *record.shape))
+        cells = np.stack([*categorical, *numeric, record])
+        terms = self.step_many(cells, np.ones(len(run)), tick)[0]
         feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
         totals.extend((terms[-1] + feature_sum).tolist())
         return True
@@ -318,7 +356,10 @@ def _projections(directions: np.ndarray, vectors: np.ndarray) -> np.ndarray:
 
 def _signatures_many(hyperplanes: list, vectors: np.ndarray) -> np.ndarray:
     """``[row, i]``: ``hyperplanes[row].signature`` of the float64 ``vectors[i]``,
-    from the same projections."""
-    directions = np.stack([planes.directions for planes in hyperplanes])  # (rows, k, p)
-    bits = (_projections(directions, vectors[:, None, None, :]) > 0.0).astype(np.int64)
-    return (bits @ (1 << np.arange(bits.shape[-1], dtype=np.int64))).T
+    from the same projections, taken one direction at a time so that no
+    array holds more than a few values per vector."""
+    signatures = np.zeros((len(hyperplanes), len(vectors)), dtype=np.int64)
+    for signature, planes in zip(signatures, hyperplanes):
+        for bit, direction in enumerate(planes.directions):
+            signature |= (_projections(direction, vectors) > 0.0).astype(np.int64) << bit
+    return signatures

@@ -12,7 +12,9 @@ inside ``each_run``, on cells hashed a piece at a time), there also with
 per-item loop.
 """
 
+import gc
 import math
+import tracemalloc
 from functools import partial
 from unittest import mock
 
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamsketch import midas
+from streamsketch import hashing, midas, mstream
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import HashFamily
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
@@ -359,17 +361,76 @@ def test_score_many_matches_score(stream, shape):
     check_mstream_exact(*stream, shape)
 
 
-def test_score_many_on_long_ticks_of_string_records():
-    """Ticks of 1, 30 and 200 records with repeated string categories."""
-    rng = np.random.default_rng(8)
-    records, tick = [], 1
-    for size in (1, 30, 200, 30, 1, 200):
+def string_records(tick_sizes, seed=8, n_hosts=12) -> list[MultiAspectRecord]:
+    """Records with string host and service columns and two numeric ones,
+    in ticks 1, 2, ... of the given sizes."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for tick, size in enumerate(tick_sizes, 1):
         for _ in range(size):
-            host, service = f"h{rng.integers(0, 12)}", f"s{rng.integers(0, 3)}"
+            host, service = f"h{rng.integers(0, n_hosts)}", f"s{rng.integers(0, 3)}"
             numeric = (float(rng.lognormal(6.0, 1.5)), float(rng.exponential(2.0)))
             records.append(MultiAspectRecord((host, service), numeric, tick))
-        tick += 1
-    check_mstream_exact(2, 2, records, (2, 1024))
+    return records
+
+
+def test_score_many_on_long_ticks_of_string_records():
+    """Ticks of 1, 30 and 200 records with repeated string categories."""
+    check_mstream_exact(2, 2, string_records((1, 30, 200, 30, 1, 200)), (2, 1024))
+
+
+def test_a_piece_is_hashed_once_not_run_by_run():
+    """4096 records in 41 ticks of 100 are one piece: each distinct value of
+    a column is canonicalised once, and ``bucket_indexes`` runs for each
+    block of records and family of rows, however many runs the piece holds."""
+    records = string_records([100] * 40 + [96], n_hosts=300)
+    oracle = MstreamDetector(2, 2)
+    expected = [oracle.score(record).total for record in records]
+    detector = MstreamDetector(2, 2)
+    keys = mock.patch.object(mstream, "canonical_key", wraps=hashing.canonical_key)
+    indexes = mock.patch.object(mstream, "bucket_indexes", wraps=hashing.bucket_indexes)
+    with keys as key_calls, indexes as index_calls:
+        assert detector.score_many(records) == expected
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+    distinct = sum(len({record.categorical[j] for record in records}) for j in range(2))
+    assert key_calls.call_count == distinct
+    blocks = -(-len(records) // mstream.HASH_BLOCK)
+    assert index_calls.call_count == blocks * 2 * 2  # own and share rows of two columns
+
+
+def test_short_runs_of_a_hashed_piece_go_through_score():
+    """A piece that mixes 3-record and 100-record ticks is hashed for its
+    long runs; its short runs are still scored record by record."""
+    sizes = (3, 100, 3, 3, 100, 1, 100, 2)
+    records = string_records(sizes)
+    oracle = MstreamDetector(2, 2)
+    expected = [oracle.score(record).total for record in records]
+    detector = MstreamDetector(2, 2)
+    per_record = mock.patch.object(
+        MstreamDetector, "score", autospec=True, side_effect=MstreamDetector.score
+    )
+    indexes = mock.patch.object(mstream, "bucket_indexes", wraps=hashing.bucket_indexes)
+    with per_record as score_calls, indexes as index_calls:
+        assert detector.score_many(records) == expected
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+    assert score_calls.call_count == sum(size for size in sizes if size < 100)
+    assert index_calls.call_count > 0
+
+
+def test_hashing_a_piece_holds_few_arrays():
+    """The tracemalloc peak of scoring one piece of 100-record ticks, less
+    what ``score_many`` returns, stays under a fixed allowance: ~350 KB
+    with the products taken a block at a time, ~2.3 MB without blocks
+    (and ~160 KB when each run was hashed alone)."""
+    records = string_records([100] * 40 + [96], n_hosts=300)
+    detector = MstreamDetector(2, 2)
+    gc.collect()
+    tracemalloc.start()
+    totals = detector.score_many(records)
+    current, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(totals) == midas.TICK_BATCH_MAX
+    assert peak - current < 1024 * 1024
 
 
 NEAR_ZERO = st.floats(-4.0, 4.0).filter(lambda x: abs(x) > 1e-3)
@@ -422,7 +483,9 @@ class Floaty:
         return 2.0
 
 
-@pytest.mark.parametrize(
+# Records score rejects, as (record, error); a tick of 2 stands for the
+# tick of the records around it, 1 for a tick regression.
+REJECTED = pytest.mark.parametrize(
     "bad, error",
     [
         (LooseRecord(("u",), (1.0,), 2), ValueError),  # two numeric columns expected
@@ -437,6 +500,9 @@ class Floaty:
         "arity", "float-category", "nan", "log-domain", "str-numeric", "floaty", "tick-regression"
     ],
 )
+
+
+@REJECTED
 def test_a_rejected_record_raises_where_score_does(bad, error):
     """A chunk holding a record score rejects is scored record by record, so
     the error, and the state it leaves, are those of score."""
@@ -462,3 +528,23 @@ def test_records_take_the_batch_path():
     with batch_limits(1), mock.patch.object(MstreamDetector, "score", side_effect=per_record):
         assert detector.score_many(records) == expected
     assert_same_state(mstream_state(detector), mstream_state(oracle))
+
+
+@REJECTED
+def test_a_rejected_record_deep_in_a_piece_raises_where_score_does(bad, error):
+    """At the default limits, a record ``score`` rejects 3050 records into a
+    stream of 100-record ticks raises the error ``score`` raises, and leaves
+    the same state: a piece holding a value ``score`` rejects is scored
+    record by record, and a tick regression stops its own run."""
+    records = [LooseRecord((i % 3,), (float(i), 0.5 * i), 1 + i // 100) for i in range(5000)]
+    records[3050] = LooseRecord(bad.categorical, bad.numeric, 31 if bad.tick == 2 else bad.tick)
+    oracle = MstreamDetector(1, 2, n_buckets=16, seed=4)
+    with pytest.raises(error) as expected:
+        for record in records:
+            oracle.score(record)
+    detector = MstreamDetector(1, 2, n_buckets=16, seed=4)
+    with pytest.raises(error) as got:
+        detector.score_many(records)
+    assert str(got.value) == str(expected.value)
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+    assert oracle.clock.tick == 31
