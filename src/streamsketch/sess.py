@@ -3,8 +3,11 @@
 A labelled event rescales the buckets it hashes to: an anomalous label
 boosts the current-tick count and damps the total (widening the gap the
 chi-squared score measures), a normal label does the opposite. Updates are
-multiplicative with positive factors, so counts stay nonnegative and the
-sketch guarantees survive in-place feedback.
+multiplicative with positive factors, so counts stay nonnegative. A scaled
+cell holds each edge hashed there times every factor applied to the cell
+since that edge arrived, so "queries never underestimate" holds for that
+reweighted stream only: against the edges as they arrived, a damp (0.3 by
+default) scales a cell below the count of the edges hashed there.
 
 Two layouts are supported: the flat count-min layout of MIDAS-R, and a
 higher-order layout hashing sources to matrix rows and destinations to

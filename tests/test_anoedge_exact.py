@@ -61,11 +61,19 @@ def _tie_heavy(kind, rng, batch, n_rows, n_cols):
         mats = rng.poisson(0.6, size=shape).astype(float)
         mats[rng.random(shape) < 0.02] = np.inf
         return mats
+    if kind == "signed_zeros":
+        # A total of -0.0 and one of +0.0 compare equal: the best density must
+        # keep the sign of the first one reached, as a strict > does.
+        mats = rng.choice([0.0, -0.0, 1.0, 2.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
+        mats[rng.random(shape) < 0.02] = np.inf
+        return mats
     # Decayed counts: the fractional values a sketch holds between ticks.
     return rng.poisson(1.5, size=shape) * 0.9 ** rng.integers(0, 30, size=shape)
 
 
-@pytest.mark.parametrize("kind", ["zeros", "ones", "poisson", "decayed", "with_inf"])
+@pytest.mark.parametrize(
+    "kind", ["zeros", "ones", "poisson", "decayed", "with_inf", "signed_zeros"]
+)
 def test_expand_many_matches_scalar_oracle(kind):
     rng = np.random.default_rng(len(kind))
     for n_rows, n_cols in [(1, 1), (1, 5), (5, 1), (2, 2), (4, 7), (8, 8), (32, 32)]:
@@ -76,6 +84,7 @@ def test_expand_many_matches_scalar_oracle(kind):
         got = expand_many(mats, rows, cols)
         want = [oracle_expand(mats[i], rows[i], cols[i]) for i in range(batch)]
         assert np.array_equal(got, want), (kind, n_rows, n_cols)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (kind, n_rows, n_cols)
 
 
 def test_expand_many_on_broadcast_batch_matches_oracle():
@@ -89,6 +98,26 @@ def test_expand_many_on_broadcast_batch_matches_oracle():
         [oracle_expand(mats[i], rows[i, j], cols[i, j]) for j in range(5)] for i in range(3)
     ]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(6, 6), (7, 5)])
+def test_expand_many_only_reads_its_input(n_rows, n_cols):
+    rng = np.random.default_rng(10)
+    mats = rng.poisson(0.8, size=(6, n_rows, n_cols)).astype(float)
+    mats[rng.random(mats.shape) < 0.05] = np.inf
+    mats.setflags(write=False)
+    before = mats.tobytes()
+    rows = rng.integers(0, n_rows, size=6)
+    cols = rng.integers(0, n_cols, size=6)
+    want = [oracle_expand(mats[i], rows[i], cols[i]) for i in range(6)]
+    assert np.array_equal(expand_many(mats, rows, cols), want)
+    assert mats.tobytes() == before
+    view = np.broadcast_to(mats[:, None], (6, 4, n_rows, n_cols))
+    seeds = rng.integers(0, n_rows, size=(6, 4)), rng.integers(0, n_cols, size=(6, 4))
+    want = [[oracle_expand(mats[i], seeds[0][i, j], seeds[1][i, j]) for j in range(4)]
+            for i in range(6)]
+    assert np.array_equal(expand_many(view, *seeds), want)
+    assert mats.tobytes() == before
 
 
 def test_expand_many_rejects_bad_input():
