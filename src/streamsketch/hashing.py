@@ -5,9 +5,10 @@ prime 2^61 - 1, a random odd multiplier and a random offset, drawn from a
 seeded generator so results are reproducible across runs and platforms.
 MStream's hyperplane record hash keeps that promise too: it sums each
 projection in a fixed order, not BLAS's.
-Keys are canonicalised to integers in [0, 2^64) first, by the caller, once
-per key; strings go through blake2b so bucket choices never depend on
-Python's per-process hash randomisation.
+Keys are canonicalised to integers in [0, 2^64) first, by the caller: one
+key with ``canonical_key``, a column of them with ``canonical_keys``.
+Strings go through blake2b so bucket choices never depend on Python's
+per-process hash randomisation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 _LOW29 = np.uint64((1 << 29) - 1)
 _P64 = np.uint64(MERSENNE_P)
 _U3, _U29, _U32, _U61 = (np.uint64(n) for n in (3, 29, 32, 61))
+# Keys per pass of bucket_indexes.
+HASH_BLOCK = 1024
 
 
 def _mod_mersenne(y: np.ndarray) -> np.ndarray:
@@ -86,26 +89,41 @@ def check_shape(n_rows: int, n_buckets: int) -> None:
         raise ValueError(f"n_buckets must be >= 1, got {n_buckets}")
 
 
-def bucket_indexes(rows: np.ndarray, keys, n_buckets: int) -> np.ndarray:
-    """Bucket indexes of integer keys under hash rows, in array passes.
+def canonical_keys(values) -> np.ndarray:
+    """``canonical_key`` of each value as a uint64 array. A column of str and
+    bytes values, where equal values have equal keys, takes one call per
+    distinct value; any other column one call per value."""
+    convert = canonical_key
+    if set(map(type, values)) <= {str, bytes}:
+        convert = {value: canonical_key(value) for value in dict.fromkeys(values)}.__getitem__
+    return np.fromiter(map(convert, values), np.uint64, len(values))
 
-    ``rows[..., r, :]`` is row r's ``(a, b)`` as uint64 and ``keys[..., i]``
-    a key, read mod 2^64; the result is ``[..., r, i]``, each index what
-    ``HashFamily.indexes`` gives for that row. The 122-bit products are
-    evaluated in 32-bit limbs so everything stays inside uint64 arithmetic.
+
+def bucket_indexes(rows: np.ndarray, keys, n_buckets: int) -> np.ndarray:
+    """Bucket indexes ``[row, key]`` of integer keys under hash rows, in array passes.
+
+    ``rows[r]`` is row r's ``(a, b)`` as uint64 and each of the 1-d ``keys``
+    is read mod 2^64; each index is what ``HashFamily.indexes`` gives for
+    that row. The 122-bit products are evaluated in 32-bit limbs so
+    everything stays inside uint64 arithmetic, on ``HASH_BLOCK`` keys at a
+    time: the temporaries hold a few blocks however many keys there are.
     """
-    x = _mod_mersenne(np.asarray(keys).astype(np.uint64, copy=False))[..., None, :]
-    x_hi, x_lo = x >> _U32, x & _LOW32
-    a, b = rows[..., :1], rows[..., 1:]  # columns: the products are [..., row, key]
+    keys = np.asarray(keys).astype(np.uint64, copy=False)
+    a, b = rows[:, :1], rows[:, 1:]  # columns: the products are [row, key]
     a_hi, a_lo = a >> _U32, a & _LOW32
-    # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
-    # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
-    # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
-    top = (a_hi * x_hi) << _U3
-    mid = a_hi * x_lo + a_lo * x_hi
-    mid = (mid >> _U29) + ((mid & _LOW29) << _U32)
-    total = _mod_mersenne(top + mid + _mod_mersenne(a_lo * x_lo) + b)
-    return (total % np.uint64(n_buckets)).astype(np.int64)
+    indexes = np.empty((len(rows), len(keys)), dtype=np.int64)
+    for lo in range(0, len(keys), HASH_BLOCK):
+        x = _mod_mersenne(keys[lo : lo + HASH_BLOCK])
+        x_hi, x_lo = x >> _U32, x & _LOW32
+        # a*x = a_hi*x_hi*2^64 + (a_hi*x_lo + a_lo*x_hi)*2^32 + a_lo*x_lo,
+        # reduced with 2^61 = 1 (mod P), so 2^64 = 8 and
+        # m*2^32 = (m >> 29) + (m & (2^29-1)) << 32.
+        top = (a_hi * x_hi) << _U3
+        mid = a_hi * x_lo + a_lo * x_hi
+        mid = (mid >> _U29) + ((mid & _LOW29) << _U32)
+        total = _mod_mersenne(top + mid + _mod_mersenne(a_lo * x_lo) + b)
+        indexes[:, lo : lo + HASH_BLOCK] = total % np.uint64(n_buckets)
+    return indexes
 
 
 class HashFamily:

@@ -23,10 +23,12 @@ keys. ``each_run`` cuts a whole stream into pieces of at most
 least ``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
 ``step_many``, and shorter ones its per-item path, which is also the oracle
 the batch is tested against with ``==``. A detector hashes each piece once
-and each run takes its slice. ``MidasDetector.process_many`` scores a
-stream this way, so an edge of a short tick pays no hashing of its own;
-``MstreamDetector.score_many`` hashes all but its numeric buckets, which
-are sequential state, and leaves short runs to its per-record path.
+(``hashing.canonical_keys``, ``indexes_many``) and each run takes its
+slice; a piece it does not hash takes the per-item path whole.
+``MidasDetector.process_many`` scores a stream this way, so an edge of a
+short tick pays no hashing of its own; ``MstreamDetector.score_many``
+hashes all but its numeric buckets, which are sequential state, and leaves
+short runs to its per-record path.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
 from .events import EdgeEvent, TickClock
-from .hashing import DEFAULT_SEED, HashFamily, check_shape, mix_keys
+from .hashing import DEFAULT_SEED, HashFamily, canonical_keys, check_shape, mix_keys
 from .sketch import check_decay, check_weight, conditional_merge, weights_ok
 
 VARIANTS = ("plain", "relational", "filtering")
@@ -388,34 +390,44 @@ class ChiSquaredTables:
         """Score ``items`` in order, in pieces of at most ``TICK_BATCH_MAX``.
 
         ``hash_piece(piece)`` returns a tuple of arrays that hold a whole
-        piece's hashes, one item per position of their last axis, or None.
-        Each run of a piece's items that share a ``tick`` takes its slice of
-        each array (None without them). A run of at least
-        ``TICK_BATCH_MIN[variant]`` items goes to ``score_run(run, tick,
-        hashes)``. Shorter runs, and runs ``score_run`` declines by returning
-        False with nothing changed, go to ``score_items(run, hashes)``, the
-        per-item path, which raises at an item it rejects."""
+        piece's hashes, one item per position of their last axis, or None,
+        and then ``score_items(piece, None)``, the per-item path, scores the
+        whole piece and raises at an item it rejects. Otherwise each run of
+        the piece's items that share a ``tick`` takes its slice of each
+        array: a run of at least ``TICK_BATCH_MIN[variant]`` items goes to
+        ``score_run(run, tick, hashes)``, a shorter one to
+        ``score_items(run, hashes)``."""
         batch_min = TICK_BATCH_MIN[self.variant]
         items = iter(items)
         # Runs are exact at any length: each starts from the tables and
         # tick_volume the one before it left.
         while piece := list(islice(items, TICK_BATCH_MAX)):
             hashes = hash_piece(piece)
+            if hashes is None:
+                score_items(piece, None)
+                continue
             end = 0
             for tick, run in groupby(piece, attrgetter("tick")):
                 run = list(run)
                 start, end = end, end + len(run)
-                run_hashes = None if hashes is None else [part[..., start:end] for part in hashes]
-                if len(run) < batch_min or not score_run(run, tick, run_hashes):
+                run_hashes = [part[..., start:end] for part in hashes]
+                if len(run) < batch_min:
                     score_items(run, run_hashes)
+                else:
+                    score_run(run, tick, run_hashes)
 
+    @_QUIET
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
-        """Multiply each key's total and current counts at its cells."""
-        counts, kind = self._flat, self._kind_size
-        for offsets, cells in zip(self._row_offsets, cells_by_key):
-            for offset, cell in zip(offsets, cells):
-                counts[offset + cell] *= total_factor
-                counts[offset + cell + kind] *= current_factor
+        """Multiply each key's total and current counts at its cells: one in
+        each row, or an array of distinct ones. A product that takes a finite
+        count to inf raises ValueError, and nothing is written."""
+        at = self._row_base + np.reshape(cells_by_key, (*self._row_base.shape[:2], -1))
+        counts = self.counts[:2].reshape(2, -1)  # total, current: a view
+        values = counts[:, at]
+        scaled = values * np.reshape((total_factor, current_factor), (2, 1, 1, 1))
+        if (np.isfinite(values) > np.isfinite(scaled)).any():
+            raise ValueError("scaling overflows a count to inf")
+        counts[:, at] = scaled
 
     def state_bytes(self) -> int:
         return int(self.counts.nbytes)
@@ -481,9 +493,9 @@ class MidasDetector(ChiSquaredTables):
 
         ``each_run`` hashes each piece of events once, then sends long runs
         of one tick to ``step_many`` and short ones to ``process`` on their
-        cells. A piece holding an id with no canonical key, and a run holding
-        a weight the per-item path rejects, go through ``process`` event by
-        event, which then raises there.
+        cells. A piece holding an id with no canonical key, or a weight
+        ``weights_ok`` does not take, goes through ``process`` event by
+        event, which raises at an event it rejects.
         """
         if mode not in ("max", "sum"):
             raise ValueError(f"unknown combination mode: {mode!r}")
@@ -506,37 +518,31 @@ class MidasDetector(ChiSquaredTables):
 
     def _hash_piece(self, piece: list):
         """The cells ``[key, row, event]`` of a piece of events, by ``_key_cells``
-        on ``indexes_many``, as ``each_run`` takes them; None when some id has
-        no canonical key."""
+        on ``indexes_many``, and their weights as float64, as ``each_run``
+        takes them; None when some id has no canonical key or some weight is
+        not one ``weights_ok`` takes."""
         n = len(piece)
         try:
-            u = np.fromiter(map(hashing.canonical_key, [e.source for e in piece]), np.uint64, n)
-            v = np.fromiter(map(hashing.canonical_key, [e.dest for e in piece]), np.uint64, n)
+            keys = canonical_keys([e.source for e in piece] + [e.dest for e in piece])
+            weights = np.asarray([event.weight for event in piece])
         except (TypeError, ValueError, OverflowError):
             return None
-        return (np.stack(self._key_cells(u, v, self.family.indexes_many)),)
+        if not weights_ok(weights):
+            return None
+        cells = np.stack(self._key_cells(keys[:n], keys[n:], self.family.indexes_many))
+        return cells, weights.astype(np.float64, copy=False)
 
     def _process_run(
         self, run: list, tick: int, hashes, rule, mode: str, scores: list, flags
-    ) -> bool:
-        """Score one run of events sharing ``tick`` on its cells with
-        ``step_many`` and append to ``scores`` and ``flags``; False, with
-        nothing changed, when some event would be rejected."""
-        if hashes is None:
-            return False
-        cells, = hashes
-        try:
-            weights = np.asarray([event.weight for event in run])
-        except (TypeError, ValueError, OverflowError):
-            return False
-        if not weights_ok(weights):
-            return False
+    ) -> None:
+        """Score one run of events sharing ``tick`` on its cells and weights
+        with ``step_many`` and append to ``scores`` and ``flags``."""
+        cells, weights = hashes
         self.advance(tick)
-        per_key, a, s, volume = self.step_many(cells, weights.astype(np.float64), tick)
+        per_key, a, s, volume = self.step_many(cells, weights, tick)
         scores.extend(_combine_many(per_key, mode).tolist())
         if flags is not None:
             flags.extend(rule.flags_many(a, s, volume, tick).tolist())
-        return True
 
     def score(self, event: EdgeEvent) -> float:
         """Insert the edge and return the max over its scored keys, as

@@ -14,15 +14,17 @@ record, so a tick boundary decays every current table in one multiply.
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
 record at a time, with ``==`` totals. ``ChiSquaredTables.each_run`` cuts
 it into pieces of up to ``midas.TICK_BATCH_MAX`` records, each hashed once
-when it holds a run long enough to batch: canonical keys, bucket indexes,
-log-shifted values and hyperplane signs, none of which depends on the
-records before. Runs of at least ``midas.TICK_BATCH_MIN["relational"]``
-records of one tick then only bucketize their numeric values, whose
-running min/max is sequential state, and go through a few array passes
-that end in ``step_many``; shorter runs go through ``score``. The two paths
-share one arithmetic, so the batch is exact by construction: a projection
-is the same left-to-right product-sum in both, and a log-shifted value is
-``math.log1p(x) + 0.0``, which holds no -0.0.
+when it holds a run long enough to batch (any other piece goes through
+``score`` whole): canonical keys and bucket indexes, on the hashing
+module's one path, log-shifted values and hyperplane signs, none of which
+depends on the records before. Runs of at least
+``midas.TICK_BATCH_MIN["relational"]`` records of one tick then only
+bucketize their numeric values, whose running min/max is sequential state,
+and go through a few array passes that end in ``step_many``; shorter runs
+go through ``score``. The two paths share one arithmetic, so the batch is
+exact by construction: a projection is the same left-to-right product-sum
+in both, and a log-shifted value is ``math.log1p(x) + 0.0``, which holds
+no -0.0.
 """
 
 from __future__ import annotations
@@ -37,11 +39,8 @@ import numpy as np
 
 from . import midas
 from .events import MultiAspectRecord
-from .hashing import DEFAULT_SEED, HashFamily, bucket_indexes, canonical_key, draw_rows
+from .hashing import DEFAULT_SEED, HashFamily, canonical_key, canonical_keys, draw_rows
 from .midas import ChiSquaredTables
-
-# Records per block of a piece's bucket indexes and hyperplane signs.
-HASH_BLOCK = 1024
 
 
 @dataclass
@@ -176,11 +175,6 @@ class MstreamDetector(ChiSquaredTables):
             [HashFamily.from_rows(rows[j::n_categorical], n_buckets) for rows in (own, share)]
             for j in range(n_categorical)
         ]
-        # The same rows for score_many, [column, own rows then share rows, (a, b)].
-        self._cat_rows = np.array(
-            [own[j::n_categorical] + share[j::n_categorical] for j in range(n_categorical)],
-            dtype=np.uint64,
-        ).reshape(n_categorical, 2 * n_rows, 2)
         self._hyperplanes = [
             HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
             for _ in range(n_rows)
@@ -251,10 +245,9 @@ class MstreamDetector(ChiSquaredTables):
         runs = groupby(piece, attrgetter("tick"))
         if not any(len(list(run)) >= batch_min for _, run in runs):
             return None  # every run goes through score, which hashes it
-        n, n_rows, n_buckets = len(piece), self.n_rows, self.n_buckets
-        n_cat, n_num = self.n_categorical, self.n_numeric
+        n, n_cat, n_num = len(piece), self.n_categorical, self.n_numeric
         try:
-            keys = [_canonical_keys(c) for c in _columns([r.categorical for r in piece], n_cat)]
+            keys = [canonical_keys(c) for c in _columns([r.categorical for r in piece], n_cat)]
             num_columns = _columns([record.numeric for record in piece], n_num)
             if any(set(map(type, column)) != {float} for column in num_columns):
                 return None  # what MultiAspectRecord holds; others take score's checks
@@ -268,32 +261,19 @@ class MstreamDetector(ChiSquaredTables):
         if not np.isfinite(shifted).all():  # as _check_log_domain
             return None
 
-        # int32 buckets where they fit, and the products taken a block of
-        # records and one family of rows at a time: the arrays held across
-        # the piece stay small, and so do the transient ones, which keeps the
-        # peak RSS where hashing run by run left it.
-        dtype = np.int32 if n_buckets <= 2**31 else np.int64
-        categorical = [np.empty((n_rows, n), dtype=dtype) for _ in keys]
-        record = np.empty((n_rows, n), dtype=dtype)
-        for lo in range(0, n, HASH_BLOCK):
-            block = slice(lo, lo + HASH_BLOCK)
-            bucket = 0  # record_hash before the mod
-            if n_num:
-                vectors = np.array([column[block] for column in num_columns]).T
-                bucket = _signatures_many(self._hyperplanes, vectors)
-            for own, rows, column_keys in zip(categorical, self._cat_rows, keys):
-                own[:, block] = bucket_indexes(rows[:n_rows], column_keys[block], n_buckets)
-                bucket = bucket + bucket_indexes(rows[n_rows:], column_keys[block], n_buckets)
-            record[:, block] = bucket % n_buckets
-        return *categorical, record, shifted
+        bucket = 0  # record_hash before the mod
+        if n_num:
+            bucket = _signatures_many(self._hyperplanes, np.array(num_columns).T)
+        categorical = []
+        for column_keys, (own, share) in zip(keys, self._cat_families):
+            categorical.append(own.indexes_many(column_keys))
+            bucket = bucket + share.indexes_many(column_keys)
+        return *categorical, bucket % self.n_buckets, shifted
 
-    def _score_run(self, run: list, tick: int, hashes, totals: list) -> bool:
+    def _score_run(self, run: list, tick: int, hashes, totals: list) -> None:
         """Score a run of records sharing ``tick`` on its slice of the piece's
-        hashes and append the totals; False, with nothing changed, without
-        them. Only the numeric buckets are left to find, from the running
-        min/max."""
-        if hashes is None:
-            return False
+        hashes and append the totals. Only the numeric buckets are left to
+        find, from the running min/max."""
         *categorical, record, shifted = hashes
         self.advance(tick)
         numeric = ()
@@ -304,7 +284,6 @@ class MstreamDetector(ChiSquaredTables):
         terms = self.step_many(cells, np.ones(len(run)), tick)[0]
         feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
         totals.extend((terms[-1] + feature_sum).tolist())
-        return True
 
 
 def _columns(rows: list, arity: int) -> list:
@@ -313,16 +292,6 @@ def _columns(rows: list, arity: int) -> list:
     if set(map(len, rows)) != {arity}:
         raise ValueError("record arity does not match the detector")
     return list(zip(*rows)) if arity else []
-
-
-def _canonical_keys(values) -> np.ndarray:
-    """``canonical_key`` of each value as a uint64 array. A column of str,
-    bytes and int values, where equal values have equal keys, takes one call
-    per distinct value; any other column one call per value."""
-    convert = canonical_key
-    if set(map(type, values)) <= {str, bytes, int}:
-        convert = {value: canonical_key(value) for value in dict.fromkeys(values)}.__getitem__
-    return np.fromiter(map(convert, values), np.uint64, len(values))
 
 
 def _bucketize_many(shifted: np.ndarray, states: list, n_buckets: int) -> np.ndarray:

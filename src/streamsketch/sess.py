@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key
 from .midas import ChiSquaredTables, MidasDetector
 from .sketch import matrix_cells
@@ -72,14 +74,21 @@ def apply_feedback(detector, feedback: FeedbackEvent, params: SharpeningParams) 
     """Rescale the detector's cells for one labelled event: for an edge, the
     cells of every key it is scored on, or a max over edge and node scores
     would read an untouched part; for a node, which needs the higher-order
-    layout, its hashed row (as a source) and column (as a destination)."""
-    total_factor, current_factor = params.factors(feedback.label)
+    layout, its hashed row (as a source) and column (as a destination).
+    Feedback that would overflow a count raises ValueError, naming its
+    stream index when it has one, and changes nothing."""
+    factors = params.factors(feedback.label)
     if feedback.edge is not None:
-        detector.scale(detector.cells(*feedback.edge), total_factor, current_factor)
+        cells = detector.cells(*feedback.edge)
     elif isinstance(detector, Sess3dDetector):
-        detector.scale_node(feedback.node, total_factor, current_factor)
+        cells = detector.node_cells(feedback.node)
     else:
         raise ValueError("flat-layout detectors only support edge feedback")
+    try:
+        detector.scale(cells, *factors)
+    except ValueError as exc:
+        where = "feedback" if feedback.index is None else f"feedback index {feedback.index}"
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def score_with_feedback(detector, events, edge_labels: dict, params, start: int = 0) -> list[float]:
@@ -102,7 +111,7 @@ class Sess3dDetector(MidasDetector):
     ``n_buckets x n_buckets`` matrix: one hash family sends sources to
     matrix rows and destinations to columns, which is what makes node
     feedback expressible. Scoring is MIDAS-R's; only the map from keys to
-    cells, ``matrices`` and ``scale_node`` are its own.
+    cells, ``matrices`` and ``node_cells`` are its own.
     """
 
     def __init__(
@@ -124,14 +133,10 @@ class Sess3dDetector(MidasDetector):
         """The one key's cells: source ``u``'s bucket is the row, dest ``v``'s the column."""
         return (matrix_cells(indexes(u), indexes(v), self.n_buckets),)
 
-    def scale_node(self, node, total_factor: float, current_factor: float) -> None:
-        """Multiply the node's matrix row and column, the shared cell once: sources
-        and destinations share one hash, so its bucket is its row and column."""
-        for layer, b in enumerate(self.family.indexes(canonical_key(node))):
-            for matrix, factor in zip(self.matrices[:, layer], (total_factor, current_factor)):
-                matrix[b, :] *= factor
-                # Column cells outside the already-scaled row.
-                col = matrix[:, b]
-                keep = col[b]
-                col *= factor
-                col[b] = keep
+    def node_cells(self, node) -> list:
+        """The cells of the node's matrix row and column, the shared cell once,
+        in every hash row, as ``scale`` takes them: sources and destinations
+        share one hash, so its bucket is its row and its column."""
+        n, line = self.n_buckets, np.arange(self.n_buckets)
+        buckets = self.family.indexes(canonical_key(node))
+        return [[np.append(b * n + line, np.delete(line, b) * n + b) for b in buckets]]

@@ -692,6 +692,22 @@ def test_sess_feedback_past_the_stream_end_exits_1(tmp_path, capsys, layout):
 
 
 @pytest.mark.parametrize("layout", ["flat", "3d"])
+def test_sess_feedback_that_overflows_a_count_exits_1_at_its_index(tmp_path, capsys, layout):
+    """The second boost of 1e200 takes the edge's total from 1e200 to inf:
+    the error names that label, not a later edge whose score goes nan."""
+    edges = tmp_path / "edges.csv"
+    feedback = tmp_path / "feedback.txt"
+    write_edges(edges, [("u", "v", 1), ("u", "v", 1), ("u", "v", 2), ("u", "w", 2)])
+    feedback.write_text("0,0\n1,0\n")
+    argv = ["sess", "--input", str(edges), "--feedback", str(feedback), "--layout", layout]
+    assert run_cli(*argv, "--boost", "1e200") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: feedback index 1: scaling overflows a count to inf\n"
+    assert run_cli(*argv, "--boost", "1e100") == 0
+
+
+@pytest.mark.parametrize("layout", ["flat", "3d"])
 @pytest.mark.parametrize("boost", ["nan", "inf"])
 def test_sess_rejects_a_non_finite_boost(tmp_path, capsys, layout, boost):
     argv = detector_argv(tmp_path, "sess") + ["--layout", layout, "--boost", boost]

@@ -1,9 +1,13 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from streamsketch.hashing import (
     MERSENNE_P,
     HashFamily,
+    bucket_indexes,
     canonical_key,
 )
 
@@ -93,3 +97,24 @@ def test_batch_indexes_handle_full_uint64_range():
     for i, key in enumerate(keys):
         assert tuple(batch[:, i]) == fam.indexes(int(key))
 
+
+
+def test_bucket_indexes_temporaries_do_not_grow_with_the_key_count():
+    """The tracemalloc peak of ``bucket_indexes``, less its result, is the
+    same at 4096 and 65536 keys: ~155 KB on 2 rows, a few arrays of one
+    block of keys (~8.5x the result, growing 16x, without blocks)."""
+    rows = np.array(HashFamily(2, 1024, seed=3)._params, dtype=np.uint64)
+
+    def transient(n):
+        keys = np.arange(n, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        gc.collect()
+        tracemalloc.start()
+        indexes = bucket_indexes(rows, keys, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert indexes.shape == (2, n)
+        return peak - indexes.nbytes
+
+    small, large = transient(4096), transient(65536)
+    assert small < 256 * 1024
+    assert abs(large - small) < 32 * 1024

@@ -146,6 +146,34 @@ def test_3d_node_feedback_scales_row_and_column_once():
         assert cur[r, c] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("layout", ["flat", "3d"])
+def test_feedback_that_overflows_a_count_raises_and_changes_nothing(layout):
+    """A boost that takes a finite count to inf names the feedback's index
+    and writes no cell; node feedback, which has no index, raises alike."""
+    detector = Sess3dDetector(seed=1) if layout == "3d" else MidasDetector("relational", seed=1)
+    detector.score(EdgeEvent("u", "v", 1, weight=1e308))
+    before = detector.counts.copy()
+    with pytest.raises(ValueError, match="^feedback index 7: scaling overflows a count to inf$"):
+        apply_feedback(detector, FeedbackEvent(0, edge=("u", "v"), index=7), SharpeningParams())
+    assert np.array_equal(detector.counts, before)
+    if layout == "3d":
+        with pytest.raises(ValueError, match="^feedback: scaling overflows"):
+            apply_feedback(detector, FeedbackEvent(0, node="u"), SharpeningParams())
+        assert np.array_equal(detector.counts, before)
+
+
+def test_feedback_on_a_count_already_inf_is_no_overflow():
+    """Weights that sum to inf are the stream's own; scaling keeps them inf."""
+    detector = MidasDetector("relational", seed=1)
+    for _ in range(2):
+        detector.score(EdgeEvent("u", "v", 1, weight=1e308))
+    apply_feedback(detector, FeedbackEvent(0, edge=("u", "v"), index=1), SharpeningParams())
+    (cells, *_) = detector.cells("u", "v")
+    total, current = detector.counts[:, 0]
+    assert at(total, cells).tolist() == [math.inf] * 2
+    assert at(current, cells).tolist() == [math.inf] * 2
+
+
 NODES = st.integers(0, 5) | st.sampled_from(["a", "b", "c"])
 FEEDBACK = st.none() | st.tuples(st.integers(0, 1), st.none() | NODES)  # (label, node or edge)
 SESS_STEPS = st.lists(

@@ -15,6 +15,7 @@ per-item loop.
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -23,11 +24,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamsketch import hashing, midas, mstream
+from streamsketch import hashing, midas
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import HashFamily
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
 from streamsketch.mstream import HyperplaneHash, MstreamDetector, _signatures_many
+from streamsketch.sketch import check_weight, weights_ok
 from streamsketch.sess import Sess3dDetector
 
 from oracles import LooseEdge, LooseRecord, TwoSketchSess3d
@@ -179,15 +181,16 @@ def check_rejected(bad, error, limits):
 
 @REJECTED_EVENTS
 def test_a_rejected_event_raises_where_process_does(bad, error):
-    """A run holding an event the per-item path rejects is scored item by item,
-    so the error and the state it leaves are those of process."""
+    """A piece holding an id or weight the per-item path rejects is scored
+    item by item, and a tick regression stops a run before it changes
+    anything, so the error and the state it leaves are those of process."""
     check_rejected(bad, error, (1, 4))
 
 
 @REJECTED_EVENTS
 def test_a_rejected_event_of_a_short_run_raises_where_process_does(bad, error):
     """The same where every run is short: the event's piece failed to hash
-    (list-id) or its cells were hashed ahead (the rest)."""
+    (the ids and weights) or its cells were hashed ahead (tick-regression)."""
     check_rejected(bad, error, (math.inf, 4))
 
 
@@ -212,6 +215,54 @@ def test_short_runs_step_on_cells_hashed_a_piece_at_a_time():
     with batch_limits(math.inf, 8), per_edge:
         assert detector.process_many(events) == expected
     assert np.array_equal(detector.counts, oracle.counts)
+
+
+def test_a_string_id_piece_canonicalises_each_id_once():
+    """A piece of string ids calls ``canonical_key`` once per distinct id,
+    whether it is a source, a destination or both, not once per endpoint."""
+    events = [EdgeEvent(f"n{i % 7}", f"n{i % 11}", 1 + i // 50) for i in range(400)]
+    oracle = MidasDetector("relational", n_rows=2, n_buckets=64, seed=4)
+    expected = one_by_one(oracle, events, None, "max")
+    detector = MidasDetector("relational", n_rows=2, n_buckets=64, seed=4)
+    with mock.patch.object(hashing, "canonical_key", wraps=hashing.canonical_key) as calls:
+        assert detector.process_many(events) == expected
+    assert np.array_equal(detector.counts, oracle.counts)
+    assert calls.call_count == len({e.source for e in events} | {e.dest for e in events})
+
+
+def test_a_piece_of_fraction_weights_goes_item_by_item():
+    """Fraction weights pass ``check_weight`` but not ``weights_ok``, so
+    their piece is scored by ``process`` event by event, with ``==`` scores."""
+    events = [EdgeEvent(i % 3, i % 5, 1 + i // 20, Fraction(1, 1 + i % 4)) for i in range(100)]
+    assert not weights_ok(np.asarray([event.weight for event in events]))
+    for event in events:
+        check_weight(event.weight)
+    oracle = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    expected = one_by_one(oracle, events, None, "max")
+    detector = MidasDetector("relational", n_rows=2, n_buckets=8, seed=4)
+    batch = mock.patch.object(MidasDetector, "step_many", side_effect=AssertionError("batch"))
+    with batch:
+        assert detector.process_many(events) == expected
+    assert np.array_equal(detector.counts, oracle.counts)
+    assert detector.tick_volume == oracle.tick_volume
+
+
+def test_hashing_a_midas_piece_holds_few_arrays():
+    """The tracemalloc peak of hashing one piece of 4096 relational edges,
+    less the cells and weights it returns, stays under a fixed allowance:
+    ~260 KB with ``bucket_indexes`` taking a block of keys at a time, ~590
+    KB without blocks."""
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 500, size=(midas.TICK_BATCH_MAX, 2)).tolist()
+    events = [EdgeEvent(u, v, 1 + i // 100) for i, (u, v) in enumerate(pairs)]
+    detector = MidasDetector("relational", seed=3)
+    gc.collect()
+    tracemalloc.start()
+    hashes = detector._hash_piece(events)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert hashes[0].shape == (3, 2, len(events))
+    assert peak - sum(part.nbytes for part in hashes) < 384 * 1024
 
 
 def test_unknown_mode_is_rejected_before_any_event():
@@ -381,21 +432,20 @@ def test_score_many_on_long_ticks_of_string_records():
 
 def test_a_piece_is_hashed_once_not_run_by_run():
     """4096 records in 41 ticks of 100 are one piece: each distinct value of
-    a column is canonicalised once, and ``bucket_indexes`` runs for each
-    block of records and family of rows, however many runs the piece holds."""
+    a column is canonicalised once, and ``bucket_indexes`` runs once for
+    each family of rows, however many runs the piece holds."""
     records = string_records([100] * 40 + [96], n_hosts=300)
     oracle = MstreamDetector(2, 2)
     expected = [oracle.score(record).total for record in records]
     detector = MstreamDetector(2, 2)
-    keys = mock.patch.object(mstream, "canonical_key", wraps=hashing.canonical_key)
-    indexes = mock.patch.object(mstream, "bucket_indexes", wraps=hashing.bucket_indexes)
+    keys = mock.patch.object(hashing, "canonical_key", wraps=hashing.canonical_key)
+    indexes = mock.patch.object(hashing, "bucket_indexes", wraps=hashing.bucket_indexes)
     with keys as key_calls, indexes as index_calls:
         assert detector.score_many(records) == expected
     assert_same_state(mstream_state(detector), mstream_state(oracle))
     distinct = sum(len({record.categorical[j] for record in records}) for j in range(2))
     assert key_calls.call_count == distinct
-    blocks = -(-len(records) // mstream.HASH_BLOCK)
-    assert index_calls.call_count == blocks * 2 * 2  # own and share rows of two columns
+    assert index_calls.call_count == 2 * 2  # own and share rows of two columns
 
 
 def test_short_runs_of_a_hashed_piece_go_through_score():
@@ -409,7 +459,7 @@ def test_short_runs_of_a_hashed_piece_go_through_score():
     per_record = mock.patch.object(
         MstreamDetector, "score", autospec=True, side_effect=MstreamDetector.score
     )
-    indexes = mock.patch.object(mstream, "bucket_indexes", wraps=hashing.bucket_indexes)
+    indexes = mock.patch.object(hashing, "bucket_indexes", wraps=hashing.bucket_indexes)
     with per_record as score_calls, indexes as index_calls:
         assert detector.score_many(records) == expected
     assert_same_state(mstream_state(detector), mstream_state(oracle))
