@@ -54,8 +54,10 @@ def canonical_key(key) -> int:
     """Map an arbitrary identifier to a stable nonnegative integer.
 
     Integers map to themselves (mod 2^64), strings and bytes through an
-    8-byte blake2b digest, and tuples by mixing their parts. The mapping is
-    fixed for all time: sketches hashed on one run agree with any other run.
+    8-byte blake2b digest, and tuples by mixing their parts; a subclass of
+    str, bytes or tuple (numpy's ``str_`` and ``bytes_``, a namedtuple) maps
+    as the plain value it equals. The mapping is fixed for all time:
+    sketches hashed on one run agree with any other run.
     """
     kind = type(key)
     if kind is int:
@@ -70,6 +72,9 @@ def canonical_key(key) -> int:
         return mix_keys([canonical_key(part) for part in key])
     if isinstance(key, (bool, np.integer)):
         return int(key) & _MASK64
+    for plain in (str, bytes, tuple):
+        if isinstance(key, plain):
+            return canonical_key(plain(key))
     raise TypeError(f"unhashable stream key type: {type(key).__name__}")
 
 

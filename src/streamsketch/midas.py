@@ -24,11 +24,12 @@ least ``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
 ``step_many``, and shorter ones its per-item path, which is also the oracle
 the batch is tested against with ``==``. A detector hashes each piece once
 (``hashing.canonical_keys``, ``indexes_many``) and each run takes its
-slice; a piece it does not hash takes the per-item path whole.
-``MidasDetector.process_many`` scores a stream this way, so an edge of a
-short tick pays no hashing of its own; ``MstreamDetector.score_many``
-hashes all but its numeric buckets, which are sequential state, and leaves
-short runs to its per-record path.
+slice, a short one as each item's cells; a piece it does not hash takes the
+per-item path whole, which hashes item by item.
+``MidasDetector.process_many`` and ``MstreamDetector.score_many`` score a
+stream this way, so an item of a short tick pays no hashing of its own;
+MStream's numeric buckets, whose running min/max is sequential state, are
+found on either path.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -57,8 +58,10 @@ VARIANTS = ("plain", "relational", "filtering")
 # path in each_run. A batch pays a fixed ~100 numpy calls per run; these
 # are where it broke even with per-item steps on a 2-core x86 box (plain
 # steps are cheaper, scoring one key instead of three). MStream's batch, a
-# relational one over d+1 keys on a piece hashed once, breaks even at ~3
-# records, so 10 serves it.
+# relational one over d+1 keys, against its per-record steps on the same
+# hashed piece (2 string and 2 numeric columns), in us per record at 1, 3,
+# 9, 10, 20 and 100 records per tick: 108 / 44 / 19 / 13 / 6.8 / 3.6
+# against 25 / 19 / 18 / 13.5 / 10.3 / 10.6. It breaks even at ~10 too.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
 # each_run hands a batch at most this many items at a time, so the batch's
 # transient arrays stay a few MB however many items share a tick.
@@ -390,13 +393,16 @@ class ChiSquaredTables:
         """Score ``items`` in order, in pieces of at most ``TICK_BATCH_MAX``.
 
         ``hash_piece(piece)`` returns a tuple of arrays that hold a whole
-        piece's hashes, one item per position of their last axis, or None,
-        and then ``score_items(piece, None)``, the per-item path, scores the
-        whole piece and raises at an item it rejects. Otherwise each run of
-        the piece's items that share a ``tick`` takes its slice of each
-        array: a run of at least ``TICK_BATCH_MIN[variant]`` items goes to
-        ``score_run(run, tick, hashes)``, a shorter one to
-        ``score_items(run, hashes)``."""
+        piece's hashes, one item per position of their last axis, the first
+        of them the cells ``[key, row, item]``, or None, and then
+        ``score_items(piece, repeat(None))``, the per-item path, scores the
+        whole piece and hashes each item itself, raising at an item it
+        rejects. Otherwise each run of the piece's items that share a
+        ``tick`` takes its slice: a run of at least
+        ``TICK_BATCH_MIN[variant]`` items moves the clock to ``tick`` and goes
+        to ``score_run(run, tick, hashes)``, a shorter one to
+        ``score_items(run, cells)`` with each item's cells ``[key][row]`` as
+        Python ints for ``step``."""
         batch_min = TICK_BATCH_MIN[self.variant]
         items = iter(items)
         # Runs are exact at any length: each starts from the tables and
@@ -404,17 +410,17 @@ class ChiSquaredTables:
         while piece := list(islice(items, TICK_BATCH_MAX)):
             hashes = hash_piece(piece)
             if hashes is None:
-                score_items(piece, None)
+                score_items(piece, repeat(None))
                 continue
             end = 0
             for tick, run in groupby(piece, attrgetter("tick")):
                 run = list(run)
                 start, end = end, end + len(run)
-                run_hashes = [part[..., start:end] for part in hashes]
                 if len(run) < batch_min:
-                    score_items(run, run_hashes)
+                    score_items(run, hashes[0][..., start:end].transpose(2, 0, 1).tolist())
                 else:
-                    score_run(run, tick, run_hashes)
+                    self.advance(tick)
+                    score_run(run, tick, [part[..., start:end] for part in hashes])
 
     @_QUIET
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
@@ -502,10 +508,7 @@ class MidasDetector(ChiSquaredTables):
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
 
-        def process_each(run, hashes) -> None:
-            by_event = repeat(None)
-            if hashes is not None:  # [event][key][row], as Python ints for step
-                by_event = hashes[0].transpose(2, 0, 1).tolist()
+        def process_each(run, by_event) -> None:
             for event, cells in zip(run, by_event):
                 stats = self.process(event, cells)
                 scores.append(stats.combined(mode))
@@ -538,7 +541,6 @@ class MidasDetector(ChiSquaredTables):
         """Score one run of events sharing ``tick`` on its cells and weights
         with ``step_many`` and append to ``scores`` and ``flags``."""
         cells, weights = hashes
-        self.advance(tick)
         per_key, a, s, volume = self.step_many(cells, weights, tick)
         scores.extend(_combine_many(per_key, mode).tolist())
         if flags is not None:

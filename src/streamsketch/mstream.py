@@ -14,14 +14,13 @@ record, so a tick boundary decays every current table in one multiply.
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
 record at a time, with ``==`` totals. ``ChiSquaredTables.each_run`` cuts
 it into pieces of up to ``midas.TICK_BATCH_MAX`` records, each hashed once
-when it holds a run long enough to batch (any other piece goes through
-``score`` whole): canonical keys and bucket indexes, on the hashing
-module's one path, log-shifted values and hyperplane signs, none of which
-depends on the records before. Runs of at least
-``midas.TICK_BATCH_MIN["relational"]`` records of one tick then only
-bucketize their numeric values, whose running min/max is sequential state,
-and go through a few array passes that end in ``step_many``; shorter runs
-go through ``score``. The two paths share one arithmetic, so the batch is
+(a piece holding a record ``score`` might reject goes through ``score``
+whole): canonical keys and bucket indexes, on the hashing module's one
+path, log-shifted values and hyperplane signs, none of which depends on the
+records before. Each run of one tick then only bucketizes its numeric
+values, whose running min/max is sequential state: a long run in a few
+array passes that end in ``step_many``, a short one through ``score`` on
+each record's cells. The two paths share one arithmetic, so the batch is
 exact by construction: a projection is the same left-to-right product-sum
 in both, and a log-shifted value is ``math.log1p(x) + 0.0``, which holds
 no -0.0.
@@ -32,12 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import groupby
-from operator import add, attrgetter
+from operator import add
 
 import numpy as np
 
-from . import midas
 from .events import MultiAspectRecord
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key, canonical_keys, draw_rows
 from .midas import ChiSquaredTables
@@ -181,25 +178,15 @@ class MstreamDetector(ChiSquaredTables):
         ]
         self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
 
-    def _buckets(self, record: MultiAspectRecord, categorical: list) -> list[list[int]]:
-        """Bucket of each attribute, then of the whole record, in every row."""
-        buckets = [own for own, _ in categorical]
-        for j, value in enumerate(record.numeric):
-            # The bucketizer is deterministic, so rows share one bucket; the
-            # min/max state absorbs the value exactly once.
-            buckets.append([bucketize_numeric(value, self.minmax[j], self.n_buckets)] * self.n_rows)
-        buckets.append([
-            record_hash(record, planes, self.n_buckets, [share[row] for _, share in categorical])
-            for row, planes in enumerate(self._hyperplanes)
-        ])
-        return buckets
-
-    def score(self, record: MultiAspectRecord) -> RecordScore:
+    def score(self, record: MultiAspectRecord, cells=None) -> RecordScore:
         """Insert one record; return its total score and per-attribute terms.
 
         The total is exactly the record-level term plus the sum of attribute
         terms, so the argmax of ``per_feature`` names the attribute that
-        contributed most. A record rejected with an error changes no state.
+        contributed most. ``cells``, when given, are the record's cells
+        ``[key][row]`` hashed ahead, as ``_hash_piece`` gives them; the
+        numeric buckets are found here either way, from the running min/max.
+        A record rejected with an error changes no state.
         """
         if (
             len(record.categorical) != self.n_categorical
@@ -211,12 +198,23 @@ class MstreamDetector(ChiSquaredTables):
             )
         for value in record.numeric:
             _check_log_domain(value)
-        families = zip(record.categorical, self._cat_families)
-        categorical = [hash_categorical(value, pair) for value, pair in families]
+        if cells is None:
+            families = zip(record.categorical, self._cat_families)
+            categorical = [hash_categorical(value, pair) for value, pair in families]
+            cells = [own for own, _ in categorical]
+            cells.append([
+                record_hash(record, planes, self.n_buckets, [s[row] for _, s in categorical])
+                for row, planes in enumerate(self._hyperplanes)
+            ])
         # The clock moves before the bucketizers absorb the record, so a tick
-        # regression leaves their min/max alone.
+        # regression leaves their min/max alone. The bucketizer is
+        # deterministic, so rows share one bucket.
         self.advance(record.tick)
-        terms = self.step(self._buckets(record, categorical), 1.0, record.tick)[0]
+        numeric = [
+            [bucketize_numeric(value, state, self.n_buckets)] * self.n_rows
+            for value, state in zip(record.numeric, self.minmax)
+        ]
+        terms = self.step([*cells[:-1], *numeric, cells[-1]], 1.0, record.tick)[0]
         record_term = terms.pop()
         # Added left to right (sum() compensates from Python 3.12), as score_many adds.
         return RecordScore(record_term + reduce(add, terms, 0.0), record_term, tuple(terms))
@@ -229,22 +227,18 @@ class MstreamDetector(ChiSquaredTables):
         self.each_run(
             records,
             lambda run, tick, hashes: self._score_run(run, tick, hashes, totals),
-            lambda run, _: totals.extend(self.score(record).total for record in run),
+            lambda run, cells: totals.extend(self.score(r, c).total for r, c in zip(run, cells)),
             self._hash_piece,
         )
         return totals
 
     def _hash_piece(self, piece: list):
         """The stateless hashes of a piece of records, as ``each_run`` takes
-        them: the cells ``[row, record]`` of each categorical key, then of the
-        whole record, then each numeric value shifted as ``bucketize_numeric``
-        shifts it, ``[column, record]``. None when the piece holds no run long
-        enough to batch, or some record ``score`` would reject (or might: any
-        value the checks below do not take)."""
-        batch_min = midas.TICK_BATCH_MIN[self.variant]
-        runs = groupby(piece, attrgetter("tick"))
-        if not any(len(list(run)) >= batch_min for _, run in runs):
-            return None  # every run goes through score, which hashes it
+        them: ``cells[key, row, record]``, the own-bucket cells of each
+        categorical column, then the whole-record cell, and each numeric value
+        shifted as ``bucketize_numeric`` shifts it, ``[column, record]``. None
+        when some record ``score`` would reject (or might: any value the
+        checks below do not take)."""
         n, n_cat, n_num = len(piece), self.n_categorical, self.n_numeric
         try:
             keys = [canonical_keys(c) for c in _columns([r.categorical for r in piece], n_cat)]
@@ -261,26 +255,25 @@ class MstreamDetector(ChiSquaredTables):
         if not np.isfinite(shifted).all():  # as _check_log_domain
             return None
 
-        bucket = 0  # record_hash before the mod
-        if n_num:
-            bucket = _signatures_many(self._hyperplanes, np.array(num_columns).T)
-        categorical = []
-        for column_keys, (own, share) in zip(keys, self._cat_families):
-            categorical.append(own.indexes_many(column_keys))
-            bucket = bucket + share.indexes_many(column_keys)
-        return *categorical, bucket % self.n_buckets, shifted
+        cells = np.empty((n_cat + 1, self.n_rows, n), dtype=np.int64)
+        *categorical, record = cells  # views, filled in place
+        record[...] = _signatures_many(self._hyperplanes, np.array(num_columns).T) if n_num else 0
+        for own_cells, column_keys, (own, share) in zip(categorical, keys, self._cat_families):
+            own_cells[...] = own.indexes_many(column_keys)
+            record += share.indexes_many(column_keys)  # record_hash before the mod
+        record %= self.n_buckets
+        return cells, shifted
 
     def _score_run(self, run: list, tick: int, hashes, totals: list) -> None:
         """Score a run of records sharing ``tick`` on its slice of the piece's
         hashes and append the totals. Only the numeric buckets are left to
-        find, from the running min/max."""
-        *categorical, record, shifted = hashes
-        self.advance(tick)
-        numeric = ()
+        find, from the running min/max, and go between the categorical and
+        record cells, as in ``score``."""
+        cells, shifted = hashes
         if self.n_numeric:  # one bucket per value, the same in every row
             buckets = _bucketize_many(shifted, self.minmax, self.n_buckets)[:, None]
-            numeric = np.broadcast_to(buckets, (self.n_numeric, *record.shape))
-        cells = np.stack([*categorical, *numeric, record])
+            numeric = np.broadcast_to(buckets, (self.n_numeric, *cells.shape[1:]))
+            cells = np.concatenate((cells[:-1], numeric, cells[-1:]))
         terms = self.step_many(cells, np.ones(len(run)), tick)[0]
         feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
         totals.extend((terms[-1] + feature_sum).tolist())

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -30,6 +31,16 @@ def test_canonical_key_known_values_pin_the_mapping():
 def test_canonical_key_rejects_unhashable_types():
     with pytest.raises(TypeError):
         canonical_key([1, 2])
+
+
+def test_canonical_key_maps_a_subclass_as_the_plain_value_it_equals():
+    Pair = namedtuple("Pair", "u v")
+    assert canonical_key(np.str_("é")) == canonical_key("é")
+    assert canonical_key(np.bytes_(b"a")) == canonical_key(b"a")
+    assert canonical_key(Pair(np.str_("a"), 1)) == canonical_key(("a", 1))
+    for key in (1.0, np.float64(1.0)):
+        with pytest.raises(TypeError):
+            canonical_key(key)
 
 
 def test_family_shape_validation():

@@ -214,12 +214,21 @@ def test_bursting_feature_is_identified_by_argmax():
 
 
 def test_feature_buckets_are_stable_for_fixed_state():
+    """Two copies of a record hash to the same cells in a piece, the buckets
+    ``hash_categorical`` and ``record_hash`` give one record, and a numeric
+    value its state has absorbed buckets alike twice."""
     detector = MstreamDetector(1, 1, seed=6)
     record = MultiAspectRecord(("x",), (4.2,), 1)
+    cells, _ = detector._hash_piece([record, record])
+    own, share = hash_categorical("x", detector._cat_families[0])
+    whole = [
+        record_hash(record, planes, detector.n_buckets, [share[row]])
+        for row, planes in enumerate(detector._hyperplanes)
+    ]
+    assert cells[..., 0].tolist() == cells[..., 1].tolist() == [list(own), whole]
     detector.score(record)  # absorb the numeric value into min/max state
-    categorical = [hash_categorical("x", detector._cat_families[0])]
-    first = detector._buckets(record, categorical)
-    second = detector._buckets(record, categorical)
+    first = bucketize_numeric(4.2, detector.minmax[0], detector.n_buckets)
+    second = bucketize_numeric(4.2, detector.minmax[0], detector.n_buckets)
     assert first == second
 
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamsketch import hashing, midas
+from streamsketch import hashing, midas, mstream
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import HashFamily
 from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
@@ -465,6 +465,50 @@ def test_short_runs_of_a_hashed_piece_go_through_score():
     assert_same_state(mstream_state(detector), mstream_state(oracle))
     assert score_calls.call_count == sum(size for size in sizes if size < 100)
     assert index_calls.call_count > 0
+
+
+def test_a_piece_of_short_ticks_is_hashed_once():
+    """3600 records in ticks of 1, 2 and 3 are one piece, hashed once though no
+    run is long enough to batch: each distinct value of a column is
+    canonicalised once and ``bucket_indexes`` runs once for each family of
+    rows. Every record goes through ``score`` on its slice of the cells, which
+    hashes no categorical value or numeric vector of its own."""
+    records = string_records([1, 2, 3] * 600)
+    oracle = MstreamDetector(2, 2)
+    expected = [oracle.score(record).total for record in records]
+    detector = MstreamDetector(2, 2)
+    keys = mock.patch.object(hashing, "canonical_key", wraps=hashing.canonical_key)
+    indexes = mock.patch.object(hashing, "bucket_indexes", wraps=hashing.bucket_indexes)
+    per_record = mock.patch.object(
+        MstreamDetector, "score", autospec=True, side_effect=MstreamDetector.score
+    )
+    rehashed = AssertionError("hashed record by record")
+    signature = mock.patch.object(HyperplaneHash, "signature", side_effect=rehashed)
+    categorical = mock.patch.object(mstream, "hash_categorical", side_effect=rehashed)
+    with keys as key_calls, indexes as index_calls, per_record as score_calls:
+        with signature, categorical:
+            assert detector.score_many(records) == expected
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+    distinct = sum(len({record.categorical[j] for record in records}) for j in range(2))
+    assert key_calls.call_count == distinct
+    assert index_calls.call_count == 2 * 2  # own and share rows of two columns
+    assert score_calls.call_count == len(records)
+
+
+def test_numpy_string_ids_score_as_the_plain_strings():
+    """``np.str_`` ids and categories hash as the strings they equal, on runs
+    long and short."""
+    ticks = [1 + i // 20 if i < 60 else i - 56 for i in range(100)]
+    events = [EdgeEvent(f"n{i % 7}", f"n{i % 11}", tick) for i, tick in enumerate(ticks)]
+    expected = MidasDetector("relational", seed=4).process_many(events)
+    numpy_events = [EdgeEvent(np.str_(e.source), np.str_(e.dest), e.tick) for e in events]
+    assert MidasDetector("relational", seed=4).process_many(numpy_events) == expected
+    records = string_records([30, 1, 2, 100, 3])
+    expected = MstreamDetector(2, 2).score_many(records)
+    numpy_records = [
+        MultiAspectRecord(tuple(map(np.str_, r.categorical)), r.numeric, r.tick) for r in records
+    ]
+    assert MstreamDetector(2, 2).score_many(numpy_records) == expected
 
 
 def test_hashing_a_piece_holds_few_arrays():
