@@ -19,17 +19,18 @@ scores (``step``, on Python floats through one flat view of ``counts``),
 and the same for a run of items that share a tick in a few array passes
 (``step_many``). A detector only maps an item to cells for each of its
 keys. ``each_run`` cuts a whole stream into pieces of at most
-``TICK_BATCH_MAX`` items and each piece into runs of one tick: runs of at
-least ``TICK_BATCH_MIN`` items take a detector's batch path, which ends in
-``step_many``, and shorter ones its per-item path, which is also the oracle
-the batch is tested against with ``==``. A detector hashes each piece once
-(``hashing.canonical_keys``, ``indexes_many``) and each run takes its
-slice, a short one as each item's cells; a piece it does not hash takes the
-per-item path whole, which hashes item by item.
-``MidasDetector.process_many`` and ``MstreamDetector.score_many`` score a
-stream this way, so an item of a short tick pays no hashing of its own;
-MStream's numeric buckets, whose running min/max is sequential state, are
-found on either path.
+``TICK_BATCH_MAX`` items, has the detector hash each piece once
+(``hashing.canonical_keys``, ``indexes_many``) and yields the piece's runs
+of one tick in order, each with its slice of the hashes: a run of at least
+``TICK_BATCH_MIN`` items with its tick, for the detector's batch path,
+which ends in ``step_many``, a shorter one with each item's cells, for its
+per-item path, which is also the oracle the batch is tested against with
+``==``. A piece the detector does not hash comes whole, for the per-item
+path, which hashes item by item. ``MidasDetector.process_many`` and
+``MstreamDetector.score_many`` each score a stream in one loop over these
+runs, so an item of a short tick pays no hashing of its own; MStream's
+numeric buckets, whose running min/max is sequential state, are found on
+either path.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -41,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import groupby, islice, repeat
 from operator import attrgetter
 from statistics import NormalDist
@@ -389,20 +389,21 @@ class ChiSquaredTables:
         self.tick_volume = float(volume[-1])
         return scores, a[0], s[0], volume
 
-    def each_run(self, items, score_run, score_items, hash_piece) -> None:
-        """Score ``items`` in order, in pieces of at most ``TICK_BATCH_MAX``.
+    def each_run(self, items, hash_piece):
+        """Yield the runs of ``items`` in order as ``(run, tick, hashes)``,
+        from pieces of at most ``TICK_BATCH_MAX``; the caller scores each run
+        before it takes the next.
 
         ``hash_piece(piece)`` returns a tuple of arrays that hold a whole
         piece's hashes, one item per position of their last axis, the first
-        of them the cells ``[key, row, item]``, or None, and then
-        ``score_items(piece, repeat(None))``, the per-item path, scores the
-        whole piece and hashes each item itself, raising at an item it
-        rejects. Otherwise each run of the piece's items that share a
-        ``tick`` takes its slice: a run of at least
-        ``TICK_BATCH_MIN[variant]`` items moves the clock to ``tick`` and goes
-        to ``score_run(run, tick, hashes)``, a shorter one to
-        ``score_items(run, cells)`` with each item's cells ``[key][row]`` as
-        Python ints for ``step``."""
+        of them the cells ``[key, row, item]``, or None. A run of at least
+        ``TICK_BATCH_MIN[variant]`` items that share a ``tick`` comes once the
+        clock is at ``tick``, with its slice of each array, for the batch
+        path. Any other run comes with ``tick`` None, for the per-item path:
+        a shorter run of one tick, with each item's cells ``[key][row]`` as
+        Python ints for ``step``, or a whole piece the hasher returned None
+        for, with ``repeat(None)``, which hashes item by item and raises at
+        an item it rejects."""
         batch_min = TICK_BATCH_MIN[self.variant]
         items = iter(items)
         # Runs are exact at any length: each starts from the tables and
@@ -410,17 +411,17 @@ class ChiSquaredTables:
         while piece := list(islice(items, TICK_BATCH_MAX)):
             hashes = hash_piece(piece)
             if hashes is None:
-                score_items(piece, repeat(None))
+                yield piece, None, repeat(None)
                 continue
             end = 0
             for tick, run in groupby(piece, attrgetter("tick")):
                 run = list(run)
                 start, end = end, end + len(run)
                 if len(run) < batch_min:
-                    score_items(run, hashes[0][..., start:end].transpose(2, 0, 1).tolist())
+                    yield run, None, hashes[0][..., start:end].transpose(2, 0, 1).tolist()
                 else:
                     self.advance(tick)
-                    score_run(run, tick, [part[..., start:end] for part in hashes])
+                    yield run, tick, [part[..., start:end] for part in hashes]
 
     @_QUIET
     def scale(self, cells_by_key, total_factor: float, current_factor: float) -> None:
@@ -497,8 +498,8 @@ class MidasDetector(ChiSquaredTables):
         each and, when ``rule`` is given, its flag (else None), exactly as
         ``process`` one event at a time would.
 
-        ``each_run`` hashes each piece of events once, then sends long runs
-        of one tick to ``step_many`` and short ones to ``process`` on their
+        Each run that ``each_run`` yields, on pieces hashed once, goes to
+        ``step_many`` when long, else event by event to ``process`` on its
         cells. A piece holding an id with no canonical key, or a weight
         ``weights_ok`` does not take, goes through ``process`` event by
         event, which raises at an event it rejects.
@@ -507,16 +508,19 @@ class MidasDetector(ChiSquaredTables):
             raise ValueError(f"unknown combination mode: {mode!r}")
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
-
-        def process_each(run, by_event) -> None:
-            for event, cells in zip(run, by_event):
-                stats = self.process(event, cells)
-                scores.append(stats.combined(mode))
-                if flags is not None:
-                    flags.append(rule.is_flagged(stats))
-
-        run = partial(self._process_run, rule=rule, mode=mode, scores=scores, flags=flags)
-        self.each_run(events, run, process_each, self._hash_piece)
+        for run, tick, hashes in self.each_run(events, self._hash_piece):
+            if tick is None:
+                for event, cells in zip(run, hashes):
+                    stats = self.process(event, cells)
+                    scores.append(stats.combined(mode))
+                    if flags is not None:
+                        flags.append(rule.is_flagged(stats))
+                continue
+            per_key, a, s, volume = self.step_many(*hashes, tick)
+            scores.extend(_combine_many(per_key, mode).tolist())
+            if flags is not None:
+                flags.extend(rule.flags_many(a, s, volume, tick).tolist())
+            del per_key, a, s, volume  # not held while the next run is hashed and stepped
         return scores, flags
 
     def _hash_piece(self, piece: list):
@@ -534,17 +538,6 @@ class MidasDetector(ChiSquaredTables):
             return None
         cells = np.stack(self._key_cells(keys[:n], keys[n:], self.family.indexes_many))
         return cells, weights.astype(np.float64, copy=False)
-
-    def _process_run(
-        self, run: list, tick: int, hashes, rule, mode: str, scores: list, flags
-    ) -> None:
-        """Score one run of events sharing ``tick`` on its cells and weights
-        with ``step_many`` and append to ``scores`` and ``flags``."""
-        cells, weights = hashes
-        per_key, a, s, volume = self.step_many(cells, weights, tick)
-        scores.extend(_combine_many(per_key, mode).tolist())
-        if flags is not None:
-            flags.extend(rule.flags_many(a, s, volume, tick).tolist())
 
     def score(self, event: EdgeEvent) -> float:
         """Insert the edge and return the max over its scored keys, as

@@ -12,18 +12,18 @@ relational ``midas.ChiSquaredTables`` over d+1 keys, with weight 1 per
 record, so a tick boundary decays every current table in one multiply.
 
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
-record at a time, with ``==`` totals. ``ChiSquaredTables.each_run`` cuts
-it into pieces of up to ``midas.TICK_BATCH_MAX`` records, each hashed once
-(a piece holding a record ``score`` might reject goes through ``score``
-whole): canonical keys and bucket indexes, on the hashing module's one
-path, log-shifted values and hyperplane signs, none of which depends on the
-records before. Each run of one tick then only bucketizes its numeric
-values, whose running min/max is sequential state: a long run in a few
-array passes that end in ``step_many``, a short one through ``score`` on
-each record's cells. The two paths share one arithmetic, so the batch is
-exact by construction: a projection is the same left-to-right product-sum
-in both, and a log-shifted value is ``math.log1p(x) + 0.0``, which holds
-no -0.0.
+record at a time, with ``==`` totals, in one loop over the runs that
+``ChiSquaredTables.each_run`` yields. Each piece of up to
+``midas.TICK_BATCH_MAX`` records is hashed once (a piece holding a record
+``score`` might reject goes through ``score`` whole): canonical keys and
+bucket indexes, on the hashing module's one path, log-shifted values and
+hyperplane signs, none of which depends on the records before. Each run of
+one tick then only bucketizes its numeric values, whose running min/max is
+sequential state: a long run in a few array passes that end in
+``step_many``, a short one through ``score`` on each record's cells. The
+two paths share one arithmetic, so the batch is exact by construction: a
+projection is the same left-to-right product-sum in both, and a log-shifted
+value is ``math.log1p(x) + 0.0``, which holds no -0.0.
 """
 
 from __future__ import annotations
@@ -224,12 +224,21 @@ class MstreamDetector(ChiSquaredTables):
         each, ``==`` to what ``score`` gives one record at a time; a record
         ``score`` rejects raises as it would there, with the same state."""
         totals: list[float] = []
-        self.each_run(
-            records,
-            lambda run, tick, hashes: self._score_run(run, tick, hashes, totals),
-            lambda run, cells: totals.extend(self.score(r, c).total for r, c in zip(run, cells)),
-            self._hash_piece,
-        )
+        for run, tick, hashes in self.each_run(records, self._hash_piece):
+            if tick is None:
+                totals.extend(self.score(r, c).total for r, c in zip(run, hashes))
+                continue
+            # Only the numeric buckets are left to find (one per value, the same
+            # in every row), between the categorical and record cells as in score.
+            cells, shifted = hashes
+            if self.n_numeric:
+                buckets = _bucketize_many(shifted, self.minmax, self.n_buckets)[:, None]
+                numeric = np.broadcast_to(buckets, (self.n_numeric, *cells.shape[1:]))
+                cells = np.concatenate((cells[:-1], numeric, cells[-1:]))
+            terms = self.step_many(cells, np.ones(len(run)), tick)[0]
+            feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
+            totals.extend((terms[-1] + feature_sum).tolist())
+            del cells, terms, feature_sum  # not held while the next run is hashed and stepped
         return totals
 
     def _hash_piece(self, piece: list):
@@ -263,20 +272,6 @@ class MstreamDetector(ChiSquaredTables):
             record += share.indexes_many(column_keys)  # record_hash before the mod
         record %= self.n_buckets
         return cells, shifted
-
-    def _score_run(self, run: list, tick: int, hashes, totals: list) -> None:
-        """Score a run of records sharing ``tick`` on its slice of the piece's
-        hashes and append the totals. Only the numeric buckets are left to
-        find, from the running min/max, and go between the categorical and
-        record cells, as in ``score``."""
-        cells, shifted = hashes
-        if self.n_numeric:  # one bucket per value, the same in every row
-            buckets = _bucketize_many(shifted, self.minmax, self.n_buckets)[:, None]
-            numeric = np.broadcast_to(buckets, (self.n_numeric, *cells.shape[1:]))
-            cells = np.concatenate((cells[:-1], numeric, cells[-1:]))
-        terms = self.step_many(cells, np.ones(len(run)), tick)[0]
-        feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
-        totals.extend((terms[-1] + feature_sum).tolist())
 
 
 def _columns(rows: list, arity: int) -> list:

@@ -14,16 +14,23 @@ from .events import EdgeEvent
 from .hashing import DEFAULT_SEED
 
 
-def _interleave(rng: np.random.Generator, ticks: np.ndarray) -> np.ndarray:
-    """Order for events sorted by tick, randomly shuffled within each tick."""
-    jitter = rng.random(ticks.shape[0])
-    return np.lexsort((jitter, ticks))
+def _pairs(rng: np.random.Generator, n_nodes: int, n: int):
+    """Sources and destinations of ``n`` uniform pairs of distinct nodes."""
+    src = rng.integers(0, n_nodes, size=n)
+    return src, (src + rng.integers(1, n_nodes, size=n)) % n_nodes
 
 
-def _events_from_arrays(src, dst, ticks, order) -> list[EdgeEvent]:
-    return [
-        EdgeEvent(int(src[i]), int(dst[i]), int(ticks[i])) for i in order
-    ]
+def _stream(rng: np.random.Generator, *groups) -> tuple[list[EdgeEvent], list[int]]:
+    """The events of ``groups`` of (ticks, sources, dests, label) and their
+    labels, sorted by tick and randomly shuffled within each tick; sources
+    and dests are arrays, or one node for the whole group."""
+    ticks, src, dst, labels = (
+        np.concatenate([np.broadcast_to(group[i], group[0].shape) for group in groups])
+        for i in range(4)
+    )
+    order = np.lexsort((rng.random(ticks.shape[0]), ticks))
+    ticks, src, dst, labels = (column[order].tolist() for column in (ticks, src, dst, labels))
+    return list(map(EdgeEvent, src, dst, ticks)), labels
 
 
 def _at_least(minimum: int, **params) -> None:
@@ -62,22 +69,12 @@ def synth_burst_stream(
     rng = np.random.default_rng(seed)
 
     bg_ticks = rng.integers(1, n_ticks + 1, size=n_background)
-    bg_src = rng.integers(0, n_nodes, size=n_background)
-    bg_dst = (bg_src + rng.integers(1, n_nodes, size=n_background)) % n_nodes
+    bg_src, bg_dst = _pairs(rng, n_nodes, n_background)
 
     burst_src = int(rng.integers(0, n_nodes))
     burst_dst = (burst_src + int(rng.integers(1, n_nodes))) % n_nodes
     burst_ticks = burst_tick + (np.arange(n_burst) * burst_span) // max(n_burst, 1)
-
-    ticks = np.concatenate([bg_ticks, burst_ticks])
-    src = np.concatenate([bg_src, np.full(n_burst, burst_src)])
-    dst = np.concatenate([bg_dst, np.full(n_burst, burst_dst)])
-    flags = np.concatenate([np.zeros(n_background, int), np.ones(n_burst, int)])
-
-    order = _interleave(rng, ticks)
-    events = _events_from_arrays(src, dst, ticks, order)
-    labels = [int(flags[i]) for i in order]
-    return events, labels
+    return _stream(rng, (bg_ticks, bg_src, bg_dst, 0), (burst_ticks, burst_src, burst_dst, 1))
 
 
 def synth_stationary_stream(
@@ -101,20 +98,9 @@ def synth_stationary_stream(
 
     tick_values = np.arange(1, n_ticks + 1)
     bg_ticks = np.repeat(tick_values, background_per_tick)
-    n_bg = bg_ticks.shape[0]
-    bg_src = rng.integers(0, n_nodes, size=n_bg)
-    bg_dst = (bg_src + rng.integers(1, n_nodes, size=n_bg)) % n_nodes
-
-    pair_counts = rng.poisson(pair_rate, size=n_ticks)
-    pair_ticks = np.repeat(tick_values, pair_counts)
-    n_pair = pair_ticks.shape[0]
-
-    ticks = np.concatenate([bg_ticks, pair_ticks])
-    src = np.concatenate([bg_src, np.full(n_pair, monitored[0])])
-    dst = np.concatenate([bg_dst, np.full(n_pair, monitored[1])])
-
-    order = _interleave(rng, ticks)
-    events = _events_from_arrays(src, dst, ticks, order)
+    bg_src, bg_dst = _pairs(rng, n_nodes, bg_ticks.shape[0])
+    pair_ticks = np.repeat(tick_values, rng.poisson(pair_rate, size=n_ticks))
+    events, _ = _stream(rng, (bg_ticks, bg_src, bg_dst, 0), (pair_ticks, *monitored, 0))
     return events, monitored
 
 
@@ -152,8 +138,7 @@ def synth_graph_windows(
     window_of = np.repeat(np.arange(n_windows), edges_per_window)
     lo = window_of * window_ticks
     bg_ticks = np.maximum(lo + rng.integers(0, window_ticks, size=n_bg), 1)
-    bg_src = rng.integers(0, n_nodes, size=n_bg)
-    bg_dst = (bg_src + rng.integers(1, n_nodes, size=n_bg)) % n_nodes
+    bg_src, bg_dst = _pairs(rng, n_nodes, n_bg)
 
     block_src_nodes = rng.choice(n_nodes, size=block_side, replace=False)
     block_dst_nodes = rng.choice(n_nodes, size=block_side, replace=False)
@@ -161,15 +146,7 @@ def synth_graph_windows(
     blk_dst = block_dst_nodes[rng.integers(0, block_side, size=block_edges)]
     blk_lo = planted * window_ticks
     blk_ticks = np.maximum(blk_lo + rng.integers(0, window_ticks, size=block_edges), 1)
-
-    ticks = np.concatenate([bg_ticks, blk_ticks])
-    src = np.concatenate([bg_src, blk_src])
-    dst = np.concatenate([bg_dst, blk_dst])
-    flags = np.concatenate([np.zeros(n_bg, int), np.ones(block_edges, int)])
-
-    order = _interleave(rng, ticks)
-    events = _events_from_arrays(src, dst, ticks, order)
-    labels = [int(flags[i]) for i in order]
+    events, labels = _stream(rng, (bg_ticks, bg_src, bg_dst, 0), (blk_ticks, blk_src, blk_dst, 1))
     return events, labels, planted
 
 
@@ -205,12 +182,8 @@ def synth_attack_stream(
 
     tick_values = np.arange(1, n_ticks + 1)
     uni_ticks = np.repeat(tick_values, uniform_per_tick)
-    n_uni = uni_ticks.shape[0]
-    uni_src = rng.integers(0, n_nodes, size=n_uni)
-    uni_dst = (uni_src + rng.integers(1, n_nodes, size=n_uni)) % n_nodes
-
-    hot_src_list, hot_dst_list, hot_tick_list = [], [], []
-    for j in range(n_hot_pairs):
+    groups = [(uni_ticks, *_pairs(rng, n_nodes, uni_ticks.shape[0]), 0)]
+    for _ in range(n_hot_pairs):
         a = int(rng.integers(0, n_nodes))
         b = (a + int(rng.integers(1, n_nodes))) % n_nodes
         counts = rng.poisson(hot_rate, size=n_ticks)
@@ -219,26 +192,10 @@ def synth_attack_stream(
             counts = counts + np.where(
                 (tick_values % hot_burst_every) == phase, hot_burst_size, 0
             )
-        t = np.repeat(tick_values, counts)
-        hot_tick_list.append(t)
-        hot_src_list.append(np.full(t.shape[0], a))
-        hot_dst_list.append(np.full(t.shape[0], b))
+        groups.append((np.repeat(tick_values, counts), a, b, 0))
 
     attack_ticks = np.repeat(
         np.arange(attack_start, attack_end + 1), attack_per_tick
     )
-    attack_src = np.full(attack_ticks.shape[0], n_nodes)  # dedicated pair
-    attack_dst = np.full(attack_ticks.shape[0], n_nodes + 1)
-
-    ticks = np.concatenate([uni_ticks, *hot_tick_list, attack_ticks])
-    src = np.concatenate([uni_src, *hot_src_list, attack_src])
-    dst = np.concatenate([uni_dst, *hot_dst_list, attack_dst])
-    n_normal = ticks.shape[0] - attack_ticks.shape[0]
-    flags = np.concatenate(
-        [np.zeros(n_normal, int), np.ones(attack_ticks.shape[0], int)]
-    )
-
-    order = _interleave(rng, ticks)
-    events = _events_from_arrays(src, dst, ticks, order)
-    labels = [int(flags[i]) for i in order]
-    return events, labels
+    # The attack pair is dedicated: no other traffic touches it.
+    return _stream(rng, *groups, (attack_ticks, n_nodes, n_nodes + 1, 1))

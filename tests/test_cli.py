@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streamsketch import cli
+from streamsketch import cli, midas
 from streamsketch.cli import main
 from streamsketch.events import EdgeEvent
 from streamsketch.ingest import parse_record_stream
@@ -990,9 +990,9 @@ def test_an_overflowing_window_scores_inf_without_a_warning(tmp_path, capsys, co
 
 def chunk_cases(tmp_path) -> dict[str, list[str]]:
     """Argument lists whose output must not depend on the chunk size. Ticks
-    hold 1 to 40 items, so chunks of 29 cut ticks on the batch path and
-    smaller chunks on the per-item path; sess labels sit on both sides of
-    every boundary between chunks of 1, 3 and 7 edges."""
+    hold 1 to 40 items, so chunks or pieces of 29 cut ticks on the batch
+    path and smaller ones on the per-item path; sess labels sit on both
+    sides of every boundary between chunks of 1, 3 and 7 edges."""
     sizes = [3, 25, 1, 14, 40, 2, 12, 7, 11]
     ticks = [tick for tick, size in enumerate(sizes, 1) for _ in range(size)]
     rows = [(i % 5, (i * 3) % 7, tick) for i, tick in enumerate(ticks)]
@@ -1031,8 +1031,14 @@ def chunk_cases(tmp_path) -> dict[str, list[str]]:
     return cases
 
 
-@pytest.mark.parametrize("size", [1, 3, 7, 29])
-def test_output_does_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch, size):
+# The CLI's chunk, the piece each_run hashes at once, or both; the id of a
+# chunk alone is its size.
+@pytest.mark.parametrize("patched, size", [
+    pytest.param(patched, size, id=f"{name}{size}")
+    for name, patched in [("", (cli,)), ("piece-", (midas,)), ("both-", (cli, midas))]
+    for size in [1, 3, 7, 29]
+])
+def test_output_does_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch, patched, size):
     cases = chunk_cases(tmp_path)
     expected = {}
     for name, argv in cases.items():
@@ -1040,7 +1046,8 @@ def test_output_does_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch,
         expected[name] = code, *capsys.readouterr()
     assert expected["sess-past-the-end"][0] == 1
     assert expected["midas-f-time"][2].startswith('{"seconds": ')
-    monkeypatch.setattr(cli, "TICK_BATCH_MAX", size)
+    for module in patched:
+        monkeypatch.setattr(module, "TICK_BATCH_MAX", size)
     for name, argv in cases.items():
         code = run_cli(*argv)
         out, err = capsys.readouterr()

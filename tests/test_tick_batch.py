@@ -247,6 +247,43 @@ def test_a_piece_of_fraction_weights_goes_item_by_item():
     assert detector.tick_volume == oracle.tick_volume
 
 
+def test_each_run_yields_the_stream_in_runs_scored_one_at_a_time():
+    """On pieces of 8 and a gate of 3: a piece holding a Fraction weight comes
+    whole, item by item; then ticks of 1-2 edges come item by item on their
+    cells, and a tick of 12 edges across the piece boundary as a batch run on
+    each side of it, each yielded once the clock is at its tick. Scored as
+    ``process_many`` scores them, the runs give what ``process`` gives."""
+    ticks = [1, 1, 2, 3, 3, 4, 5, 5, 6, 6, 7, *[8] * 12, 9]
+    events = [EdgeEvent(i % 5, i % 3, tick) for i, tick in enumerate(ticks)]
+    events[4] = EdgeEvent(4, 1, 3, Fraction(1, 3))
+    oracle = MidasDetector("relational", n_rows=2, n_buckets=16, seed=3)
+    rule = DecisionRule.for_detector(0.05, oracle)
+    expected = one_by_one(oracle, events, rule, "sum")
+    detector = MidasDetector("relational", n_rows=2, n_buckets=16, seed=3)
+    streamed, shapes, scores, flags = [], [], [], []
+    with batch_limits(3, 8):
+        for run, tick, hashes in detector.each_run(events, detector._hash_piece):
+            streamed += run
+            shapes.append((len(run), tick))
+            if tick is None:
+                for event, cells in zip(run, hashes):
+                    if cells is not None:
+                        assert cells == list(map(list, detector.cells(event.source, event.dest)))
+                    stats = detector.process(event, cells)
+                    scores.append(stats.combined("sum"))
+                    flags.append(rule.is_flagged(stats))
+                continue
+            assert detector.clock.tick == tick
+            per_key, a, s, volume = detector.step_many(*hashes, tick)
+            scores += midas._combine_many(per_key, "sum").tolist()
+            flags += rule.flags_many(a, s, volume, tick).tolist()
+    assert streamed == events
+    assert shapes == [(8, None), (2, None), (1, None), (5, 8), (7, 8), (1, None)]
+    assert (scores, flags) == expected
+    assert np.array_equal(detector.counts, oracle.counts)
+    assert detector.tick_volume == oracle.tick_volume
+
+
 def test_hashing_a_midas_piece_holds_few_arrays():
     """The tracemalloc peak of hashing one piece of 4096 relational edges,
     less the cells and weights it returns, stays under a fixed allowance:
