@@ -344,11 +344,8 @@ def _run_pomdp(args) -> int:
         mean, std = accuracy_sweep(process, config, args.steps, seeds)
         return shown, phi, mean, std
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, tasks))
-    else:
-        rows = [run(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        rows = list(pool.map(run, tasks))
 
     with _open(args.output, "w") as out:
         out.write(f"{'q_hat' if imitate else 'L'},phi,mean_accuracy,std_accuracy\n")
@@ -362,8 +359,11 @@ def _run_pomdp(args) -> int:
 def _run_synth(args) -> int:
     from . import synth
 
+    shape = _given(args, *BURST_SHAPE)
+    if shape and args.kind != "burst":  # before any file is opened, so none is written
+        raise ValueError(f"--{next(iter(shape)).replace('_', '-')} requires --kind burst")
     if args.kind == "burst":
-        events, labels = synth.synth_burst_stream(seed=args.seed, **_given(args, *BURST_SHAPE))
+        events, labels = synth.synth_burst_stream(seed=args.seed, **shape)
     elif args.kind == "attack":
         events, labels = synth.synth_attack_stream(seed=args.seed)
     elif args.kind == "windows":

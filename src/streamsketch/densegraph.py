@@ -18,7 +18,7 @@ resolve to the lowest index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -398,38 +398,19 @@ class AnoEdgeLocal:
         return [self.score(event) for event in events]
 
 
-@dataclass
-class GraphWindow:
-    """A sealed batch of edges accumulated into one sketch."""
-
-    sketch: HigherOrderSketch
-    edge_count: int = 0
-    tick_lo: int | None = field(default=None)
-    tick_hi: int | None = field(default=None)
-
-    def add(self, event: EdgeEvent) -> None:
-        self.sketch.update(event.source, event.dest, event.weight)
-        self.edge_count += 1
-        if self.tick_lo is None or event.tick < self.tick_lo:
-            self.tick_lo = event.tick
-        if self.tick_hi is None or event.tick > self.tick_hi:
-            self.tick_hi = event.tick
-
-
-def anograph_score(window: GraphWindow, variant: str = "full", k: int = 5) -> float:
-    """Densest-submatrix score of one graph window, minimised over layers.
+def anograph_score(window: HigherOrderSketch, variant: str = "full", k: int = 5) -> float:
+    """Densest-submatrix score of one graph window, the sketch of its edges,
+    minimised over layers.
 
     ``full`` runs the greedy peel; ``topk`` seeds greedy expansions at the k
-    largest cells. Empty windows score 0. On a 2x32x32 window at k=5,
-    ``topk`` takes ~1.0 ms and ``full`` ~0.65 ms (in process, medians).
+    largest cells. An empty window scores 0, as both kernels give 0 on an
+    all-zero matrix. On a 2x32x32 window at k=5, ``topk`` takes ~1.0 ms and
+    ``full`` ~0.65 ms (in process, medians).
     """
     if variant not in ("full", "topk"):
         raise ValueError(f"variant must be 'full' or 'topk', got {variant!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if window.edge_count == 0:
-        return 0.0
-    matrices = window.sketch.matrices
     if variant == "full":
-        return min(anograph_density(matrices[j]) for j in range(window.sketch.n_rows))
-    return float(_topk_densities(matrices, k).min())
+        return min(map(anograph_density, window.matrices))
+    return float(_topk_densities(window.matrices, k).min())

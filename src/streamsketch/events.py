@@ -7,6 +7,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
+from .sketch import MAX_WEIGHT, check_weight
+
 
 class TickClock:
     """The current tick of one detector; ticks never decrease.
@@ -61,8 +63,8 @@ class EdgeEvent:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.weight < math.inf):  # also rejects nan
-            raise ValueError(f"edge weight must be finite and >= 0, got {self.weight}")
+        if not (0 <= self.weight <= MAX_WEIGHT):  # as check_weight, without a call per edge
+            check_weight(self.weight, "edge weight")
         _check_tick(self.tick)
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator
 
-from .densegraph import GraphWindow
 from .events import EdgeEvent, MultiAspectRecord, TickClock
 from .hashing import DEFAULT_SEED
 from .sess import FeedbackEvent
@@ -263,24 +262,20 @@ def window_aggregate(
     n_rows: int = 2,
     n_buckets: int = 32,
     seed: int = DEFAULT_SEED,
-) -> list[tuple[GraphWindow, int]]:
-    """Bucket consecutive edges into sealed graph windows with labels.
+) -> list[tuple[HigherOrderSketch, int]]:
+    """Bucket consecutive edges into sealed graph windows, each the sketch of
+    its edges, with labels, in one pass; ValueError unless labels match edges.
 
     Every window gets a fresh sketch built from the same seed, so window
     scores are comparable and windows can be scored independently.
     """
-    edges = list(edges)
-    labels = list(labels)
-    if len(edges) != len(labels):
-        raise ValueError(
-            f"edges ({len(edges)}) and labels ({len(labels)}) differ in length"
-        )
-    windows: list[tuple[GraphWindow, int]] = []
-    for _, run in groupby(zip(edges, labels), key=lambda pair: spec.bucket(pair[0].tick)):
-        window = GraphWindow(HigherOrderSketch(n_rows, n_buckets, seed))
+    windows: list[tuple[HigherOrderSketch, int]] = []
+    pairs = zip(edges, labels, strict=True)
+    for _, run in groupby(pairs, key=lambda pair: spec.bucket(pair[0].tick)):
+        window = HigherOrderSketch(n_rows, n_buckets, seed)
         positives = 0
         for event, label in run:
-            window.add(event)
+            window.update(event.source, event.dest, event.weight)
             positives += int(label)
         windows.append((window, 1 if positives >= spec.anomaly_edge_threshold else 0))
     return windows

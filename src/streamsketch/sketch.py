@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -32,11 +33,19 @@ def check_decay(alpha: float) -> None:
         raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
 
 
-def check_weight(weight: float) -> None:
-    """Reject a weight below 0, which would let queries underestimate, and
-    inf or nan, which would poison a cell for good."""
-    if not (0 <= weight < math.inf):  # also rejects nan
-        raise ValueError(f"update weight must be finite and >= 0, got {weight}")
+MAX_WEIGHT = sys.float_info.max  # a weight at most this needs no float() to be known good
+
+
+def check_weight(weight: float, what: str = "update weight") -> None:
+    """Reject a weight below 0, which would let queries underestimate, inf or
+    nan, which would poison a cell for good, and one float() cannot take."""
+    if not (0 <= weight <= MAX_WEIGHT):  # also rejects nan
+        if not (0 <= weight < math.inf):
+            raise ValueError(f"{what} must be finite and >= 0, got {weight}")
+        try:
+            float(weight)  # an int or a Fraction just above the largest float rounds down to it
+        except OverflowError:
+            raise ValueError(f"{what} too large for a float") from None
 
 
 def weights_ok(weights: np.ndarray) -> bool:

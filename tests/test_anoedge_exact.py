@@ -24,7 +24,6 @@ from streamsketch.densegraph import (
     SNAPSHOT_BUDGET_BYTES,
     AnoEdgeGlobal,
     AnoEdgeLocal,
-    GraphWindow,
     _Submatrix,
     anograph_density,
     anograph_score,
@@ -148,11 +147,11 @@ def test_topk_matches_per_seed_oracle():
         m = rng.poisson(0.5, size=(n, n + 1)).astype(float)
         for k in (1, 3, 5, 200):
             assert anograph_k_density(m, k) == oracle_topk(m, k)
-    window = GraphWindow(HigherOrderSketch(3, 16, seed=5))
+    window = HigherOrderSketch(3, 16, seed=5)
     for _ in range(400):
-        window.add(EdgeEvent(int(rng.integers(0, 40)), int(rng.integers(0, 40)), 1))
+        window.update(int(rng.integers(0, 40)), int(rng.integers(0, 40)), 1.0)
     for k in (1, 5, 300):
-        want = min(oracle_topk(window.sketch.matrices[j], k) for j in range(3))
+        want = min(oracle_topk(window.matrices[j], k) for j in range(3))
         assert anograph_score(window, "topk", k) == want
 
 

@@ -315,6 +315,23 @@ def test_synth_error_names_the_bad_parameter(capsys):
     assert captured.err == "error: n_background must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("kind", ["attack", "windows", "stationary"])
+def test_synth_rejects_a_burst_shape_option_given_with_another_kind(tmp_path, capsys, kind):
+    """A burst-shape flag or config entry would be dropped, so it exits 1,
+    naming the option, and writes no file."""
+    out = tmp_path / "edges.csv"
+    config = tmp_path / "shape.cfg"
+    config.write_text("burst_span=2\n")
+    flags = [[f"--{name.replace('_', '-')}", "3"] for name in cli.BURST_SHAPE]
+    for given in flags + [["--config", str(config)]]:
+        assert run_cli("synth", "--kind", kind, "--out-edges", str(out), *given) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        name = given[0] if given in flags else "--burst-span"
+        assert captured.err == f"error: {name} requires --kind burst\n"
+        assert not out.exists()
+
+
 def test_anoedge_and_anograph_commands(tmp_path):
     edges = tmp_path / "edges.csv"
     write_edges(edges, [(i % 4, (i + 1) % 4, 1 + i // 20) for i in range(100)])
@@ -773,6 +790,33 @@ def test_pomdp_sweep_emits_grid(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "L,phi,mean_accuracy,std_accuracy"
     assert len(lines) == 5
+
+
+def test_pomdp_sweep_runs_on_one_pool_whatever_the_jobs(tmp_path, monkeypatch):
+    """``--jobs 1`` takes the pool too, with one worker, and writes the bytes
+    ``--jobs 2`` writes."""
+    import concurrent.futures
+
+    workers = []
+    pool = concurrent.futures.ThreadPoolExecutor
+
+    def counting_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counting_pool)
+    tables = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"table-{jobs}.csv"
+        assert run_cli(
+            "pomdp", "--p", "0.01", "--q", "0.1", "--predictor", "opt",
+            "--wait", "5,10", "--phi", "0,0.01", "--steps", "5000",
+            "--seeds", "2", "--jobs", jobs, "--output", str(out),
+        ) == 0
+        tables.append(out.read_bytes())
+    assert workers == [1, 2]
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 5
 
 
 def test_pomdp_rejects_zero_seeds(capsys):

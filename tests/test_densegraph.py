@@ -6,7 +6,6 @@ import pytest
 from streamsketch.densegraph import (
     AnoEdgeGlobal,
     AnoEdgeLocal,
-    GraphWindow,
     anograph_density,
     anograph_score,
     edge_submatrix_density,
@@ -273,21 +272,21 @@ def test_anoedge_local_separates_biclique_burst():
 
 
 def test_empty_window_scores_zero():
-    window = GraphWindow(HigherOrderSketch(2, 8, seed=1))
+    window = HigherOrderSketch(2, 8, seed=1)
     assert anograph_score(window) == 0.0
     assert anograph_score(window, "topk", 3) == 0.0
 
 
 def test_single_cell_window_scores_total_weight():
-    window = GraphWindow(HigherOrderSketch(2, 16, seed=1))
+    window = HigherOrderSketch(2, 16, seed=1)
     for _ in range(12):
-        window.add(EdgeEvent("u", "v", 1, weight=2.0))
+        window.update("u", "v", 2.0)
     assert anograph_score(window) == pytest.approx(24.0)
     assert anograph_score(window, "topk", 5) == pytest.approx(24.0)
 
 
 def test_anograph_score_validation():
-    window = GraphWindow(HigherOrderSketch(2, 8, seed=1))
+    window = HigherOrderSketch(2, 8, seed=1)
     with pytest.raises(ValueError):
         anograph_score(window, "best")
     with pytest.raises(ValueError):
@@ -298,17 +297,12 @@ def test_planted_block_window_outscores_uniform_windows():
     rng = np.random.default_rng(9)
     windows = []
     for index in range(8):
-        window = GraphWindow(HigherOrderSketch(2, 32, seed=9))
+        window = HigherOrderSketch(2, 32, seed=9)
         for _ in range(300):
-            window.add(
-                EdgeEvent(int(rng.integers(0, 64)), int(rng.integers(0, 64)), index + 1)
-            )
+            window.update(int(rng.integers(0, 64)), int(rng.integers(0, 64)), 1.0)
         if index == 5:
             for _ in range(150):
-                window.add(
-                    EdgeEvent(70 + int(rng.integers(0, 6)),
-                              80 + int(rng.integers(0, 6)), index + 1)
-                )
+                window.update(70 + int(rng.integers(0, 6)), 80 + int(rng.integers(0, 6)), 1.0)
         windows.append(window)
     scores = [anograph_score(w) for w in windows]
     assert int(np.argmax(scores)) == 5

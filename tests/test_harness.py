@@ -290,7 +290,7 @@ def test_ticks_1_to_25_make_three_windows():
     events = [EdgeEvent(1, 2, t) for t in range(1, 26)]
     windows = window_aggregate(events, [0] * 25, WindowSpec(10, 2))
     assert len(windows) == 3
-    assert [w.edge_count for w, _ in windows] == [9, 10, 6]
+    assert [w.counts[0].sum() for w, _ in windows] == [9, 10, 6]
 
 
 def test_window_label_needs_enough_attack_edges():

@@ -5,6 +5,8 @@ a copied detector counts in its own array."""
 import copy
 import math
 import pickle
+import sys
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -18,6 +20,7 @@ from streamsketch.hashing import canonical_key
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
+from streamsketch.sketch import CountMinSketch
 
 from oracles import LooseEdge, PerTableDetector
 
@@ -117,8 +120,13 @@ def test_flat_feedback_writes_reach_the_stacked_array():
 # -- the weight is checked once, on every path ------------------------------------
 
 
+# Weights float() cannot convert: an int or a Fraction compares with inf
+# exactly, so only float() itself finds them out.
+TOO_LARGE = [pytest.param(10**400, id="int"), pytest.param(Fraction(10**400), id="fraction")]
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0, *TOO_LARGE])
 def test_bad_weight_of_a_duck_typed_event_reaches_no_table(variant, bad):
     detector = MidasDetector(variant, n_rows=2, n_buckets=16, seed=2)
     detector.process(LooseEdge("u", "v", 1, 1.0))
@@ -128,6 +136,41 @@ def test_bad_weight_of_a_duck_typed_event_reaches_no_table(variant, bad):
     assert np.array_equal(detector.counts, before)
     assert detector.tick_volume == 1.0
     assert detector.clock.tick == 1
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bad", TOO_LARGE)
+def test_a_weight_float_cannot_take_reaches_no_table_through_process_many(variant, bad):
+    detector = MidasDetector(variant, n_rows=2, n_buckets=16, seed=2)
+    detector.process(LooseEdge("u", "v", 1, 1.0))
+    before = detector.counts.copy()
+    with pytest.raises(ValueError, match="^update weight too large for a float$"):
+        detector.process_many([LooseEdge("u", "v", 2, bad)])
+    assert np.array_equal(detector.counts, before)
+    assert detector.tick_volume == 1.0
+    assert detector.clock.tick == 1
+
+
+@pytest.mark.parametrize("bad", TOO_LARGE)
+def test_a_weight_float_cannot_take_makes_no_edge_and_reaches_no_sketch(bad):
+    with pytest.raises(ValueError, match="^edge weight too large for a float$"):
+        EdgeEvent("u", "v", 1, bad)
+    sketch = CountMinSketch(2, 16, seed=0)
+    sketch.update("k", 2.0)
+    before = sketch.counts.copy()
+    with pytest.raises(ValueError, match="^update weight too large for a float$"):
+        sketch.update("k", bad)
+    assert np.array_equal(sketch.counts, before)
+
+
+def test_a_weight_float_rounds_down_to_the_largest_float_is_taken():
+    """Only a weight float() cannot take is rejected: one just above the
+    largest float rounds down to it, as it did before the bound was added."""
+    just_above = int(sys.float_info.max) + 1
+    assert EdgeEvent("u", "v", 1, just_above).weight == just_above
+    sketch = CountMinSketch(2, 16, seed=0)
+    sketch.update("k", just_above)
+    assert sketch.counts.max() == sys.float_info.max
 
 
 def local_state(detector):
@@ -145,7 +188,7 @@ def local_state(detector):
     ],
     ids=["sess-3d", "anoedge-g", "anoedge-l"],
 )
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, *TOO_LARGE])
 def test_bad_weight_of_a_duck_typed_event_changes_no_higher_order_state(make, score, state, bad):
     detector = make(n_rows=2, n_buckets=8, seed=2)
     score(detector, LooseEdge("u", "v", 1, 1.0))
