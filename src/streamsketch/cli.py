@@ -296,12 +296,12 @@ def _run_sess(args) -> int:
     detector = make(seed=args.seed, **_given(args, *SKETCH))
 
     with open(args.feedback, "r", encoding="utf-8") as handle:
-        edge_labels, node_feedback = parse_feedback(handle, args.feedback)
-    if node_feedback and args.layout != "3d":
+        edge_labels, node_labels = parse_feedback(handle, args.feedback)
+    if node_labels and args.layout != "3d":
         raise ValueError("node feedback requires --layout 3d")
     # Node labels carry no stream position; they apply before scoring starts.
-    for feedback in node_feedback:
-        apply_feedback(detector, feedback, params)
+    for node, label in node_labels:
+        apply_feedback(detector, detector.node_cells(node), label, params)
 
     def checked_edges(lines):
         """The input's edges, then a check that they reach every labelled index."""

@@ -7,7 +7,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .sketch import MAX_WEIGHT, check_weight
+from .sketch import MAX_WEIGHT, check_weight, shown
 
 
 class TickClock:
@@ -40,9 +40,9 @@ def _check_tick(tick: int) -> None:
     try:
         tick = operator.index(tick)
     except TypeError:
-        raise ValueError(f"tick must be an integer, got {tick}") from None
+        raise ValueError(f"tick must be an integer, got {shown(tick)}") from None
     if tick < 1:
-        raise ValueError(f"tick must be >= 1, got {tick}")
+        raise ValueError(f"tick must be >= 1, got {shown(tick)}")
     try:
         float(tick)
     except OverflowError:

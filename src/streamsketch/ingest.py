@@ -22,7 +22,6 @@ from typing import Iterable, Iterator
 
 from .events import EdgeEvent, MultiAspectRecord, TickClock
 from .hashing import DEFAULT_SEED
-from .sess import FeedbackEvent
 from .sketch import HigherOrderSketch
 
 DELIMITER = ","
@@ -205,22 +204,23 @@ def parse_record_stream(
 
 def parse_feedback(
     lines: Iterable[str], name: str | None = None
-) -> tuple[dict[int, int], list[FeedbackEvent]]:
-    """Edge labels by 0-based stream position, and node feedback in file order.
+) -> tuple[dict[int, int], list[tuple]]:
+    """Edge labels by 0-based stream position, and ``(node, label)`` pairs in
+    file order.
 
     An edge is resolved when its position is reached; when a position is
     labelled twice, the later line wins. Errors are located in ``name``.
     """
     edge_labels: dict[int, int] = {}
-    node_feedback: list[FeedbackEvent] = []
+    node_labels: list[tuple] = []
     with Lines(lines, name) as rows:
         for line in rows:
             parts = line.split(DELIMITER)
             if parts[0] == "node":
                 if len(parts) != 3:
                     raise ValueError("node feedback needs 'node,<id>,<label>'")
-                label = _parse_label(parts[2])
-                node_feedback.append(FeedbackEvent(label, node=_parse_node(parts[1])))
+                label = _parse_label(parts[2])  # a bad label is reported before a bad node
+                node_labels.append((_parse_node(parts[1]), label))
             else:
                 if len(parts) != 2:
                     raise ValueError("edge feedback needs 'index,label'")
@@ -228,7 +228,7 @@ def parse_feedback(
                 if index < 0:
                     raise ValueError(f"index must be >= 0, got {index}")
                 edge_labels[index] = _parse_label(parts[1])
-    return edge_labels, node_feedback
+    return edge_labels, node_labels
 
 
 @dataclass(frozen=True)

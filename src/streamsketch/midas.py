@@ -476,6 +476,10 @@ class MidasDetector(ChiSquaredTables):
         canonical = hashing.canonical_key
         return self._key_cells(canonical(source), canonical(dest), self.family.indexes)
 
+    def node_cells(self, node):
+        """A node has no cells of its own on the flat layout."""
+        raise ValueError("flat-layout detectors only support edge feedback")
+
     def _insert(self, event: EdgeEvent, cells=None):
         """Add one edge and return ``step``'s scores and counts."""
         w = event.weight

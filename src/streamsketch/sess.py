@@ -50,44 +50,18 @@ class SharpeningParams:
         raise ValueError(f"label must be 0 or 1, got {label}")
 
 
-@dataclass(frozen=True, slots=True)
-class FeedbackEvent:
-    """One labelled target: either an edge (u, v) or a single node.
-
-    ``index`` records the 0-based stream position the label refers to, when
-    it has one; node feedback from a feedback file has none.
-    """
-
-    label: int
-    edge: tuple | None = None
-    node: object = None
-    index: int | None = None
-
-    def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
-        if (self.edge is None) == (self.node is None):
-            raise ValueError("feedback must target exactly one edge or one node")
-
-
-def apply_feedback(detector, feedback: FeedbackEvent, params: SharpeningParams) -> None:
-    """Rescale the detector's cells for one labelled event: for an edge, the
-    cells of every key it is scored on, or a max over edge and node scores
-    would read an untouched part; for a node, which needs the higher-order
-    layout, its hashed row (as a source) and column (as a destination).
+def apply_feedback(detector, cells, label: int, params: SharpeningParams, index=None) -> None:
+    """Scale the detector's ``cells`` by ``params.factors(label)``. An edge's
+    are ``detector.cells(source, dest)``, every key it is scored on, or a
+    max over edge and node scores would read an untouched part; a node's are
+    ``detector.node_cells(node)``, which only the higher-order layout has.
     Feedback that would overflow a count raises ValueError, naming its
-    stream index when it has one, and changes nothing."""
-    factors = params.factors(feedback.label)
-    if feedback.edge is not None:
-        cells = detector.cells(*feedback.edge)
-    elif isinstance(detector, Sess3dDetector):
-        cells = detector.node_cells(feedback.node)
-    else:
-        raise ValueError("flat-layout detectors only support edge feedback")
+    stream ``index`` when given, and changes nothing."""
+    factors = params.factors(label)
     try:
         detector.scale(cells, *factors)
     except ValueError as exc:
-        where = "feedback" if feedback.index is None else f"feedback index {feedback.index}"
+        where = "feedback" if index is None else f"feedback index {index}"
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -99,8 +73,8 @@ def score_with_feedback(detector, events, edge_labels: dict, params, start: int 
     for i, event in enumerate(events, start):
         scores.append(detector.score(event))
         if i in edge_labels:
-            feedback = FeedbackEvent(edge_labels[i], edge=(event.source, event.dest), index=i)
-            apply_feedback(detector, feedback, params)
+            cells = detector.cells(event.source, event.dest)
+            apply_feedback(detector, cells, edge_labels[i], params, i)
     return scores
 
 

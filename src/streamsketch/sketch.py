@@ -36,12 +36,21 @@ def check_decay(alpha: float) -> None:
 MAX_WEIGHT = sys.float_info.max  # a weight at most this needs no float() to be known good
 
 
+def shown(number) -> str:
+    """``number`` as an error message shows it; one with an int past
+    ``sys.get_int_max_str_digits()``, which str() refuses, is described."""
+    try:
+        return str(number)
+    except ValueError:
+        return "a number too long to print"
+
+
 def check_weight(weight: float, what: str = "update weight") -> None:
     """Reject a weight below 0, which would let queries underestimate, inf or
     nan, which would poison a cell for good, and one float() cannot take."""
     if not (0 <= weight <= MAX_WEIGHT):  # also rejects nan
         if not (0 <= weight < math.inf):
-            raise ValueError(f"{what} must be finite and >= 0, got {weight}")
+            raise ValueError(f"{what} must be finite and >= 0, got {shown(weight)}")
         try:
             float(weight)  # an int or a Fraction just above the largest float rounds down to it
         except OverflowError:

@@ -6,10 +6,11 @@ loops the fast paths replaced. Tests import them with ``from oracles import
 ...``; nothing in the package imports this module.
 """
 
+import io
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
 
 import numpy as np
@@ -17,8 +18,10 @@ import numpy as np
 from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal, _as_matrix, _topk_densities
 from streamsketch.events import EdgeEvent
 from streamsketch.hashing import DEFAULT_SEED, canonical_key
+from streamsketch.ingest import parse_edge_stream, parse_feedback
 from streamsketch.midas import MidasDetector, chi2_score, filtering_score
 from streamsketch.mstream import HyperplaneHash, RecordScore, StreamingMinMax, bucketize_numeric
+from streamsketch.sess import SharpeningParams, Sess3dDetector, apply_feedback
 from streamsketch.sketch import HigherOrderSketch, check_weight
 
 
@@ -293,20 +296,53 @@ class TwoSketchSess3d:
         self.total.update_at(cells, event.weight)
         return chi2_score(self.current.query_at(cells), self.total.query_at(cells), event.tick)
 
-    def feedback(self, feedback, params):
-        total_factor, current_factor = params.factors(feedback.label)
-        if feedback.edge is not None:
-            for layer, cell in enumerate(self.total.indexes(*feedback.edge)):
+    def feedback(self, label, params, edge=None, node=None):
+        """Rescale an ``edge``'s cells, or else a ``node``'s row and column."""
+        total_factor, current_factor = params.factors(label)
+        if edge is not None:
+            for layer, cell in enumerate(self.total.indexes(*edge)):
                 self.total.counts[layer, cell] *= total_factor
                 self.current.counts[layer, cell] *= current_factor
             return
-        for layer, b in enumerate(self.total.family.indexes(canonical_key(feedback.node))):
+        for layer, b in enumerate(self.total.family.indexes(canonical_key(node))):
             for sketch, factor in ((self.total, total_factor), (self.current, current_factor)):
                 sketch.matrices[layer, b, :] *= factor
                 col = sketch.matrices[layer, :, b]
                 keep = col[b]
                 col *= factor
                 col[b] = keep
+
+
+def oracle_sess(text, feedback, feedback_name, layout="flat", seed=DEFAULT_SEED):
+    """``sess`` on input ``text`` and the ``feedback`` text of the file
+    ``feedback_name``, as ``(exit, stdout, stderr)``, by the per-edge loop:
+    parse the feedback, then apply its node labels, then parse the whole
+    input, then ``score`` edge by edge, applying each edge label after the
+    edge it names. Error order matches the CLI's only where no score is nan
+    and no feedback overflows a count, as with unit weights."""
+    params = SharpeningParams()
+    make = Sess3dDetector if layout == "3d" else partial(MidasDetector, "relational")
+    detector = make(seed=seed)
+    try:
+        edge_labels, node_labels = parse_feedback(io.StringIO(feedback, newline=None), feedback_name)
+        if node_labels and layout != "3d":
+            raise ValueError("node feedback requires --layout 3d")
+        for node, label in node_labels:
+            apply_feedback(detector, detector.node_cells(node), label, params)
+        events = list(parse_edge_stream(io.StringIO(text, newline=None)))
+        last, n = max(edge_labels, default=-1), len(events)
+        if last >= n:
+            raise ValueError(f"feedback index {last} is past the end of the stream ({n} edges)")
+        scores = []
+        for index, event in enumerate(events):
+            scores.append(detector.score(event))
+            if index in edge_labels:
+                cells = detector.cells(event.source, event.dest)
+                apply_feedback(detector, cells, edge_labels[index], params, index)
+    except ValueError as exc:
+        return 1, "", f"error: {exc}\n"
+    assert not any(map(math.isnan, scores)), "a nan score: the CLI reports it by chunk"
+    return 0, "".join(f"{score:.9g}\n" for score in scores), ""
 
 
 # -- an edge and a record that check none of their fields --------------------

@@ -8,12 +8,16 @@ import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from streamsketch import cli, midas
 from streamsketch.cli import main
+
+from oracles import oracle_sess
 
 # Characters that make up valid rows, so examples reach the detectors and not
 # only the parsers' first checks.
@@ -203,3 +207,46 @@ def test_a_bad_side_file_line_is_reported_with_its_path(kind, data):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: side.txt:{position + 1}: "), err
+
+
+
+# -- sess against its per-edge oracle ----------------------------------------------
+
+
+IDS = st.integers(0, 5) | st.sampled_from(["a", "b", "n3", "h40"])
+SESS_STREAM = st.lists(st.tuples(IDS, IDS, st.integers(0, 2)), min_size=5, max_size=40).map(ticked)
+NODE_LABELS = st.lists(st.tuples(IDS, st.integers(0, 1)), min_size=1, max_size=2)
+# Lines parse_edge_stream rejects; "0,1,1" only once a later tick has passed.
+BAD_EDGE_LINES = ["1,2", "1,2,3,4", "x,y,0", "1,2,x", "1,,3", "0,1,1"]
+RARELY = st.sampled_from([False] * 4 + [True])
+
+
+@pytest.mark.parametrize("layout", ["flat", "3d"])
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_sess_matches_its_per_edge_oracle_at_any_chunk_size(layout, data):
+    """stdout, stderr and exit code of ``sess`` equal the per-edge loop's on
+    both layouts, in chunks of 1, 3 and 7 edges, on string and integer ids,
+    blank lines, a bad line anywhere, labels on both sides of a chunk
+    boundary and a label past the end. Weights are 1, so no score is nan."""
+    lines = data.draw(SESS_STREAM)
+    n = len(lines)
+    labels = data.draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1), max_size=6))
+    for size in (3, 7):  # the last edge of a chunk and the first of the next
+        boundary = size * data.draw(st.integers(1, max(1, n // size)))
+        labels.update({i: i % 2 for i in (boundary - 1, boundary) if i < n})
+    if data.draw(RARELY):
+        labels[n + data.draw(st.integers(0, 2))] = 1  # past the end
+    nodes = data.draw(NODE_LABELS) if data.draw(RARELY) else []  # the flat layout exits 1
+    feedback = [f"node,{node},{label}" for node, label in nodes]
+    feedback += [f"{index},{label}" for index, label in labels.items()]
+    if data.draw(st.booleans()):
+        lines.insert(data.draw(st.integers(0, n)), data.draw(st.sampled_from(BAD_EDGE_LINES)))
+    lines = with_blank_lines(lines, data.draw(BLANKS))
+
+    text, feedback_text = ("".join(line + "\n" for line in part) for part in (lines, feedback))
+    expected = oracle_sess(text, feedback_text, "fb.txt", layout, seed=3)
+    argv = ["sess", "--layout", layout, "--seed", "3", "--input", "in.csv", "--feedback", "fb.txt"]
+    for size in (1, 3, 7):
+        with mock.patch.object(cli, "TICK_BATCH_MAX", size), mock.patch.object(midas, "TICK_BATCH_MAX", size):
+            assert run_with_files(argv, {"in.csv": lines, "fb.txt": feedback}) == expected, size

@@ -263,9 +263,9 @@ def test_record_stream_rejects_numeric_values_outside_log_domain():
 
 def test_feedback_parsing():
     lines = ["12,1", "40,0", "node,9,1"]
-    edge_labels, node_feedback = parse_feedback(lines)
+    edge_labels, node_labels = parse_feedback(lines)
     assert edge_labels == {12: 1, 40: 0}
-    assert [(f.node, f.label, f.edge) for f in node_feedback] == [(9, 1, None)]
+    assert node_labels == [(9, 1)]
     assert parse_feedback(["12,1", "12,0"]) == ({12: 0}, [])  # the later line wins
     with pytest.raises(ValueError, match="line 1"):
         parse_feedback(["12,7"])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from streamsketch.events import EdgeEvent
 from streamsketch.midas import MidasDetector, chi2_score
 from streamsketch.sess import (
-    FeedbackEvent,
     SharpeningParams,
     Sess3dDetector,
     apply_feedback,
@@ -31,15 +30,6 @@ def test_param_validation():
         SharpeningParams().factors(2)
 
 
-def test_feedback_event_validation():
-    with pytest.raises(ValueError):
-        FeedbackEvent(label=2, edge=("u", "v"))
-    with pytest.raises(ValueError):
-        FeedbackEvent(label=1)
-    with pytest.raises(ValueError):
-        FeedbackEvent(label=1, edge=("u", "v"), node="u")
-
-
 def at(table, cells):
     """The count at each row's cell, as (row 0, row 1, ...)."""
     return table[np.arange(len(cells)), list(cells)]
@@ -51,11 +41,7 @@ def test_anomalous_label_boosts_current_and_damps_total():
     total, current = detector.counts[:, 0]
     total[np.arange(2), idx] = 10.0
     current[np.arange(2), idx] = 4.0
-    apply_feedback(
-        detector,
-        FeedbackEvent(1, edge=("u", "v")),
-        SharpeningParams(boost=2.0, damp=0.3),
-    )
+    apply_feedback(detector, detector.cells("u", "v"), 1, SharpeningParams(boost=2.0, damp=0.3))
     assert at(current, idx) == pytest.approx([8.0, 8.0])
     assert at(total, idx) == pytest.approx([3.0, 3.0])
 
@@ -66,11 +52,7 @@ def test_normal_label_is_the_mirror_image():
     total, current = detector.counts[:, 0]
     total[np.arange(2), idx] = 10.0
     current[np.arange(2), idx] = 4.0
-    apply_feedback(
-        detector,
-        FeedbackEvent(0, edge=("u", "v")),
-        SharpeningParams(boost=2.0, damp=0.3),
-    )
+    apply_feedback(detector, detector.cells("u", "v"), 0, SharpeningParams(boost=2.0, damp=0.3))
     assert at(current, idx) == pytest.approx([4.0 * 0.3] * 2)
     assert at(total, idx) == pytest.approx([20.0, 20.0])
 
@@ -82,8 +64,8 @@ def test_inverse_factors_commute_back_to_original():
     total[np.arange(2), idx] = 6.25
     current[np.arange(2), idx] = 1.5
     params = SharpeningParams(boost=2.0, damp=0.5)  # boost * damp == 1 exactly
-    apply_feedback(detector, FeedbackEvent(0, edge=("a", "b")), params)
-    apply_feedback(detector, FeedbackEvent(1, edge=("a", "b")), params)
+    apply_feedback(detector, detector.cells("a", "b"), 0, params)
+    apply_feedback(detector, detector.cells("a", "b"), 1, params)
     assert at(total, idx).tolist() == [6.25, 6.25]
     assert at(current, idx).tolist() == [1.5, 1.5]
 
@@ -95,7 +77,7 @@ def test_cells_stay_positive_under_any_feedback_sequence():
     for tick in range(1, 50):
         edge = (int(rng.integers(0, 20)), int(rng.integers(0, 20)))
         detector.score(EdgeEvent(edge[0], edge[1], tick))
-        apply_feedback(detector, FeedbackEvent(int(rng.random() < 0.5), edge=edge), params)
+        apply_feedback(detector, detector.cells(*edge), int(rng.random() < 0.5), params)
     assert (detector.counts >= 0).all()
     assert detector.counts[0].max() > 0
 
@@ -106,7 +88,7 @@ def test_relational_feedback_reaches_node_sketches():
     _, source_cells, dest_cells = detector.cells("u", "v")
     source_total, dest_total = detector.counts[0, 1], detector.counts[0, 2]
     before = at(source_total, source_cells).min()
-    apply_feedback(detector, FeedbackEvent(0, edge=("u", "v")), SharpeningParams())
+    apply_feedback(detector, detector.cells("u", "v"), 0, SharpeningParams())
     assert at(source_total, source_cells).min() == pytest.approx(before * 2.0)
     assert at(dest_total, dest_cells).min() == pytest.approx(before * 2.0)
 
@@ -114,13 +96,13 @@ def test_relational_feedback_reaches_node_sketches():
 def test_node_feedback_rejected_on_flat_layout():
     detector = MidasDetector("relational", seed=5)
     with pytest.raises(ValueError, match="edge feedback"):
-        apply_feedback(detector, FeedbackEvent(1, node="u"), SharpeningParams())
+        apply_feedback(detector, detector.node_cells("u"), 1, SharpeningParams())
 
 
 def test_3d_edge_feedback_scales_single_cells():
     detector = Sess3dDetector(n_buckets=32, seed=6)
     detector.score(EdgeEvent("u", "v", 1, weight=5.0))
-    apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams())
+    apply_feedback(detector, detector.cells("u", "v"), 1, SharpeningParams())
     (cells,) = detector.cells("u", "v")
     total, current = detector.counts[:, 0]
     assert at(total, cells) == pytest.approx([5.0 * 0.3] * 2)
@@ -131,7 +113,7 @@ def test_3d_edge_feedback_scales_single_cells():
 def test_3d_node_feedback_scales_row_and_column_once():
     detector = Sess3dDetector(n_rows=2, n_buckets=8, seed=7)
     detector.counts[:] = 1.0
-    apply_feedback(detector, FeedbackEvent(1, node="n"), SharpeningParams(2.0, 0.3))
+    apply_feedback(detector, detector.node_cells("n"), 1, SharpeningParams(2.0, 0.3))
     # One hash family: the node's bucket is both its row and its column.
     for layer, cell in enumerate(detector.cells("n", "n")[0]):
         r, c = divmod(cell, 8)
@@ -154,11 +136,11 @@ def test_feedback_that_overflows_a_count_raises_and_changes_nothing(layout):
     detector.score(EdgeEvent("u", "v", 1, weight=1e308))
     before = detector.counts.copy()
     with pytest.raises(ValueError, match="^feedback index 7: scaling overflows a count to inf$"):
-        apply_feedback(detector, FeedbackEvent(0, edge=("u", "v"), index=7), SharpeningParams())
+        apply_feedback(detector, detector.cells("u", "v"), 0, SharpeningParams(), 7)
     assert np.array_equal(detector.counts, before)
     if layout == "3d":
         with pytest.raises(ValueError, match="^feedback: scaling overflows"):
-            apply_feedback(detector, FeedbackEvent(0, node="u"), SharpeningParams())
+            apply_feedback(detector, detector.node_cells("u"), 0, SharpeningParams())
         assert np.array_equal(detector.counts, before)
 
 
@@ -167,7 +149,7 @@ def test_feedback_on_a_count_already_inf_is_no_overflow():
     detector = MidasDetector("relational", seed=1)
     for _ in range(2):
         detector.score(EdgeEvent("u", "v", 1, weight=1e308))
-    apply_feedback(detector, FeedbackEvent(0, edge=("u", "v"), index=1), SharpeningParams())
+    apply_feedback(detector, detector.cells("u", "v"), 0, SharpeningParams(), 1)
     (cells, *_) = detector.cells("u", "v")
     total, current = detector.counts[:, 0]
     assert at(total, cells).tolist() == [math.inf] * 2
@@ -207,9 +189,12 @@ def test_3d_detector_matches_its_two_sketch_oracle(steps, n_rows, n_buckets, alp
         assert detector.score(event) == oracle.score(event)
         if feedback is not None:
             label, node = feedback
-            target = dict(edge=(source, dest)) if node is None else dict(node=node)
-            for apply in (partial(apply_feedback, detector), oracle.feedback):
-                apply(FeedbackEvent(label, **target), params)
+            if node is None:
+                cells, target = detector.cells(source, dest), dict(edge=(source, dest))
+            else:
+                cells, target = detector.node_cells(node), dict(node=node)
+            apply_feedback(detector, cells, label, params)
+            oracle.feedback(label, params, **target)
         assert np.array_equal(detector.counts[:, 0], [oracle.total.counts, oracle.current.counts])
 
 
@@ -251,11 +236,8 @@ def test_feedback_improves_ranking_on_a_poisoned_attack():
         for index, event in enumerate(events):
             scores.append(detector.score(event))
             if with_feedback and labels[index] == 1 and not given and event.tick >= 80:
-                apply_feedback(
-                    detector,
-                    FeedbackEvent(1, edge=(event.source, event.dest), index=index),
-                    params,
-                )
+                cells = detector.cells(event.source, event.dest)
+                apply_feedback(detector, cells, 1, params, index)
                 given = True
         return roc_auc(scores, labels)
 
@@ -286,6 +268,6 @@ def test_score_with_feedback_is_the_same_split_at_any_position(cut, labels, layo
     for index, event in enumerate(events):
         by_hand.append(detector.score(event))
         if index in labels:
-            feedback = FeedbackEvent(labels[index], edge=(event.source, event.dest))
-            apply_feedback(detector, feedback, params)
+            cells = detector.cells(event.source, event.dest)
+            apply_feedback(detector, cells, labels[index], params)
     assert by_hand == whole

@@ -19,8 +19,8 @@ from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import canonical_key
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
-from streamsketch.sess import FeedbackEvent, Sess3dDetector, SharpeningParams, apply_feedback
-from streamsketch.sketch import CountMinSketch
+from streamsketch.sess import Sess3dDetector, SharpeningParams, apply_feedback
+from streamsketch.sketch import CountMinSketch, check_weight
 
 from oracles import LooseEdge, PerTableDetector
 
@@ -107,7 +107,7 @@ def test_flat_feedback_writes_reach_the_stacked_array():
     detector = MidasDetector("relational", n_rows=2, n_buckets=1 << 12, seed=1)
     detector.process(EdgeEvent("u", "v", 1, 3.0))
     before = detector.counts.copy()
-    apply_feedback(detector, FeedbackEvent(1, edge=("u", "v")), SharpeningParams(2.0, 0.3))
+    apply_feedback(detector, detector.cells("u", "v"), 1, SharpeningParams(2.0, 0.3))
     expected = before.copy()
     for k, key in enumerate([("u", "v"), "u", "v"]):
         for row, bucket in enumerate(detector.family.indexes(canonical_key(key))):
@@ -173,6 +173,30 @@ def test_a_weight_float_rounds_down_to_the_largest_float_is_taken():
     assert sketch.counts.max() == sys.float_info.max
 
 
+def test_a_negative_int_too_long_to_print_gets_the_weight_and_tick_messages():
+    """An int str() refuses (over 4300 digits) is described, not printed;
+    printable values keep their messages, and nothing is written."""
+    huge, described = -(10**5000), "got a number too long to print$"
+    with pytest.raises(ValueError, match="^update weight must be finite and >= 0, " + described):
+        check_weight(huge)
+    with pytest.raises(ValueError, match="^edge weight must be finite and >= 0, " + described):
+        EdgeEvent("u", "v", 1, huge)
+    with pytest.raises(ValueError, match="^tick must be >= 1, " + described):
+        EdgeEvent("u", "v", huge)
+    with pytest.raises(ValueError, match="^update weight must be finite and >= 0, got -1$"):
+        check_weight(-1)
+    with pytest.raises(ValueError, match="^tick must be >= 1, got -3$"):
+        EdgeEvent("u", "v", -3)
+    detector = MidasDetector("relational", n_rows=2, n_buckets=16, seed=2)
+    detector.process(LooseEdge("u", "v", 1, 1.0))
+    before = detector.counts.copy()
+    with pytest.raises(ValueError, match="^update weight must be finite and >= 0, " + described):
+        detector.process(LooseEdge("u", "v", 2, huge))
+    assert np.array_equal(detector.counts, before)
+    assert detector.tick_volume == 1.0
+    assert detector.clock.tick == 1
+
+
 def local_state(detector):
     """AnoEdge-L's sketch and the running sums of its maintained submatrices."""
     sums = [[*s.gain, np.array([s.total])] for s in detector.states]
@@ -215,8 +239,8 @@ def score_sess(detector, events):
     half = len(events) // 2
     scores = [detector.score(event) for event in events[:half]]
     params = SharpeningParams(2.0, 0.3)
-    apply_feedback(detector, FeedbackEvent(1, edge=(events[0].source, events[0].dest)), params)
-    apply_feedback(detector, FeedbackEvent(0, node=events[1].source), params)
+    apply_feedback(detector, detector.cells(events[0].source, events[0].dest), 1, params)
+    apply_feedback(detector, detector.node_cells(events[1].source), 0, params)
     return scores + [detector.score(event) for event in events[half:]]
 
 
