@@ -7,7 +7,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from .sketch import MAX_WEIGHT, check_weight, shown
+from .sketch import MAX_FLOAT, as_float, check_weight, shown
 
 
 class TickClock:
@@ -63,7 +63,7 @@ class EdgeEvent:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.weight <= MAX_WEIGHT):  # as check_weight, without a call per edge
+        if not (0 <= self.weight <= MAX_FLOAT):  # as check_weight, without a call per edge
             check_weight(self.weight, "edge weight")
         _check_tick(self.tick)
 
@@ -82,7 +82,7 @@ class MultiAspectRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "categorical", tuple(self.categorical))
-        numeric = tuple(float(x) for x in self.numeric)
+        numeric = tuple(as_float(x, "numeric attribute") for x in self.numeric)
         if not all(map(math.isfinite, numeric)):
             raise ValueError(f"numeric attributes must be finite, got {numeric}")
         object.__setattr__(self, "numeric", numeric)

@@ -38,6 +38,7 @@ import numpy as np
 from .events import MultiAspectRecord
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key, canonical_keys, draw_rows
 from .midas import ChiSquaredTables
+from .sketch import MAX_FLOAT, as_float, shown
 
 
 @dataclass
@@ -61,8 +62,10 @@ class StreamingMinMax:
 
 
 def _check_log_domain(value: float) -> None:
-    if not -1.0 < value < math.inf:  # also rejects nan
-        raise ValueError(f"numeric value must be finite and > -1 for log1p, got {value}")
+    if not -1.0 < value <= MAX_FLOAT:  # also rejects nan; float() only past the largest float
+        if not -1.0 < value < math.inf:
+            raise ValueError(f"numeric value must be finite and > -1 for log1p, got {shown(value)}")
+        as_float(value, "numeric value")
 
 
 def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> int:

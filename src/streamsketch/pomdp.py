@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import DEFAULT_SEED
+from .sketch import shown
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,9 @@ class TwoStateProcess:
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
+            raise ValueError(f"p must be in (0, 1), got {shown(self.p)}")
         if not 0.0 < self.q < 1.0:
-            raise ValueError(f"q must be in (0, 1), got {self.q}")
+            raise ValueError(f"q must be in (0, 1), got {shown(self.q)}")
 
     @property
     def stationary_anomalous(self) -> float:
@@ -75,15 +76,15 @@ class PredictorConfig:
         if self.kind not in ("imitate", "opt"):
             raise ValueError(f"kind must be 'imitate' or 'opt', got {self.kind!r}")
         if not 0.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi must be in [0, 1], got {self.phi}")
+            raise ValueError(f"phi must be in [0, 1], got {shown(self.phi)}")
         if self.kind == "imitate":
             for name, value in (("p_hat", self.p_hat), ("q_hat", self.q_hat)):
                 if value is None or not 0.0 < value < 1.0:
-                    raise ValueError(f"imitate needs {name} in (0, 1), got {value}")
+                    raise ValueError(f"imitate needs {name} in (0, 1), got {shown(value)}")
         elif self.q_hat is not None and not 0.0 < self.q_hat < 1.0:  # also rejects nan
-            raise ValueError(f"opt needs q_hat in (0, 1), got {self.q_hat}")
+            raise ValueError(f"opt needs q_hat in (0, 1), got {shown(self.q_hat)}")
         elif self.wait_steps is not None and self.wait_steps < 1:
-            raise ValueError(f"wait_steps must be >= 1, got {self.wait_steps}")
+            raise ValueError(f"wait_steps must be >= 1, got {shown(self.wait_steps)}")
 
     def resolved_wait(self) -> int:
         if self.wait_steps is not None:
@@ -93,85 +94,29 @@ class PredictorConfig:
         return math.ceil(1.0 / self.q_hat)
 
 
-def _chain_states(u, p, q, t, reset_pos, base) -> np.ndarray:
-    """States at steps ``t`` of a two-state chain that was ``base`` at step
-    ``reset_pos`` and then applied the maps drawn in ``u[reset_pos:t]``.
+def _evolve_chain(u, p: float, q: float, start: int, restart=None, state=None) -> np.ndarray:
+    """``states[t]`` for t = 0..len(u): the state of a two-state chain that
+    was ``start`` at step 0 and then applied the maps drawn in ``u[:t]``, or,
+    given ``restart`` and ``state``, that was ``state[t]`` at step
+    ``restart[t] <= t`` and then applied those in ``u[restart[t]:t]``.
 
     Each draw applies one of three maps to the state: u < min(p, q) flips it,
     min <= u < max pins it (to N when p < q, to A otherwise), anything else
     keeps it. Pinned segments make the whole path computable by prefix sums:
     after the latest pin, the state is the pinned value xor the parity of
-    flips since; with no pin since the reset, it is the base xor the parity
-    of flips since the reset.
+    flips since; with no pin since the restart, it is the restart state xor
+    the parity of flips since the restart.
     """
     lo, hi = (p, q) if p <= q else (q, p)
-    pinned_value = 0 if p <= q else 1
     cum_flips = np.zeros(u.shape[0] + 1, dtype=np.int64)
     np.cumsum(u < lo, out=cum_flips[1:])
-    pins = (u >= lo) & (u < hi)
-    last_pin = np.maximum.accumulate(np.where(pins, np.arange(u.shape[0]), -1))
-
-    pin = last_pin[t - 1]
-    flips_since_pin = (cum_flips[t] - cum_flips[np.maximum(pin, 0) + 1]) & 1
-    flips_since_reset = (cum_flips[t] - cum_flips[reset_pos]) & 1
-    return np.where(pin >= reset_pos, pinned_value ^ flips_since_pin, base ^ flips_since_reset)
-
-
-def _evolve_chain(u: np.ndarray, p: float, q: float, start: int) -> np.ndarray:
-    """State path of a two-state chain from its per-step uniform draws."""
-    n = u.shape[0]
-    states = np.empty(n + 1, dtype=np.int8)
-    states[0] = start
-    if n:
-        states[1:] = _chain_states(u, p, q, np.arange(1, n + 1), 0, start)
-    return states
-
-
-def _opt_predictions(
-    truth: np.ndarray, delivered: np.ndarray, wait_steps: int
-) -> np.ndarray:
-    steps = truth.shape[0]
-    fb_pos = np.flatnonzero(delivered)
-    pred = np.zeros(steps, dtype=np.int8)
-    if fb_pos.size == 0:
-        return pred
-    t = np.arange(steps)
-    k = np.searchsorted(fb_pos, t, side="left") - 1
-    seen = k >= 0
-    last_pos = fb_pos[np.maximum(k, 0)]
-    last_label = truth[last_pos]
-    inside_wait = (t - last_pos) <= wait_steps
-    pred[seen & (last_label == 1) & inside_wait] = 1
-    return pred
-
-
-def _imitate_predictions(
-    truth: np.ndarray,
-    delivered: np.ndarray,
-    u_pred: np.ndarray,
-    p_hat: float,
-    q_hat: float,
-    start: int,
-) -> np.ndarray:
-    steps = truth.shape[0]
-    pred = np.empty(steps, dtype=np.int8)
-    pred[0] = start
-    if steps == 1:
-        return pred
-    fb_pos = np.flatnonzero(delivered)
-    t = np.arange(1, steps)
-    if fb_pos.size == 0:
-        reset_pos, base = 0, start
-    else:
-        k = np.searchsorted(fb_pos, t - 1, side="right") - 1
-        has_reset = k >= 0
-        reset_pos = np.where(has_reset, fb_pos[np.maximum(k, 0)], 0)
-        base = np.where(has_reset, truth[fb_pos[np.maximum(k, 0)]], start)
-
-    # The predictor chain at step t composes its own transition maps over
-    # [reset, t) on top of the state revealed at the reset.
-    pred[1:] = _chain_states(u_pred, p_hat, q_hat, t, reset_pos, base)
-    return pred
+    pins = np.where((u >= lo) & (u < hi), np.arange(u.shape[0]), -1)
+    pin = np.maximum.accumulate(np.concatenate(([-1], pins)))  # the last pin before each step
+    if restart is None:
+        restart, state = 0, start
+    after_pin = int(p > q) ^ (cum_flips - cum_flips[pin + 1]) & 1
+    after_restart = state ^ (cum_flips - cum_flips[restart]) & 1
+    return np.where(pin >= restart, after_pin, after_restart).astype(np.int8)
 
 
 def run_predictor(
@@ -183,28 +128,30 @@ def run_predictor(
     """Simulate ``steps`` predictions against the hidden process and return
     the fraction the predictor got right."""
     if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+        raise ValueError(f"steps must be >= 1, got {shown(steps)}")
     rng = np.random.default_rng(process.seed if seed is None else seed)
     # Fixed draw order so runs are reproducible: chain, feedback, predictor.
     u_chain = rng.random(steps)
     u_feedback = rng.random(steps)
-    u_pred = rng.random(steps) if config.kind == "imitate" else None
 
     start = 1 if process.start_anomalous else 0
     truth = _evolve_chain(u_chain[: steps - 1], process.p, process.q, start)
-
-    candidates = u_feedback < config.phi
+    delivered = u_feedback < config.phi
     if config.one_sided:
-        delivered = candidates & (truth == 1)
-    else:
-        delivered = candidates
+        delivered &= truth == 1
+    # The last step before each step whose state feedback revealed, -1 if none.
+    t = np.arange(steps)
+    last = np.maximum.accumulate(np.concatenate(([-1], np.where(delivered, t, -1)[:-1])))
 
     if config.kind == "opt":
-        pred = _opt_predictions(truth, delivered, config.resolved_wait())
+        pred = (last >= 0) & (truth[last] == 1) & (t - last <= config.resolved_wait())
     else:
-        pred = _imitate_predictions(
-            truth, delivered, u_pred, config.p_hat, config.q_hat, start
-        )
+        # The predictor runs its own chain on its own draws, restarted at each
+        # feedback from the state it revealed; truth[0] is start, so a step
+        # with no feedback before it restarts there.
+        restart = np.maximum(last, 0)
+        u_pred = rng.random(steps - 1)
+        pred = _evolve_chain(u_pred, config.p_hat, config.q_hat, start, restart, truth[restart])
     return float(np.mean(pred == truth))
 
 
@@ -234,15 +181,13 @@ def expected_accuracy_one_sided(p: float, q: float, wait_steps: int, phi: float)
     if not 0.0 < p < 1.0 or not 0.0 < q < 1.0:
         raise ValueError("p and q must be in (0, 1)")
     if wait_steps < 1:
-        raise ValueError(f"wait_steps must be >= 1, got {wait_steps}")
+        raise ValueError(f"wait_steps must be >= 1, got {shown(wait_steps)}")
     if not 0.0 <= phi < 1.0:
-        raise ValueError(f"phi must be in [0, 1), got {phi}")
+        raise ValueError(f"phi must be in [0, 1), got {shown(phi)}")
     if phi > 0.0 and wait_steps >= 1.0 / phi:
-        raise ValueError(
-            f"requires wait_steps < 1/phi: {wait_steps} >= {1.0 / phi:.6g}"
-        )
+        raise ValueError(f"requires wait_steps < 1/phi: {shown(wait_steps)} >= {1.0 / phi:.6g}")
     if wait_steps >= 1.0 / p:
-        raise ValueError(f"requires wait_steps < 1/p: {wait_steps} >= {1.0 / p:.6g}")
+        raise ValueError(f"requires wait_steps < 1/p: {shown(wait_steps)} >= {1.0 / p:.6g}")
     base = q / (p + q)
     if wait_steps <= 1.0 / q:
         return base + phi * wait_steps * p / (p + q)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key
 from .midas import ChiSquaredTables, MidasDetector
-from .sketch import matrix_cells
+from .sketch import matrix_cells, shown
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,9 +37,9 @@ class SharpeningParams:
 
     def __post_init__(self):
         if not 1.0 < self.boost < math.inf:  # also rejects nan
-            raise ValueError(f"boost factor must be finite and > 1, got {self.boost}")
+            raise ValueError(f"boost factor must be finite and > 1, got {shown(self.boost)}")
         if not 0.0 < self.damp < 1.0:
-            raise ValueError(f"damp factor must be in (0, 1), got {self.damp}")
+            raise ValueError(f"damp factor must be in (0, 1), got {shown(self.damp)}")
 
     def factors(self, label: int) -> tuple[float, float]:
         """(total factor, current factor) for a 0=normal / 1=anomalous label."""
@@ -47,7 +47,7 @@ class SharpeningParams:
             return self.boost, self.damp
         if label == 1:
             return self.damp, self.boost
-        raise ValueError(f"label must be 0 or 1, got {label}")
+        raise ValueError(f"label must be 0 or 1, got {shown(label)}")
 
 
 def apply_feedback(detector, cells, label: int, params: SharpeningParams, index=None) -> None:

@@ -30,10 +30,10 @@ def check_decay(alpha: float) -> None:
     """Reject a decay factor outside (0, 1): 0 would clear history entirely
     and 1 would not scale at all."""
     if not 0.0 < alpha < 1.0:
-        raise ValueError(f"decay factor must be in (0, 1), got {alpha}")
+        raise ValueError(f"decay factor must be in (0, 1), got {shown(alpha)}")
 
 
-MAX_WEIGHT = sys.float_info.max  # a weight at most this needs no float() to be known good
+MAX_FLOAT = sys.float_info.max  # a number at most this needs no float() to be known good
 
 
 def shown(number) -> str:
@@ -48,13 +48,19 @@ def shown(number) -> str:
 def check_weight(weight: float, what: str = "update weight") -> None:
     """Reject a weight below 0, which would let queries underestimate, inf or
     nan, which would poison a cell for good, and one float() cannot take."""
-    if not (0 <= weight <= MAX_WEIGHT):  # also rejects nan
+    if not (0 <= weight <= MAX_FLOAT):  # also rejects nan
         if not (0 <= weight < math.inf):
             raise ValueError(f"{what} must be finite and >= 0, got {shown(weight)}")
-        try:
-            float(weight)  # an int or a Fraction just above the largest float rounds down to it
-        except OverflowError:
-            raise ValueError(f"{what} too large for a float") from None
+        as_float(weight, what)  # an int or a Fraction just above the largest float rounds down to it
+
+
+def as_float(number, what: str) -> float:
+    """``float(number)``, raising ValueError named for ``what``, not
+    OverflowError, for an int or a Fraction too large for a float."""
+    try:
+        return float(number)
+    except OverflowError:
+        raise ValueError(f"{what} too large for a float") from None
 
 
 def weights_ok(weights: np.ndarray) -> bool:

@@ -220,6 +220,11 @@ def test_record_stream_rejects_non_finite_numeric_values(bad):
         MultiAspectRecord(("v",), (float(bad),), 1)
 
 
+def test_a_numeric_attribute_float_cannot_take_raises_value_error():
+    with pytest.raises(ValueError, match="^numeric attribute too large for a float$"):
+        MultiAspectRecord((), (10**400,))
+
+
 def test_huge_ticks_rejected():
     huge = 10**400
     with pytest.raises(ValueError, match="line 2: tick too large"):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,25 +234,39 @@ def test_feature_buckets_are_stable_for_fixed_state():
 
 
 @pytest.mark.parametrize(
-    "categorical, numeric, tick, error",
+    "record, error, match",
     [
-        (("a",), (5.0, -1.0), 3, ValueError),  # second column outside log1p's domain
-        ((1.5,), (5.0, 1.0), 3, TypeError),  # a float is no categorical key
-        (("a",), (5.0, 1.0), 1, ValueError),  # tick regression
+        # second column outside log1p's domain
+        (MultiAspectRecord(("a",), (5.0, -1.0), 3), ValueError, "> -1 for log1p, got -1.0$"),
+        (MultiAspectRecord((1.5,), (5.0, 1.0), 3), TypeError, None),  # no categorical key
+        (MultiAspectRecord(("a",), (5.0, 1.0), 1), ValueError, None),  # tick regression
+        # A record type that holds its numbers unconverted: one float()
+        # cannot take, and one too long to print.
+        (
+            SimpleNamespace(categorical=("a",), numeric=(5.0, 10**400), tick=3),
+            ValueError,
+            "^numeric value too large for a float$",
+        ),
+        (
+            SimpleNamespace(categorical=("a",), numeric=(5.0, -(10**5000)), tick=3),
+            ValueError,
+            "> -1 for log1p, got a number too long to print$",
+        ),
     ],
-    ids=["log-domain", "unhashable", "tick-regression"],
+    ids=["log-domain", "unhashable", "tick-regression", "too-large", "too-long-to-print"],
 )
-def test_rejected_record_changes_no_state(categorical, numeric, tick, error):
+def test_rejected_record_changes_no_state(record, error, match):
     detector = MstreamDetector(1, 2, n_buckets=16, seed=3)
     detector.score(MultiAspectRecord(("a",), (1.0, 2.0), 1))
     detector.score(MultiAspectRecord(("b",), (3.0, 0.5), 2))
     counts = detector.counts.copy()
     minmax = [(m.lo, m.hi) for m in detector.minmax]
-    with pytest.raises(error):
-        detector.score(MultiAspectRecord(categorical, numeric, tick))
-    assert np.array_equal(detector.counts, counts)
-    assert [(m.lo, m.hi) for m in detector.minmax] == minmax
-    assert detector.clock.tick == 2
+    for score in (detector.score, lambda r: detector.score_many([r])):
+        with pytest.raises(error, match=match):
+            score(record)
+        assert np.array_equal(detector.counts, counts)
+        assert [(m.lo, m.hi) for m in detector.minmax] == minmax
+        assert detector.clock.tick == 2
 
 
 # -- against the detector's own hashing before it went through HashFamily ----

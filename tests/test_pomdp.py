@@ -110,16 +110,23 @@ def test_closed_form_chain_matches_stepping(p, q, start):
         dict(kind="imitate", p_hat=0.3, q_hat=0.1),
         dict(kind="opt", wait_steps=7),
         dict(kind="opt", wait_steps=40),
+        dict(kind="imitate", p_hat=0.2, q_hat=0.2),
     ],
 )
 def test_fast_runs_match_reference_simulator(config_kw, one_sided):
-    process = TwoStateProcess(p=0.02, q=0.15)
-    for seed in range(6):
-        for phi in (0.0, 0.05, 0.3):
-            config = PredictorConfig(phi=phi, one_sided=one_sided, **config_kw)
-            fast = run_predictor(process, config, 4000, seed=seed)
-            slow = reference_run(process, config, 4000, seed)
-            assert fast == pytest.approx(slow, abs=1e-12)
+    # Long runs with p < q, then runs of 1, 2, 3 and 300 steps with p < q,
+    # p > q and p == q, from either state.
+    cases = [(TwoStateProcess(p=0.02, q=0.15), 4000, range(6))]
+    for p, q in ((0.02, 0.15), (0.3, 0.05), (0.1, 0.1)):
+        for start_anomalous in (False, True):
+            process = TwoStateProcess(p=p, q=q, start_anomalous=start_anomalous)
+            cases += [(process, steps, range(3)) for steps in (1, 2, 3, 300)]
+    for process, steps, seeds in cases:
+        for seed in seeds:
+            for phi in (0.0, 0.05, 0.3, 1.0):
+                config = PredictorConfig(phi=phi, one_sided=one_sided, **config_kw)
+                fast = run_predictor(process, config, steps, seed=seed)
+                assert fast == reference_run(process, config, steps, seed)
 
 
 # -- stationary behaviour -----------------------------------------------------------

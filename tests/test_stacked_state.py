@@ -5,6 +5,7 @@ a copied detector counts in its own array."""
 import copy
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 from functools import partial
@@ -19,8 +20,9 @@ from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import canonical_key
 from streamsketch.midas import VARIANTS, MidasDetector
 from streamsketch.mstream import MstreamDetector
+from streamsketch.pomdp import PredictorConfig, TwoStateProcess, expected_accuracy_one_sided
 from streamsketch.sess import Sess3dDetector, SharpeningParams, apply_feedback
-from streamsketch.sketch import CountMinSketch, check_weight
+from streamsketch.sketch import CountMinSketch, check_decay, check_weight
 
 from oracles import LooseEdge, PerTableDetector
 
@@ -195,6 +197,24 @@ def test_a_negative_int_too_long_to_print_gets_the_weight_and_tick_messages():
     assert np.array_equal(detector.counts, before)
     assert detector.tick_volume == 1.0
     assert detector.clock.tick == 1
+
+
+@pytest.mark.parametrize(
+    "reject, message",
+    [
+        (lambda: check_decay(10**5000), "decay factor must be in (0, 1)"),
+        (lambda: SharpeningParams(boost=-(10**5000)), "boost factor must be finite and > 1"),
+        (lambda: SharpeningParams().factors(10**5000), "label must be 0 or 1"),
+        (lambda: TwoStateProcess(p=10**5000, q=0.1), "p must be in (0, 1)"),
+        (lambda: PredictorConfig(kind="opt", phi=10**5000), "phi must be in [0, 1]"),
+        (lambda: PredictorConfig(kind="opt", wait_steps=-(10**5000)), "wait_steps must be >= 1"),
+        (lambda: expected_accuracy_one_sided(0.1, 0.2, -(10**5000), 0.1), "wait_steps must be >= 1"),
+    ],
+    ids=["decay", "boost", "label", "p", "phi", "wait", "one-sided-wait"],
+)
+def test_an_int_too_long_to_print_gets_the_parameter_message(reject, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}, got a number too long to print$"):
+        reject()
 
 
 def local_state(detector):
