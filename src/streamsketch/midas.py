@@ -41,7 +41,7 @@ bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby, islice, repeat
 from operator import attrgetter
 from statistics import NormalDist
@@ -51,7 +51,7 @@ import numpy as np
 from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
 from .events import EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily, canonical_keys, check_shape, mix_keys
-from .sketch import check_decay, check_weight, conditional_merge, weights_ok
+from .sketch import check_decay, check_positive, check_weight, conditional_merge, shown, weights_ok
 
 VARIANTS = ("plain", "relational", "filtering")
 # Per variant, runs of fewer items than this in one tick take the per-item
@@ -176,7 +176,8 @@ class DecisionRule:
 
     ``nu`` is the sketch overcount rate (e / n_buckets); the adjusted count
     a - nu * N_t discounts the worst plausible overcount before the
-    chi-squared comparison.
+    chi-squared comparison against ``threshold``, which ``epsilon`` sets:
+    the one-degree quantile at 1 - epsilon / 2.
 
     ``epsilon`` bounds the flag rate on normal traffic only where the
     chi-squared approximation behind the rule holds: the plain variant, an
@@ -191,18 +192,17 @@ class DecisionRule:
 
     epsilon: float
     nu: float
-    threshold: float
+    threshold: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.nu <= 0.0:
-            raise ValueError(f"nu must be > 0, got {self.nu}")
+            raise ValueError(f"epsilon must be in (0, 1), got {shown(self.epsilon)}")
+        check_positive(self.nu, "nu")
+        object.__setattr__(self, "threshold", chi2_quantile_1dof(1.0 - self.epsilon / 2.0))
 
     @classmethod
     def for_detector(cls, epsilon: float, detector: "MidasDetector") -> "DecisionRule":
-        nu = math.e / detector.n_buckets
-        return cls(epsilon, nu, chi2_quantile_1dof(1.0 - epsilon / 2.0))
+        return cls(epsilon, math.e / detector.n_buckets)
 
     def statistic(self, stats: StepStats) -> float:
         adjusted = stats.current_count - self.nu * stats.tick_volume
@@ -248,8 +248,7 @@ class ChiSquaredTables:
             raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
         if variant != "plain":
             check_decay(alpha)
-        if not merge_threshold > 0:  # also rejects nan
-            raise ValueError(f"merge threshold must be > 0, got {merge_threshold}")
+        check_positive(merge_threshold, "merge threshold")
         check_shape(n_rows, n_buckets)
         self.variant = variant
         self.n_rows = n_rows
@@ -389,12 +388,12 @@ class ChiSquaredTables:
         self.tick_volume = float(volume[-1])
         return scores, a[0], s[0], volume
 
-    def each_run(self, items, hash_piece):
+    def each_run(self, items):
         """Yield the runs of ``items`` in order as ``(run, tick, hashes)``,
         from pieces of at most ``TICK_BATCH_MAX``; the caller scores each run
         before it takes the next.
 
-        ``hash_piece(piece)`` returns a tuple of arrays that hold a whole
+        ``self._hash_piece(piece)`` returns a tuple of arrays that hold a whole
         piece's hashes, one item per position of their last axis, the first
         of them the cells ``[key, row, item]``, or None. A run of at least
         ``TICK_BATCH_MIN[variant]`` items that share a ``tick`` comes once the
@@ -409,7 +408,7 @@ class ChiSquaredTables:
         # Runs are exact at any length: each starts from the tables and
         # tick_volume the one before it left.
         while piece := list(islice(items, TICK_BATCH_MAX)):
-            hashes = hash_piece(piece)
+            hashes = self._hash_piece(piece)
             if hashes is None:
                 yield piece, None, repeat(None)
                 continue
@@ -512,7 +511,7 @@ class MidasDetector(ChiSquaredTables):
             raise ValueError(f"unknown combination mode: {mode!r}")
         scores: list[float] = []
         flags: list[bool] | None = None if rule is None else []
-        for run, tick, hashes in self.each_run(events, self._hash_piece):
+        for run, tick, hashes in self.each_run(events):
             if tick is None:
                 for event, cells in zip(run, hashes):
                     stats = self.process(event, cells)

@@ -41,26 +41,6 @@ from .midas import ChiSquaredTables
 from .sketch import MAX_FLOAT, as_float, shown
 
 
-@dataclass
-class StreamingMinMax:
-    """Running min and max of log-transformed values for one numeric column."""
-
-    lo: float | None = None
-    hi: float | None = None
-
-    def absorb(self, value: float) -> None:
-        if self.lo is None or value < self.lo:
-            self.lo = value
-        if self.hi is None or value > self.hi:
-            self.hi = value
-
-    def normalize(self, value: float) -> float:
-        # First value (or a constant column) has no spread; pin it to 0.
-        if self.lo is None or self.hi == self.lo:
-            return 0.0
-        return (value - self.lo) / (self.hi - self.lo)
-
-
 def _check_log_domain(value: float) -> None:
     if not -1.0 < value <= MAX_FLOAT:  # also rejects nan; float() only past the largest float
         if not -1.0 < value < math.inf:
@@ -68,18 +48,25 @@ def _check_log_domain(value: float) -> None:
         as_float(value, "numeric value")
 
 
-def bucketize_numeric(value: float, state: StreamingMinMax, n_buckets: int) -> int:
+def bucketize_numeric(value: float, bounds: list, n_buckets: int) -> int:
     """Log-transform, min-max normalize, then split into n_buckets.
 
-    The running min/max absorb the incoming value first, so the value always
-    lands inside [min, max]. The floor(x * b) mod b rule wraps the running
-    maximum itself into bucket 0.
+    ``bounds`` is the column's running ``[min, max]`` of log-shifted values,
+    ``[inf, -inf]`` before the first. It absorbs the incoming value first, so
+    the value always lands inside it; with no spread yet (one value so far, or
+    a constant column) the value lands in bucket 0. The floor(x * b) mod b
+    rule wraps the running maximum itself into bucket 0.
     """
     _check_log_domain(value)
     shifted = math.log1p(value) + 0.0  # -0.0 becomes 0.0: equal values, equal bits
-    state.absorb(shifted)
-    scaled = state.normalize(shifted)
-    return int(scaled * n_buckets) % n_buckets
+    lo, hi = bounds
+    if shifted < lo:
+        bounds[0] = lo = shifted
+    if shifted > hi:
+        bounds[1] = hi = shifted
+    if hi == lo:
+        return 0
+    return int((shifted - lo) / (hi - lo) * n_buckets) % n_buckets
 
 
 def hash_categorical(value, families) -> list[tuple[int, ...]]:
@@ -179,7 +166,7 @@ class MstreamDetector(ChiSquaredTables):
             HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
             for _ in range(n_rows)
         ]
-        self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
+        self.minmax = [[math.inf, -math.inf] for _ in range(n_numeric)]  # running [min, max]
 
     def score(self, record: MultiAspectRecord, cells=None) -> RecordScore:
         """Insert one record; return its total score and per-attribute terms.
@@ -209,13 +196,13 @@ class MstreamDetector(ChiSquaredTables):
                 record_hash(record, planes, self.n_buckets, [s[row] for _, s in categorical])
                 for row, planes in enumerate(self._hyperplanes)
             ])
-        # The clock moves before the bucketizers absorb the record, so a tick
-        # regression leaves their min/max alone. The bucketizer is
+        # The clock moves before each column's [min, max] absorbs the record,
+        # so a tick regression leaves them alone. The bucketizer is
         # deterministic, so rows share one bucket.
         self.advance(record.tick)
         numeric = [
-            [bucketize_numeric(value, state, self.n_buckets)] * self.n_rows
-            for value, state in zip(record.numeric, self.minmax)
+            [bucketize_numeric(value, bounds, self.n_buckets)] * self.n_rows
+            for value, bounds in zip(record.numeric, self.minmax)
         ]
         terms = self.step([*cells[:-1], *numeric, cells[-1]], 1.0, record.tick)[0]
         record_term = terms.pop()
@@ -227,7 +214,7 @@ class MstreamDetector(ChiSquaredTables):
         each, ``==`` to what ``score`` gives one record at a time; a record
         ``score`` rejects raises as it would there, with the same state."""
         totals: list[float] = []
-        for run, tick, hashes in self.each_run(records, self._hash_piece):
+        for run, tick, hashes in self.each_run(records):
             if tick is None:
                 totals.extend(self.score(r, c).total for r, c in zip(run, hashes))
                 continue
@@ -285,18 +272,16 @@ def _columns(rows: list, arity: int) -> list:
     return list(zip(*rows)) if arity else []
 
 
-def _bucketize_many(shifted: np.ndarray, states: list, n_buckets: int) -> np.ndarray:
+def _bucketize_many(shifted: np.ndarray, bounds: list, n_buckets: int) -> np.ndarray:
     """The buckets ``bucketize_numeric`` gives, in order, the values it would
-    shift to ``shifted[column]``; each column's state absorbs them. Shifted
-    values hold no -0.0, so equal values are equal bits and a running min or
-    max is ``absorb``'s whichever of two equal values it keeps."""
-    inf = math.inf  # the seeds of a column that has seen no value
-    seed_lo = [[inf if state.lo is None else state.lo] for state in states]
-    seed_hi = [[-inf if state.hi is None else state.hi] for state in states]
+    shift to ``shifted[column]``; each column's ``[min, max]`` in ``bounds``
+    absorbs them. Shifted values hold no -0.0, so equal values are equal bits
+    and a running min or max is ``bucketize_numeric``'s whichever of two equal
+    values it keeps."""
+    seed_lo, seed_hi = [pair[:1] for pair in bounds], [pair[1:] for pair in bounds]
     lo = np.minimum.accumulate(np.concatenate((seed_lo, shifted), axis=1), axis=1)[:, 1:]
     hi = np.maximum.accumulate(np.concatenate((seed_hi, shifted), axis=1), axis=1)[:, 1:]
-    for state, last_lo, last_hi in zip(states, lo[:, -1].tolist(), hi[:, -1].tolist()):
-        state.lo, state.hi = last_lo, last_hi
+    bounds[:] = map(list, zip(lo[:, -1].tolist(), hi[:, -1].tolist()))
     with np.errstate(invalid="ignore"):  # 0/0 where a column has no spread yet
         scaled = np.where(hi == lo, 0.0, (shifted - lo) / (hi - lo))
     return (scaled * n_buckets).astype(np.int64) % n_buckets

@@ -74,7 +74,7 @@ class PredictorConfig:
 
     def __post_init__(self):
         if self.kind not in ("imitate", "opt"):
-            raise ValueError(f"kind must be 'imitate' or 'opt', got {self.kind!r}")
+            raise ValueError(f"kind must be 'imitate' or 'opt', got {shown(self.kind, repr)}")
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError(f"phi must be in [0, 1], got {shown(self.phi)}")
         if self.kind == "imitate":

@@ -25,7 +25,7 @@ import numpy as np
 
 from .hashing import DEFAULT_SEED, HashFamily, canonical_key
 from .midas import ChiSquaredTables, MidasDetector
-from .sketch import matrix_cells, shown
+from .sketch import MAX_FLOAT, as_float, matrix_cells, shown
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,8 +36,10 @@ class SharpeningParams:
     damp: float = 0.3
 
     def __post_init__(self):
-        if not 1.0 < self.boost < math.inf:  # also rejects nan
-            raise ValueError(f"boost factor must be finite and > 1, got {shown(self.boost)}")
+        if not 1.0 < self.boost <= MAX_FLOAT:  # also rejects nan; float() only past the largest float
+            if not 1.0 < self.boost < math.inf:
+                raise ValueError(f"boost factor must be finite and > 1, got {shown(self.boost)}")
+            as_float(self.boost, "boost factor")
         if not 0.0 < self.damp < 1.0:
             raise ValueError(f"damp factor must be in (0, 1), got {shown(self.damp)}")
 

@@ -36,11 +36,12 @@ def check_decay(alpha: float) -> None:
 MAX_FLOAT = sys.float_info.max  # a number at most this needs no float() to be known good
 
 
-def shown(number) -> str:
-    """``number`` as an error message shows it; one with an int past
-    ``sys.get_int_max_str_digits()``, which str() refuses, is described."""
+def shown(number, text=str) -> str:
+    """``text(number)`` (``repr`` keeps a string's quotes), as an error
+    message shows it; one with an int past ``sys.get_int_max_str_digits()``,
+    which str() and repr() refuse, is described."""
     try:
-        return str(number)
+        return text(number)
     except ValueError:
         return "a number too long to print"
 
@@ -52,6 +53,15 @@ def check_weight(weight: float, what: str = "update weight") -> None:
         if not (0 <= weight < math.inf):
             raise ValueError(f"{what} must be finite and >= 0, got {shown(weight)}")
         as_float(weight, what)  # an int or a Fraction just above the largest float rounds down to it
+
+
+def check_positive(number: float, what: str) -> None:
+    """Reject a ``number`` not > 0, nan included, or one float() cannot
+    take; inf is taken."""
+    if not 0 < number <= MAX_FLOAT:  # float() only past the largest float
+        if not number > 0:
+            raise ValueError(f"{what} must be > 0, got {shown(number)}")
+        as_float(number, what)
 
 
 def as_float(number, what: str) -> float:
@@ -225,8 +235,7 @@ class CountMinSketch(_CountTable):
     ) -> None:
         """``conditional_merge`` of the ``current`` sketch into this total
         sketch, on the scores cached in the ``scores`` sketch."""
-        if not epsilon > 0:  # also rejects nan
-            raise ValueError(f"merge threshold must be > 0, got {epsilon}")
+        check_positive(epsilon, "merge threshold")
         if not all(self.family.same_layout(o.family) for o in (current, scores)):
             raise ValueError("conditional merge requires sketches with one shared layout")
         conditional_merge(self.counts, current.counts, scores.counts, epsilon, tick)

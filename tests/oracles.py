@@ -20,7 +20,7 @@ from streamsketch.events import EdgeEvent
 from streamsketch.hashing import DEFAULT_SEED, canonical_key
 from streamsketch.ingest import parse_edge_stream, parse_feedback
 from streamsketch.midas import MidasDetector, chi2_score, filtering_score
-from streamsketch.mstream import HyperplaneHash, RecordScore, StreamingMinMax, bucketize_numeric
+from streamsketch.mstream import HyperplaneHash, RecordScore, bucketize_numeric
 from streamsketch.sess import SharpeningParams, Sess3dDetector, apply_feedback
 from streamsketch.sketch import HigherOrderSketch, check_weight
 
@@ -231,7 +231,7 @@ class LinearHashMstream:
             HyperplaneHash.create(n_numeric, n_buckets, rng) if n_numeric else None
             for _ in range(n_rows)
         ]
-        self.minmax = [StreamingMinMax() for _ in range(n_numeric)]
+        self.minmax = [[math.inf, -math.inf] for _ in range(n_numeric)]
         self.counts = np.zeros((2, n_categorical + n_numeric + 1, n_rows, n_buckets))
         self.n_rows, self.n_buckets, self.alpha = n_rows, n_buckets, alpha
         self.tick = None

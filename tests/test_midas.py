@@ -232,9 +232,9 @@ def test_rule_threshold_is_squared_normal_quantile():
 
 def test_rule_validation():
     with pytest.raises(ValueError):
-        DecisionRule(0.0, 0.01, 1.0)
+        DecisionRule(0.0, 0.01)
     with pytest.raises(ValueError):
-        DecisionRule(0.05, 0.0, 1.0)
+        DecisionRule(0.05, 0.0)
 
 
 def test_perfectly_expected_count_is_never_flagged():
@@ -248,7 +248,7 @@ def test_perfectly_expected_count_is_never_flagged():
         tick_volume=0.0,
     )
     for epsilon in (0.01, 0.05, 0.5, 0.99):
-        rule = DecisionRule(epsilon, 1e-3, chi2_quantile_1dof(1 - epsilon / 2))
+        rule = DecisionRule(epsilon, 1e-3)
         assert rule.statistic(stats) == 0.0
         assert not rule.is_flagged(stats)
 

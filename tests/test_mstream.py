@@ -12,7 +12,6 @@ from streamsketch.midas import chi2_score
 from streamsketch.mstream import (
     HyperplaneHash,
     MstreamDetector,
-    StreamingMinMax,
     bucketize_numeric,
     hash_categorical,
     record_hash,
@@ -27,40 +26,40 @@ BIG = 1 << 20
 
 
 def test_first_numeric_value_lands_in_bucket_zero():
-    state = StreamingMinMax()
-    assert bucketize_numeric(17.3, state, 8) == 0
+    bounds = [math.inf, -math.inf]
+    assert bucketize_numeric(17.3, bounds, 8) == 0
 
 
 def test_running_maximum_wraps_to_bucket_zero():
-    state = StreamingMinMax()
-    bucketize_numeric(1.0, state, 8)
-    bucketize_numeric(100.0, state, 8)
-    assert bucketize_numeric(100.0, state, 8) == 0  # normalised 1.0 wraps
+    bounds = [math.inf, -math.inf]
+    bucketize_numeric(1.0, bounds, 8)
+    bucketize_numeric(100.0, bounds, 8)
+    assert bucketize_numeric(100.0, bounds, 8) == 0  # normalised 1.0 wraps
 
 
 def test_log_chain_hand_trace():
-    state = StreamingMinMax()
+    bounds = [math.inf, -math.inf]
     values = [0.0, math.e - 1.0, math.e**2 - 1.0]  # logs 0, 1, 2
-    buckets = [bucketize_numeric(v, state, 4) for v in values]
+    buckets = [bucketize_numeric(v, bounds, 4) for v in values]
     assert buckets[2] == 0  # running max wraps
-    assert bucketize_numeric(math.e - 1.0, state, 4) == 2  # re-hash after max grew
+    assert bucketize_numeric(math.e - 1.0, bounds, 4) == 2  # re-hash after max grew
 
 
 def test_numeric_domain_guard():
-    state = StreamingMinMax()
+    bounds = [math.inf, -math.inf]
     with pytest.raises(ValueError):
-        bucketize_numeric(-1.0, state, 8)
-    assert bucketize_numeric(-0.5, state, 8) == 0  # > -1 is fine
+        bucketize_numeric(-1.0, bounds, 8)
+    assert bucketize_numeric(-0.5, bounds, 8) == 0  # > -1 is fine
 
 
 def test_bucket_monotone_between_minmax_updates():
-    state = StreamingMinMax()
-    bucketize_numeric(0.0, state, 16)
-    bucketize_numeric(1000.0, state, 16)
+    bounds = [math.inf, -math.inf]
+    bucketize_numeric(0.0, bounds, 16)
+    bucketize_numeric(1000.0, bounds, 16)
     values = np.linspace(0.0, 999.0, 200)  # inside [min, max): no state change
-    buckets = [bucketize_numeric(float(v), state, 16) for v in values]
+    buckets = [bucketize_numeric(float(v), bounds, 16) for v in values]
     assert all(b2 >= b1 for b1, b2 in zip(buckets, buckets[1:]))
-    assert bucketize_numeric(1000.0, state, 16) == 0  # single wrap point
+    assert bucketize_numeric(1000.0, bounds, 16) == 0  # single wrap point
 
 
 def test_categorical_hash_range_and_determinism():
@@ -260,12 +259,12 @@ def test_rejected_record_changes_no_state(record, error, match):
     detector.score(MultiAspectRecord(("a",), (1.0, 2.0), 1))
     detector.score(MultiAspectRecord(("b",), (3.0, 0.5), 2))
     counts = detector.counts.copy()
-    minmax = [(m.lo, m.hi) for m in detector.minmax]
+    minmax = [list(bounds) for bounds in detector.minmax]
     for score in (detector.score, lambda r: detector.score_many([r])):
         with pytest.raises(error, match=match):
             score(record)
         assert np.array_equal(detector.counts, counts)
-        assert [(m.lo, m.hi) for m in detector.minmax] == minmax
+        assert detector.minmax == minmax
         assert detector.clock.tick == 2
 
 

@@ -70,7 +70,7 @@ def test_process_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 'other'$"):  # a string kind keeps its quotes
         PredictorConfig(kind="other")
     with pytest.raises(ValueError):
         PredictorConfig(kind="imitate", p_hat=0.5, q_hat=None)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal
 from streamsketch.events import EdgeEvent, MultiAspectRecord
 from streamsketch.hashing import canonical_key
-from streamsketch.midas import VARIANTS, MidasDetector
+from streamsketch.midas import VARIANTS, DecisionRule, MidasDetector
 from streamsketch.mstream import MstreamDetector
 from streamsketch.pomdp import PredictorConfig, TwoStateProcess, expected_accuracy_one_sided
 from streamsketch.sess import Sess3dDetector, SharpeningParams, apply_feedback
@@ -209,12 +209,50 @@ def test_a_negative_int_too_long_to_print_gets_the_weight_and_tick_messages():
         (lambda: PredictorConfig(kind="opt", phi=10**5000), "phi must be in [0, 1]"),
         (lambda: PredictorConfig(kind="opt", wait_steps=-(10**5000)), "wait_steps must be >= 1"),
         (lambda: expected_accuracy_one_sided(0.1, 0.2, -(10**5000), 0.1), "wait_steps must be >= 1"),
+        (lambda: PredictorConfig(kind=10**5000), "kind must be 'imitate' or 'opt'"),
+        (lambda: MidasDetector("filtering", merge_threshold=-(10**5000)), "merge threshold must be > 0"),
+        (lambda: merge_at_threshold(-(10**5000)), "merge threshold must be > 0"),
+        (lambda: DecisionRule(-(10**5000), 0.1), "epsilon must be in (0, 1)"),
+        (lambda: DecisionRule(0.05, -(10**5000)), "nu must be > 0"),
     ],
-    ids=["decay", "boost", "label", "p", "phi", "wait", "one-sided-wait"],
+    ids=[
+        "decay", "boost", "label", "p", "phi", "wait", "one-sided-wait",
+        "kind", "merge-threshold", "merge-conditional", "epsilon", "nu",
+    ],
 )
 def test_an_int_too_long_to_print_gets_the_parameter_message(reject, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}, got a number too long to print$"):
         reject()
+
+
+def merge_at_threshold(epsilon):
+    """A conditional merge of one sketch into another at ``epsilon``, after
+    which the total holds nothing when the merge was rejected."""
+    total = CountMinSketch(2, 16, seed=0)
+    current = CountMinSketch(2, 16, seed=0)
+    current.update("k", 2.0)
+    try:
+        total.merge_conditional(current, CountMinSketch(2, 16, seed=0), epsilon, 2)
+    finally:
+        assert not total.counts.any()
+
+
+@pytest.mark.parametrize(
+    "reject, what",
+    [
+        (lambda big: MidasDetector("filtering", merge_threshold=big), "merge threshold"),
+        (merge_at_threshold, "merge threshold"),
+        (lambda big: SharpeningParams(boost=big), "boost factor"),
+        (lambda big: DecisionRule(0.05, big), "nu"),
+    ],
+    ids=["merge-threshold", "merge-conditional", "boost", "nu"],
+)
+@pytest.mark.parametrize("big", TOO_LARGE)
+def test_a_parameter_float_cannot_take_is_rejected_when_given(reject, what, big):
+    """Not at the first tick close, feedback or flag that would use it,
+    after the clock or the counts had moved."""
+    with pytest.raises(ValueError, match=f"^{what} too large for a float$"):
+        reject(big)
 
 
 def local_state(detector):

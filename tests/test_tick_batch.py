@@ -262,7 +262,7 @@ def test_each_run_yields_the_stream_in_runs_scored_one_at_a_time():
     detector = MidasDetector("relational", n_rows=2, n_buckets=16, seed=3)
     streamed, shapes, scores, flags = [], [], [], []
     with batch_limits(3, 8):
-        for run, tick, hashes in detector.each_run(events, detector._hash_piece):
+        for run, tick, hashes in detector.each_run(events):
             streamed += run
             shapes.append((len(run), tick))
             if tick is None:
@@ -410,7 +410,7 @@ def record_streams(draw):
 
 def mstream_state(detector):
     """Everything scoring leaves behind; repr keeps the sign of a zero."""
-    minmax = [(repr(m.lo), repr(m.hi)) for m in detector.minmax]
+    minmax = [(repr(lo), repr(hi)) for lo, hi in detector.minmax]
     return detector.counts.copy(), minmax, detector.tick_volume, detector.clock.tick
 
 
