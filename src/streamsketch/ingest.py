@@ -28,7 +28,9 @@ DELIMITER = ","
 
 
 class Lines:
-    """The non-blank lines of one input, stripped, numbered from 1.
+    """The non-blank lines of one input, stripped, numbered from 1; one
+    byte-order mark (U+FEFF, which ``str.strip`` keeps) before line 1 is
+    dropped, so an input reads as its copy without it.
 
     Used as a context manager, it re-raises a ``ValueError`` raised while a
     line is handled with the line's location in front: ``line N: ...``, or
@@ -46,7 +48,7 @@ class Lines:
     def __iter__(self) -> Iterator[str]:
         for lineno, raw in enumerate(self._lines, start=1):
             self.lineno = lineno
-            line = raw.strip()
+            line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
             if line:
                 yield line
         self.lineno = None

@@ -28,9 +28,9 @@ per-item path, which is also the oracle the batch is tested against with
 ``==``. A piece the detector does not hash comes whole, for the per-item
 path, which hashes item by item. ``MidasDetector.process_many`` and
 ``MstreamDetector.score_many`` each score a stream in one loop over these
-runs, so an item of a short tick pays no hashing of its own; MStream's
-numeric buckets, whose running min/max is sequential state, are found on
-either path.
+runs, so an item of a short tick pays no hashing of its own, MStream's
+numeric buckets included: their running min/max is found for a whole
+piece in one scan.
 
 A separate decision rule turns scores into flags at a false-positive
 target, using the chi-squared quantile at 1 - eps/2 and the sketch
@@ -59,9 +59,10 @@ VARIANTS = ("plain", "relational", "filtering")
 # are where it broke even with per-item steps on a 2-core x86 box (plain
 # steps are cheaper, scoring one key instead of three). MStream's batch, a
 # relational one over d+1 keys, against its per-record steps on the same
-# hashed piece (2 string and 2 numeric columns), in us per record at 1, 3,
-# 9, 10, 20 and 100 records per tick: 108 / 44 / 19 / 13 / 6.8 / 3.6
-# against 25 / 19 / 18 / 13.5 / 10.3 / 10.6. It breaks even at ~10 too.
+# hashed piece, numeric buckets included (score_many on 6000 records of 2
+# string and 2 numeric columns, medians of 6), in us per record at 1, 3,
+# 9, 10, 20 and 100 records per tick: 46 / 21 / 10 / 9.5 / 7.2 / 5.2
+# against 18 / 12 / 10 / 10.4 / 9.1 / 9.2. It breaks even at ~10 too.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
 # each_run hands a batch at most this many items at a time, so the batch's
 # transient arrays stay a few MB however many items share a tick.
@@ -542,10 +543,10 @@ class MidasDetector(ChiSquaredTables):
         cells = np.stack(self._key_cells(keys[:n], keys[n:], self.family.indexes_many))
         return cells, weights.astype(np.float64, copy=False)
 
-    def score(self, event: EdgeEvent) -> float:
+    def score(self, event: EdgeEvent, cells=None) -> float:
         """Insert the edge and return the max over its scored keys, as
-        ``process(event).combined("max")`` would."""
-        return max(self._insert(event)[0])
+        ``process(event, cells).combined("max")`` would."""
+        return max(self._insert(event, cells)[0])
 
     def score_and_flag(self, event: EdgeEvent, rule: DecisionRule) -> tuple[float, bool]:
         stats = self.process(event)

@@ -14,16 +14,19 @@ record, so a tick boundary decays every current table in one multiply.
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
 record at a time, with ``==`` totals, in one loop over the runs that
 ``ChiSquaredTables.each_run`` yields. Each piece of up to
-``midas.TICK_BATCH_MAX`` records is hashed once (a piece holding a record
-``score`` might reject goes through ``score`` whole): canonical keys and
-bucket indexes, on the hashing module's one path, log-shifted values and
-hyperplane signs, none of which depends on the records before. Each run of
-one tick then only bucketizes its numeric values, whose running min/max is
-sequential state: a long run in a few array passes that end in
-``step_many``, a short one through ``score`` on each record's cells. The
-two paths share one arithmetic, so the batch is exact by construction: a
-projection is the same left-to-right product-sum in both, and a log-shifted
-value is ``math.log1p(x) + 0.0``, which holds no -0.0.
+``midas.TICK_BATCH_MAX`` records is hashed once into every cell its records
+are scored on (a piece holding a record ``score`` might reject goes through
+``score`` whole): canonical keys and bucket indexes, on the hashing module's
+one path, hyperplane signs, and last the numeric buckets. A numeric bucket
+depends on its column's running min/max, sequential state that
+``bucketize_numeric`` finds for a whole piece in one prefix scan; it runs
+only once nothing in the piece can be rejected, so no range absorbs a value
+of a record ``score`` would reject. Each run of one tick then only steps: a
+long run in ``step_many``, a short one through ``score`` on each record's
+cells. A record scored alone takes the same scan on its one column of
+values. The two paths share one arithmetic, so the batch is exact by
+construction: a projection is the same left-to-right product-sum in both,
+and a log-shifted value is ``math.log1p(x) + 0.0``, which holds no -0.0.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add
+from operator import add, lt
 
 import numpy as np
 
@@ -41,32 +44,35 @@ from .midas import ChiSquaredTables
 from .sketch import MAX_FLOAT, as_float, shown
 
 
-def _check_log_domain(value: float) -> None:
+def _log_shift(value: float) -> float:
+    """``math.log1p(value) + 0.0`` (-0.0 becomes 0.0: equal values, equal
+    bits), after checking that ``value`` is in log1p's domain."""
     if not -1.0 < value <= MAX_FLOAT:  # also rejects nan; float() only past the largest float
         if not -1.0 < value < math.inf:
             raise ValueError(f"numeric value must be finite and > -1 for log1p, got {shown(value)}")
         as_float(value, "numeric value")
+    return math.log1p(value) + 0.0
 
 
-def bucketize_numeric(value: float, bounds: list, n_buckets: int) -> int:
-    """Log-transform, min-max normalize, then split into n_buckets.
+def bucketize_numeric(shifted: np.ndarray, bounds: list, n_buckets: int) -> np.ndarray:
+    """Min-max normalize the log-shifted values ``shifted[column, i]``, in
+    order, and split them into ``n_buckets``.
 
-    ``bounds`` is the column's running ``[min, max]`` of log-shifted values,
-    ``[inf, -inf]`` before the first. It absorbs the incoming value first, so
-    the value always lands inside it; with no spread yet (one value so far, or
-    a constant column) the value lands in bucket 0. The floor(x * b) mod b
-    rule wraps the running maximum itself into bucket 0.
+    ``bounds`` holds each column's running ``[min, max]``, ``[inf, -inf]``
+    before its first value, and absorbs each value before it is bucketed, so
+    the value always lands inside it; with no spread yet (one value so far,
+    or a constant column) the value lands in bucket 0. The floor(x * b) mod b
+    rule wraps the running maximum itself into bucket 0. Shifted values hold
+    no -0.0, so equal values are equal bits, whichever a running min or max
+    keeps.
     """
-    _check_log_domain(value)
-    shifted = math.log1p(value) + 0.0  # -0.0 becomes 0.0: equal values, equal bits
-    lo, hi = bounds
-    if shifted < lo:
-        bounds[0] = lo = shifted
-    if shifted > hi:
-        bounds[1] = hi = shifted
-    if hi == lo:
-        return 0
-    return int((shifted - lo) / (hi - lo) * n_buckets) % n_buckets
+    seed = np.array(bounds).reshape(-1, 2, 1)
+    lo = np.minimum.accumulate(np.concatenate((seed[:, 0], shifted), axis=1), axis=1)[:, 1:]
+    hi = np.maximum.accumulate(np.concatenate((seed[:, 1], shifted), axis=1), axis=1)[:, 1:]
+    bounds[:] = np.concatenate((lo[:, -1:], hi[:, -1:]), axis=1).tolist()
+    span = hi - lo
+    span[span == 0.0] = 1.0  # no spread yet: the value is lo, 0 / 1 is bucket 0
+    return ((shifted - lo) / span * n_buckets).astype(np.int64) % n_buckets
 
 
 def hash_categorical(value, families) -> list[tuple[int, ...]]:
@@ -173,9 +179,9 @@ class MstreamDetector(ChiSquaredTables):
 
         The total is exactly the record-level term plus the sum of attribute
         terms, so the argmax of ``per_feature`` names the attribute that
-        contributed most. ``cells``, when given, are the record's cells
-        ``[key][row]`` hashed ahead, as ``_hash_piece`` gives them; the
-        numeric buckets are found here either way, from the running min/max.
+        contributed most. ``cells``, when given, are every cell the record is
+        scored on, ``[key][row]``, as ``_hash_piece`` gives them; else the
+        record is hashed here, its numeric values last, as a piece of one.
         A record rejected with an error changes no state.
         """
         if (
@@ -186,25 +192,23 @@ class MstreamDetector(ChiSquaredTables):
                 f"record arity ({len(record.categorical)} cat, {len(record.numeric)} num) "
                 f"does not match detector ({self.n_categorical} cat, {self.n_numeric} num)"
             )
-        for value in record.numeric:
-            _check_log_domain(value)
         if cells is None:
+            shifted = [_log_shift(value) for value in record.numeric]
             families = zip(record.categorical, self._cat_families)
             categorical = [hash_categorical(value, pair) for value, pair in families]
-            cells = [own for own, _ in categorical]
-            cells.append([
+            whole = [
                 record_hash(record, planes, self.n_buckets, [s[row] for _, s in categorical])
                 for row, planes in enumerate(self._hyperplanes)
-            ])
-        # The clock moves before each column's [min, max] absorbs the record,
-        # so a tick regression leaves them alone. The bucketizer is
-        # deterministic, so rows share one bucket.
-        self.advance(record.tick)
-        numeric = [
-            [bucketize_numeric(value, bounds, self.n_buckets)] * self.n_rows
-            for value, bounds in zip(record.numeric, self.minmax)
-        ]
-        terms = self.step([*cells[:-1], *numeric, cells[-1]], 1.0, record.tick)[0]
+            ]
+            # The clock moves before each column's [min, max] absorbs the
+            # record, so a tick regression leaves them alone.
+            self.advance(record.tick)
+            buckets = bucketize_numeric(np.array(shifted).reshape(-1, 1), self.minmax, self.n_buckets)
+            numeric = [[bucket] * self.n_rows for bucket in buckets[:, 0].tolist()]
+            cells = [*(own for own, _ in categorical), *numeric, whole]
+        else:
+            self.advance(record.tick)
+        terms = self.step(cells, 1.0, record.tick)[0]
         record_term = terms.pop()
         # Added left to right (sum() compensates from Python 3.12), as score_many adds.
         return RecordScore(record_term + reduce(add, terms, 0.0), record_term, tuple(terms))
@@ -218,26 +222,19 @@ class MstreamDetector(ChiSquaredTables):
             if tick is None:
                 totals.extend(self.score(r, c).total for r, c in zip(run, hashes))
                 continue
-            # Only the numeric buckets are left to find (one per value, the same
-            # in every row), between the categorical and record cells as in score.
-            cells, shifted = hashes
-            if self.n_numeric:
-                buckets = _bucketize_many(shifted, self.minmax, self.n_buckets)[:, None]
-                numeric = np.broadcast_to(buckets, (self.n_numeric, *cells.shape[1:]))
-                cells = np.concatenate((cells[:-1], numeric, cells[-1:]))
-            terms = self.step_many(cells, np.ones(len(run)), tick)[0]
+            terms = self.step_many(hashes[0], np.ones(len(run)), tick)[0]
             feature_sum = reduce(add, terms[:-1], 0.0)  # score's order
             totals.extend((terms[-1] + feature_sum).tolist())
-            del cells, terms, feature_sum  # not held while the next run is hashed and stepped
+            del terms, feature_sum  # not held while the next run is hashed and stepped
         return totals
 
     def _hash_piece(self, piece: list):
-        """The stateless hashes of a piece of records, as ``each_run`` takes
-        them: ``cells[key, row, record]``, the own-bucket cells of each
-        categorical column, then the whole-record cell, and each numeric value
-        shifted as ``bucketize_numeric`` shifts it, ``[column, record]``. None
-        when some record ``score`` would reject (or might: any value the
-        checks below do not take)."""
+        """Every cell a piece of records is scored on, as ``each_run`` takes
+        them: ``(cells[key, row, record],)``, the own-bucket cells of each
+        categorical column, each numeric column's bucket (the same in every
+        row), then the whole-record cell. None when some record ``score``
+        would reject (or might: any value the checks below do not take), so
+        no column's [min, max] absorbs a value of a piece that raises."""
         n, n_cat, n_num = len(piece), self.n_categorical, self.n_numeric
         try:
             keys = [canonical_keys(c) for c in _columns([r.categorical for r in piece], n_cat)]
@@ -245,23 +242,29 @@ class MstreamDetector(ChiSquaredTables):
             if any(set(map(type, column)) != {float} for column in num_columns):
                 return None  # what MultiAspectRecord holds; others take score's checks
             # math.log1p per value: np.log1p differs in the last bit. It also
-            # rejects values <= -1, as _check_log_domain does. + 0.0 as in
-            # bucketize_numeric.
+            # rejects values <= -1, as _log_shift does. + 0.0 as there.
             shifted = np.array([np.fromiter(map(math.log1p, c), float, n) for c in num_columns])
-            shifted += 0.0
+            shifted = shifted.reshape(n_num, n) + 0.0
+            ticks = [record.tick for record in piece]
+            if self.clock.tick is not None:
+                ticks.insert(0, self.clock.tick)
+            if any(map(lt, ticks[1:], ticks)):
+                return None  # a tick regression, which advance raises
         except (TypeError, ValueError, OverflowError):
             return None
-        if not np.isfinite(shifted).all():  # as _check_log_domain
+        if not np.isfinite(shifted).all():  # as _log_shift
             return None
 
-        cells = np.empty((n_cat + 1, self.n_rows, n), dtype=np.int64)
-        *categorical, record = cells  # views, filled in place
+        cells = np.empty((n_cat + n_num + 1, self.n_rows, n), dtype=np.int64)
+        record = cells[-1]  # a view, filled in place
         record[...] = _signatures_many(self._hyperplanes, np.array(num_columns).T) if n_num else 0
-        for own_cells, column_keys, (own, share) in zip(categorical, keys, self._cat_families):
+        for own_cells, column_keys, (own, share) in zip(cells, keys, self._cat_families):
             own_cells[...] = own.indexes_many(column_keys)
             record += share.indexes_many(column_keys)  # record_hash before the mod
         record %= self.n_buckets
-        return cells, shifted
+        # Last, once nothing in the piece can be rejected: the ranges absorb it.
+        cells[n_cat:-1] = bucketize_numeric(shifted, self.minmax, self.n_buckets)[:, None]
+        return (cells,)
 
 
 def _columns(rows: list, arity: int) -> list:
@@ -270,21 +273,6 @@ def _columns(rows: list, arity: int) -> list:
     if set(map(len, rows)) != {arity}:
         raise ValueError("record arity does not match the detector")
     return list(zip(*rows)) if arity else []
-
-
-def _bucketize_many(shifted: np.ndarray, bounds: list, n_buckets: int) -> np.ndarray:
-    """The buckets ``bucketize_numeric`` gives, in order, the values it would
-    shift to ``shifted[column]``; each column's ``[min, max]`` in ``bounds``
-    absorbs them. Shifted values hold no -0.0, so equal values are equal bits
-    and a running min or max is ``bucketize_numeric``'s whichever of two equal
-    values it keeps."""
-    seed_lo, seed_hi = [pair[:1] for pair in bounds], [pair[1:] for pair in bounds]
-    lo = np.minimum.accumulate(np.concatenate((seed_lo, shifted), axis=1), axis=1)[:, 1:]
-    hi = np.maximum.accumulate(np.concatenate((seed_hi, shifted), axis=1), axis=1)[:, 1:]
-    bounds[:] = map(list, zip(lo[:, -1].tolist(), hi[:, -1].tolist()))
-    with np.errstate(invalid="ignore"):  # 0/0 where a column has no spread yet
-        scaled = np.where(hi == lo, 0.0, (shifted - lo) / (hi - lo))
-    return (scaled * n_buckets).astype(np.int64) % n_buckets
 
 
 def _projections(directions: np.ndarray, vectors: np.ndarray) -> np.ndarray:

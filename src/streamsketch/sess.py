@@ -70,12 +70,13 @@ def apply_feedback(detector, cells, label: int, params: SharpeningParams, index=
 def score_with_feedback(detector, events, edge_labels: dict, params, start: int = 0) -> list[float]:
     """Score ``events``, the first at 0-based stream position ``start``, in
     order. After scoring the event at a position ``edge_labels`` holds, apply
-    that label as edge feedback, so it acts from the next event on."""
+    that label as edge feedback, so it acts from the next event on. A
+    labelled edge is hashed once, for both."""
     scores = []
     for i, event in enumerate(events, start):
-        scores.append(detector.score(event))
-        if i in edge_labels:
-            cells = detector.cells(event.source, event.dest)
+        cells = detector.cells(event.source, event.dest) if i in edge_labels else None
+        scores.append(detector.score(event, cells))
+        if cells is not None:
             apply_feedback(detector, cells, edge_labels[i], params, i)
     return scores
 

@@ -20,7 +20,7 @@ from streamsketch.events import EdgeEvent
 from streamsketch.hashing import DEFAULT_SEED, canonical_key
 from streamsketch.ingest import parse_edge_stream, parse_feedback
 from streamsketch.midas import MidasDetector, chi2_score, filtering_score
-from streamsketch.mstream import HyperplaneHash, RecordScore, bucketize_numeric
+from streamsketch.mstream import HyperplaneHash, RecordScore
 from streamsketch.sess import SharpeningParams, Sess3dDetector, apply_feedback
 from streamsketch.sketch import HigherOrderSketch, check_weight
 
@@ -211,6 +211,22 @@ class PerTableDetector(MidasDetector):
 MERSENNE_P = (1 << 61) - 1
 
 
+def bucketize_value(value: float, bounds: list, n_buckets: int) -> int:
+    """One numeric value's bucket, as MStream finds it: log-shift it, widen
+    its column's running ``bounds`` (``[min, max]``, ``[inf, -inf]`` before
+    the first value) to take it, then min-max normalize it into one of
+    ``n_buckets``, bucket 0 while the column has no spread."""
+    shifted = math.log1p(value) + 0.0  # -0.0 becomes 0.0: equal values, equal bits
+    lo, hi = bounds
+    if shifted < lo:
+        bounds[0] = lo = shifted
+    if shifted > hi:
+        bounds[1] = hi = shifted
+    if hi == lo:
+        return 0
+    return int((shifted - lo) / (hi - lo) * n_buckets) % n_buckets
+
+
 class LinearHashMstream:
     """MStream with its own pairwise hash: seed pairs drawn per row and
     column (all feature pairs, then all record pairs, then the hyperplanes),
@@ -257,7 +273,7 @@ class LinearHashMstream:
             for j, value in enumerate(record.categorical)
         ]
         for j, value in enumerate(record.numeric):
-            buckets.append([bucketize_numeric(value, self.minmax[j], self.n_buckets)] * self.n_rows)
+            buckets.append([bucketize_value(value, self.minmax[j], self.n_buckets)] * self.n_rows)
         buckets.append([self.record_bucket(record, row) for row in range(self.n_rows)])
         terms = []
         for attr, cells in enumerate(buckets):

@@ -59,6 +59,39 @@ def test_midas_reads_stdin_and_writes_stdout_by_default(monkeypatch, capsys):
     assert float(lines[0]) == 0.0
 
 
+def test_a_byte_order_mark_before_line_1_is_ignored(tmp_path, monkeypatch, capsys):
+    """Excel and Notepad start a UTF-8 file with a byte-order mark, U+FEFF,
+    which ``str.strip`` keeps: an input, side file or stdin that starts with
+    one reads as its copy without it, with the same line numbers."""
+    edges, config, labels, records = (
+        tmp_path / name for name in ("edges.csv", "config.txt", "labels.txt", "records.csv")
+    )
+    edge_text, label_text = "1,2,1\n1,2,1\n1,2,2\n1,2,2\n", "0\n0\n1\n1\n"
+    edges.write_text(edge_text)
+    labels.write_text(label_text)
+    midas_r = ["midas-r", "--input", str(edges)]
+    cases = [  # argv, the input given a mark ("-" is stdin), its text, what the run prints
+        (midas_r, edges, edge_text, "0\n0\n0.333333333\n1\n"),
+        (["midas-r"], "-", edge_text, "0\n0\n0.333333333\n1\n"),
+        (midas_r + ["--config", str(config)], config, "rows=0\n", "n_rows must be >= 1, got 0"),
+        (midas_r + ["--eval", "--labels", str(labels)], labels, label_text, "auc"),
+        (["mstream", "--input", str(records)], records, "cat:a,num:x,tick\nu,1.5,1\n", "0\n"),
+    ]
+
+    def run(argv, where, text):
+        if where == "-":
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        else:
+            where.write_text(text, encoding="utf-8")
+        code = run_cli(*argv)
+        return code, *capsys.readouterr()
+
+    for argv, where, text, printed in cases:
+        plain = run(argv, where, text)
+        assert printed in plain[1] + plain[2], argv
+        assert run(argv, where, "\ufeff" + text) == plain, argv
+
+
 def test_midas_writes_one_score_per_line(tmp_path):
     edges = tmp_path / "edges.csv"
     out = tmp_path / "scores.txt"

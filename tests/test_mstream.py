@@ -12,6 +12,7 @@ from streamsketch.midas import chi2_score
 from streamsketch.mstream import (
     HyperplaneHash,
     MstreamDetector,
+    _log_shift,
     bucketize_numeric,
     hash_categorical,
     record_hash,
@@ -25,41 +26,52 @@ BIG = 1 << 20
 # -- feature bucketization -------------------------------------------------------
 
 
+def bucketize(values, bounds, n_buckets) -> list[int]:
+    """The buckets a detector finds for ``values`` in one numeric column,
+    in order, with the column's running ``bounds`` absorbing them."""
+    minmax = [bounds]
+    buckets = bucketize_numeric(np.array([[_log_shift(v) for v in values]]), minmax, n_buckets)
+    bounds[:] = minmax[0]
+    return buckets[0].tolist()
+
+
 def test_first_numeric_value_lands_in_bucket_zero():
     bounds = [math.inf, -math.inf]
-    assert bucketize_numeric(17.3, bounds, 8) == 0
+    assert bucketize([17.3], bounds, 8) == [0]
+    assert bounds == [math.log1p(17.3)] * 2
 
 
 def test_running_maximum_wraps_to_bucket_zero():
     bounds = [math.inf, -math.inf]
-    bucketize_numeric(1.0, bounds, 8)
-    bucketize_numeric(100.0, bounds, 8)
-    assert bucketize_numeric(100.0, bounds, 8) == 0  # normalised 1.0 wraps
+    assert bucketize([1.0, 100.0], bounds, 8) == [0, 0]
+    assert bucketize([100.0], bounds, 8) == [0]  # normalised 1.0 wraps
 
 
 def test_log_chain_hand_trace():
     bounds = [math.inf, -math.inf]
     values = [0.0, math.e - 1.0, math.e**2 - 1.0]  # logs 0, 1, 2
-    buckets = [bucketize_numeric(v, bounds, 4) for v in values]
+    buckets = bucketize(values, bounds, 4)
     assert buckets[2] == 0  # running max wraps
-    assert bucketize_numeric(math.e - 1.0, bounds, 4) == 2  # re-hash after max grew
+    assert bucketize([math.e - 1.0], bounds, 4) == [2]  # re-hash after max grew
+    # One scan over all four gives each the bucket it got against the range so far.
+    assert bucketize([*values, math.e - 1.0], [math.inf, -math.inf], 4) == [*buckets, 2]
 
 
 def test_numeric_domain_guard():
     bounds = [math.inf, -math.inf]
     with pytest.raises(ValueError):
-        bucketize_numeric(-1.0, bounds, 8)
-    assert bucketize_numeric(-0.5, bounds, 8) == 0  # > -1 is fine
+        bucketize([-1.0], bounds, 8)
+    assert bounds == [math.inf, -math.inf]
+    assert bucketize([-0.5], bounds, 8) == [0]  # > -1 is fine
 
 
 def test_bucket_monotone_between_minmax_updates():
     bounds = [math.inf, -math.inf]
-    bucketize_numeric(0.0, bounds, 16)
-    bucketize_numeric(1000.0, bounds, 16)
+    bucketize([0.0, 1000.0], bounds, 16)
     values = np.linspace(0.0, 999.0, 200)  # inside [min, max): no state change
-    buckets = [bucketize_numeric(float(v), bounds, 16) for v in values]
+    buckets = bucketize(values.tolist(), bounds, 16)
     assert all(b2 >= b1 for b1, b2 in zip(buckets, buckets[1:]))
-    assert bucketize_numeric(1000.0, bounds, 16) == 0  # single wrap point
+    assert bucketize([1000.0], bounds, 16) == [0]  # single wrap point
 
 
 def test_categorical_hash_range_and_determinism():
@@ -214,21 +226,21 @@ def test_bursting_feature_is_identified_by_argmax():
 
 
 def test_feature_buckets_are_stable_for_fixed_state():
-    """Two copies of a record hash to the same cells in a piece, the buckets
-    ``hash_categorical`` and ``record_hash`` give one record, and a numeric
-    value its state has absorbed buckets alike twice."""
+    """Two copies of a record hash to the same cells in a piece: the buckets
+    ``hash_categorical`` and ``record_hash`` give one record, and bucket 0
+    for a numeric column with no spread yet; a numeric value its state has
+    absorbed buckets alike twice."""
     detector = MstreamDetector(1, 1, seed=6)
     record = MultiAspectRecord(("x",), (4.2,), 1)
-    cells, _ = detector._hash_piece([record, record])
+    (cells,) = detector._hash_piece([record, record])  # absorbs 4.2 into min/max state
     own, share = hash_categorical("x", detector._cat_families[0])
     whole = [
         record_hash(record, planes, detector.n_buckets, [share[row]])
         for row, planes in enumerate(detector._hyperplanes)
     ]
-    assert cells[..., 0].tolist() == cells[..., 1].tolist() == [list(own), whole]
-    detector.score(record)  # absorb the numeric value into min/max state
-    first = bucketize_numeric(4.2, detector.minmax[0], detector.n_buckets)
-    second = bucketize_numeric(4.2, detector.minmax[0], detector.n_buckets)
+    assert cells[..., 0].tolist() == cells[..., 1].tolist() == [list(own), [0, 0], whole]
+    first = bucketize([4.2], detector.minmax[0], detector.n_buckets)
+    second = bucketize([4.2], detector.minmax[0], detector.n_buckets)
     assert first == second
 
 

@@ -1,11 +1,13 @@
 import math
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsketch import hashing
 from streamsketch.events import EdgeEvent
 from streamsketch.midas import MidasDetector, chi2_score
 from streamsketch.sess import (
@@ -271,3 +273,16 @@ def test_score_with_feedback_is_the_same_split_at_any_position(cut, labels, layo
             cells = detector.cells(event.source, event.dest)
             apply_feedback(detector, cells, labels[index], params)
     assert by_hand == whole
+
+
+@pytest.mark.parametrize("layout", ["flat", "3d"])
+def test_a_labelled_edge_is_hashed_once(layout):
+    """With every edge labelled, each edge's two ids are canonicalised once,
+    for its score and its feedback alike; what that scores is
+    ``test_score_with_feedback_is_the_same_split_at_any_position``'s."""
+    events = [EdgeEvent(i % 3, (i * 2) % 5, 1 + i // 4) for i in range(12)]
+    make = partial(Sess3dDetector if layout == "3d" else partial(MidasDetector, "relational"), seed=3)
+    labels = dict.fromkeys(range(len(events)), 1)
+    with mock.patch.object(hashing, "canonical_key", wraps=hashing.canonical_key) as keys:
+        score_with_feedback(make(), events, labels, SharpeningParams())
+    assert keys.call_count == 2 * len(events)

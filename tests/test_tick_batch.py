@@ -633,12 +633,11 @@ REJECTED = pytest.mark.parametrize(
 )
 
 
-@REJECTED
-def test_a_rejected_record_raises_where_score_does(bad, error):
-    """A chunk holding a record score rejects is scored record by record, so
-    the error, and the state it leaves, are those of score."""
+def check_rejected_record(bad, error, position):
+    """``score_many`` on 18 records in pieces of at most 4, ``bad`` at
+    ``position``, raises the error ``score`` raises and leaves its state."""
     records = [LooseRecord((i % 3,), (float(i), 0.5 * i), 1 + i // 6) for i in range(18)]
-    records[14] = LooseRecord(bad.categorical, bad.numeric, 3 if bad.tick == 2 else bad.tick)
+    records[position] = LooseRecord(bad.categorical, bad.numeric, 3 if bad.tick == 2 else bad.tick)
     oracle = MstreamDetector(1, 2, n_buckets=16, seed=4)
     with pytest.raises(error) as expected:
         for record in records:
@@ -647,6 +646,37 @@ def test_a_rejected_record_raises_where_score_does(bad, error):
     with batch_limits(1, 4), pytest.raises(error) as got:
         detector.score_many(records)
     assert str(got.value) == str(expected.value)
+    assert_same_state(mstream_state(detector), mstream_state(oracle))
+
+
+@REJECTED
+def test_a_rejected_record_raises_where_score_does(bad, error):
+    """A chunk holding a record score rejects is scored record by record, so
+    the error, and the state it leaves, are those of score."""
+    check_rejected_record(bad, error, 14)
+
+
+@REJECTED
+@pytest.mark.parametrize("position", [12, 16])
+def test_a_rejected_record_at_a_piece_start_raises_where_score_does(bad, error, position):
+    """Records 12 and 16 each start a piece, so a tick regression there is
+    below the clock's tick, not below a tick of its own piece: the piece must
+    still go record by record, before any [min, max] absorbs it."""
+    check_rejected_record(bad, error, position)
+
+
+def test_each_numeric_value_is_checked_once():
+    """``score`` alone checks and shifts each numeric value once; a record
+    scored from a hashed piece, on a run long or short, is checked with its
+    piece and never on its own."""
+    records = string_records([1, 2, 30, 3, 100, 9])
+    oracle, detector = MstreamDetector(2, 2), MstreamDetector(2, 2)
+    with mock.patch.object(mstream, "_log_shift", wraps=mstream._log_shift) as checks:
+        expected = [oracle.score(record).total for record in records]
+    assert checks.call_count == 2 * len(records)
+    with mock.patch.object(mstream, "_log_shift", wraps=mstream._log_shift) as checks:
+        assert detector.score_many(records) == expected
+    assert checks.call_count == 0
     assert_same_state(mstream_state(detector), mstream_state(oracle))
 
 
