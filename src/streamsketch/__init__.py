@@ -7,28 +7,39 @@ labelled feedback sharpening, and a two-state feedback simulator. A CSV
 harness and CLI wire each detector to files.
 
 The package re-exports the detectors, the sketches and what the library
-quick start uses; everything else is imported from its own module.
+quick start uses, each imported from its module on first use; everything
+else is imported from its own module.
 """
 
-from .densegraph import AnoEdgeGlobal, AnoEdgeLocal
-from .events import EdgeEvent
-from .metrics import roc_auc
-from .midas import DecisionRule, MidasDetector
-from .mstream import MstreamDetector
-from .sess import Sess3dDetector
-from .sketch import CountMinSketch, HigherOrderSketch
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnoEdgeGlobal",
-    "AnoEdgeLocal",
-    "CountMinSketch",
-    "DecisionRule",
-    "EdgeEvent",
-    "HigherOrderSketch",
-    "MidasDetector",
-    "MstreamDetector",
-    "Sess3dDetector",
-    "roc_auc",
-]
+# Each public name and the module that defines it. A module is imported when
+# one of its names is first used, so a CLI command loads only its own detector.
+_SOURCES = {
+    "AnoEdgeGlobal": "densegraph",
+    "AnoEdgeLocal": "densegraph",
+    "CountMinSketch": "sketch",
+    "DecisionRule": "midas",
+    "EdgeEvent": "events",
+    "HigherOrderSketch": "sketch",
+    "MidasDetector": "midas",
+    "MstreamDetector": "mstream",
+    "Sess3dDetector": "sess",
+    "roc_auc": "metrics",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_SOURCES[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

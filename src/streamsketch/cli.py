@@ -1,7 +1,7 @@
 """Command-line harness: every detector wired to CSV files.
 
 Every detector command runs one loop, ``_score_input``: it reads up to
-``midas.TICK_BATCH_MAX`` items, scores them and rejects a nan score by its
+``events.TICK_BATCH_MAX`` items, scores them and rejects a nan score by its
 input line. Once the input ends, one score is written per input line (per
 window for the graph scorers) as decimal text with 9 significant digits,
 ``WRITE_CHUNK`` lines per write call; ``--eval`` swaps the score listing for
@@ -21,8 +21,12 @@ option. ``--seed`` defaults to the environment variable STREAMSKETCH_SEED,
 else 42. A detector, window, sharpening or ``synth`` parameter left unset
 is not passed, so the library signature holds its only default.
 
-Exit codes: 0 success, 1 validation or I/O failure (message names the
-location), 2 usage errors, config values and STREAMSKETCH_SEED included.
+Each command imports its detector's module when it runs, so a run loads
+only the modules its command uses.
+
+Exit codes: 0 success, 1 validation, I/O or allocation failure (message
+names the location), 2 usage errors, config values and STREAMSKETCH_SEED
+included.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from itertools import islice, product
 
 import numpy as np
 
-from .densegraph import AnoEdgeGlobal, AnoEdgeLocal, anograph_score
+from .events import TICK_BATCH_MAX
 from .hashing import DEFAULT_SEED
 from .ingest import (
     Lines,
@@ -51,10 +55,6 @@ from .ingest import (
     parse_record_stream,
     window_aggregate,
 )
-from .metrics import roc_auc
-from .midas import TICK_BATCH_MAX, DecisionRule, MidasDetector
-from .mstream import MstreamDetector
-from .sess import SharpeningParams, Sess3dDetector, apply_feedback, score_with_feedback
 
 FORMAT = "{:.9g}"
 COMMENT = re.compile(r"(?:^|\s)#.*")  # a config comment: '#' at line start or after whitespace
@@ -219,6 +219,8 @@ def _score_input(args, start, labels=None) -> int:
 
     output = _score_lines(held)
     if args.eval:
+        from .metrics import roc_auc
+
         truth = _read_labels(args.labels, n) if labels is None else truth
         scores = np.concatenate([np.empty(0)] + [values for values, _ in held])
         output = [json.dumps({"auc": roc_auc(scores, truth)}) + "\n"]
@@ -242,6 +244,8 @@ def _edges(args, score):
 
 
 def _run_midas(args, variant: str) -> int:
+    from .midas import DecisionRule, MidasDetector
+
     detector = MidasDetector(variant, seed=args.seed, **_given(args, *SKETCH, "merge_threshold"))
     eps = args.flag_epsilon
     rule = None if eps is None else DecisionRule.for_detector(eps, detector)
@@ -249,12 +253,16 @@ def _run_midas(args, variant: str) -> int:
     return _score_input(args, start)
 
 
-def _run_anoedge(args, cls) -> int:
-    detector = cls(seed=args.seed, **_given(args, *SKETCH))
+def _run_anoedge(args, class_name: str) -> int:
+    from . import densegraph
+
+    detector = getattr(densegraph, class_name)(seed=args.seed, **_given(args, *SKETCH))
     return _score_input(args, _edges(args, lambda events, _: (detector.score_many(events), None)))
 
 
 def _run_anograph(args, variant: str) -> int:
+    from .densegraph import anograph_score
+
     spec = WindowSpec(**_given(args, "window_ticks", "anomaly_edge_threshold"))
     k = _given(args, "k")
     if k.get("k", 1) < 1:  # before the input is read, as WindowSpec checks its fields
@@ -279,6 +287,8 @@ def _run_anograph(args, variant: str) -> int:
 
 
 def _run_mstream(args) -> int:
+    from .mstream import MstreamDetector
+
     def start(lines):
         schema, records = parse_record_stream(lines, **_given(args, "tick_every"))
         # The attribute split comes from the file's header.
@@ -291,6 +301,9 @@ def _run_mstream(args) -> int:
 
 
 def _run_sess(args) -> int:
+    from .midas import MidasDetector
+    from .sess import SharpeningParams, Sess3dDetector, apply_feedback, score_with_feedback
+
     params = SharpeningParams(**_given(args, "boost", "damp"))
     make = Sess3dDetector if args.layout == "3d" else partial(MidasDetector, "relational")
     detector = make(seed=args.seed, **_given(args, *SKETCH))
@@ -382,6 +395,8 @@ def _run_synth(args) -> int:
 
 
 def _run_eval(args) -> int:
+    from .metrics import roc_auc
+
     scores = []
     with open(args.scores, encoding="utf-8") as handle, Lines(handle, args.scores) as lines:
         for line in lines:
@@ -443,12 +458,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.set_defaults(handler=lambda a, v=variant: _run_midas(a, v), score_mode="max")
 
-    anoedges = (("anoedge-g", "global", AnoEdgeGlobal), ("anoedge-l", "local", AnoEdgeLocal))
-    for name, which, cls in anoedges:
+    anoedges = (("anoedge-g", "global", "AnoEdgeGlobal"), ("anoedge-l", "local", "AnoEdgeLocal"))
+    for name, which, class_name in anoedges:
         sub = subs.add_parser(name, help=f"dense-submatrix edge scorer ({which})")
         _add_edge_common(sub)
         sub.add_argument("--alpha", type=float)
-        sub.set_defaults(handler=lambda a, cls=cls: _run_anoedge(a, cls))
+        sub.set_defaults(handler=lambda a, c=class_name: _run_anoedge(a, c))
 
     for name, variant in (("anograph", "full"), ("anograph-k", "topk")):
         sub = subs.add_parser(name, help=f"dense-submatrix graph scorer ({variant})")
@@ -533,7 +548,7 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a sketch shape too large
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,12 +50,16 @@ def expand_many(mats, rows, cols) -> np.ndarray:
     n_rows + n_cols - 2 steps, so all lanes move together. Row and column
     sums share one ``gains[lane, side, line]`` array with members (and the
     zero padding of a non-square stack) at -inf, so one argmax picks every
-    lane's best row and column; each lane then adds its taken line to its
-    other side only (gather, add, scatter), where a member's -inf + inf = nan
-    is put back at -inf. Totals and densities come after the loop, by the
-    same adds in the same order, and the first maximum is kept, as a strict >
-    would: each lane equals a scalar expansion, bit for bit, signed zeros
-    included. ``mats`` may be a broadcast view (then copied); it is only read.
+    lane's best row and column. One copy of the stack, ``lines[lane, side,
+    line, :]``, holds each lane's columns (side 0, the rows of M^T) and rows
+    (side 1), zero-padded to size x size, so the line a lane takes is one
+    contiguous row at the same flat index as its gain; each lane adds it to
+    its other side only (gather, add, scatter). Where the stack holds an inf,
+    a member's -inf + inf = nan is put back at -inf. Totals and densities
+    come after the loop, by the same adds in the same order, and the first
+    maximum is kept, as a strict > would: each lane equals a scalar
+    expansion, bit for bit, signed zeros included. ``mats`` may be a
+    broadcast view; it is only read.
     """
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim < 3 or mats.shape[-1] == 0 or mats.shape[-2] == 0:
@@ -70,38 +74,42 @@ def expand_many(mats, rows, cols) -> np.ndarray:
         raise ValueError(f"seed out of range for {n_rows}x{n_cols} matrices")
 
     n_lanes, size, steps = math.prod(batch), max(n_rows, n_cols), n_rows + n_cols - 2
-    lines = mats.reshape(n_lanes, n_rows, n_cols)
-    if n_rows != n_cols:  # zero lines pad the stack to size x size
-        lines = np.pad(lines, ((0, 0), (0, size - n_rows), (0, size - n_cols)))
+    has_inf = np.isinf(mats).any()  # before the copy, so the two are never held at once
+    lines = np.zeros(batch + (2, size, size))
+    lines[..., 0, :n_cols, :n_rows] = np.swapaxes(mats, -1, -2)
+    lines[..., 1, :n_rows, :n_cols] = mats
+    lines = lines.reshape(n_lanes, 2, size, size)
     rows, cols, lane = rows.reshape(n_lanes), cols.reshape(n_lanes), np.arange(n_lanes)
     # Side 0 holds each column's sum against the current rows, side 1 each row's
     # against the current columns; pairs[2 * lane + side] is one side's sums.
     gains = np.empty((n_lanes, 2, size))
-    gains[:, 0], gains[:, 1] = lines[lane, rows], lines[lane, :, cols]
+    gains[:, 0], gains[:, 1] = lines[lane, 1, rows], lines[lane, 0, cols]
     gains[:, 0, n_cols:] = gains[:, 1, n_rows:] = -np.inf
     gains[lane, 0, cols] = gains[lane, 1, rows] = -np.inf
     pairs, flat_pairs = gains.reshape(2 * n_lanes, size), gains.reshape(-1)
+    flat_lines = lines.reshape(-1, size)  # the line behind each entry of flat_pairs
     first_of_pair, pair_start = 2 * lane, np.arange(0, gains.size, size)
     # Each step's best column and row gain per lane, and whether it took the row.
     seen = np.empty((steps + 1, 2 * n_lanes))
     took_row = np.zeros((steps + 1, n_lanes), dtype=bool)  # step 0 is the seed
     with np.errstate(invalid="ignore"):  # -inf + inf at a member
         for step in range(1, steps + 1):
-            best_line = pairs.argmax(axis=1)
-            at = best_line + pair_start
+            at = pairs.argmax(axis=1)
+            at += pair_start
             best = flat_pairs.take(at, out=seen[step])
             # Strict > sends ties (and exhausted rows) to the column branch.
             take_row = np.greater(best[1::2], best[0::2], out=took_row[step])
             taken = first_of_pair + take_row
-            flat_pairs[at[taken]] = -np.inf
+            line = at[taken]
+            flat_pairs[line] = -np.inf
             other = taken ^ 1
             sums = pairs.take(other, axis=0)
-            added_row, added_col = lines[lane, best_line[1::2]], lines[lane, :, best_line[0::2]]
-            sums += np.where(take_row[:, None], added_row, added_col)
-            np.fmax(sums, -np.inf, out=sums)
+            sums += flat_lines.take(line, axis=0)
+            if has_inf:
+                np.fmax(sums, -np.inf, out=sums)
             pairs[other] = sums
     totals = np.where(took_row, seen[:, 1::2], seen[:, 0::2])
-    totals[0] = lines[lane, rows, cols]
+    totals[0] = lines[lane, 1, rows, cols]
     np.add.accumulate(totals, axis=0, out=totals)
     size_rows = 1 + np.cumsum(took_row, axis=0)
     density = totals / np.sqrt(size_rows * (np.arange(2, steps + 3)[:, None] - size_rows))
@@ -261,8 +269,8 @@ def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:
     stack ``(*batch, n_rows, n_cols)``, floored at 0; shape ``batch``.
 
     Cells tie-break in row-major order. All seeds of all matrices expand in
-    one ``expand_many`` call over a broadcast view, which the kernel copies
-    into one matrix per seed.
+    one ``expand_many`` call over a broadcast view, which the kernel copies,
+    with its transpose, once per seed.
     """
     *batch, n_rows, n_cols = mats.shape
     flat = mats.reshape(*batch, n_rows * n_cols)
@@ -274,9 +282,10 @@ def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:
 
 # Bytes of sketch snapshots an AnoEdgeGlobal buffers before expanding them
 # together (at least one snapshot, whatever its size). At the default 2x32x32
-# sketch that is 64 lanes, which one expand_many call grows in ~1.6 ms, ~26 us
-# per lane (~59 us at 16 lanes, ~20 at 128; best of 5 medians on a 2-core x86
-# box). Larger chunks amortise further but add directly to peak memory.
+# sketch that is 64 lanes, which one expand_many call grows in ~1.2 ms, ~19 us
+# per lane (~37 us at 16 lanes, ~18 at 128; best of 5 medians on a 2-core x86
+# box). Larger chunks gain little more and add three times their size to peak
+# memory: the buffer, and expand_many's stacked copy of twice its size.
 SNAPSHOT_BUDGET_BYTES = 512 * 1024
 
 
@@ -404,8 +413,8 @@ def anograph_score(window: HigherOrderSketch, variant: str = "full", k: int = 5)
 
     ``full`` runs the greedy peel; ``topk`` seeds greedy expansions at the k
     largest cells. An empty window scores 0, as both kernels give 0 on an
-    all-zero matrix. On a 2x32x32 window at k=5, ``topk`` takes ~1.0 ms and
-    ``full`` ~0.65 ms (in process, medians).
+    all-zero matrix. On a 2x32x32 window at k=5, ``topk`` and ``full`` each
+    take ~0.7 ms (in process, medians on a 2-core x86 box).
     """
     if variant not in ("full", "topk"):
         raise ValueError(f"variant must be 'full' or 'topk', got {variant!r}")

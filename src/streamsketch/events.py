@@ -1,5 +1,5 @@
-"""Stream element types: timestamped edges and multi-aspect records, and
-the tick clock every detector keeps."""
+"""Stream element types: timestamped edges and multi-aspect records, the
+tick clock every detector keeps, and the most items handled at once."""
 
 from __future__ import annotations
 
@@ -8,6 +8,12 @@ import operator
 from dataclasses import dataclass, field
 
 from .sketch import MAX_FLOAT, as_float, check_weight, shown
+
+# The most items handled at once: the CLI reads and scores its input in
+# chunks of this many, and ``midas.ChiSquaredTables.each_run`` hands a batch
+# at most this many, so transient arrays stay a few MB however many items
+# share a tick.
+TICK_BATCH_MAX = 4096
 
 
 class TickClock:

@@ -49,7 +49,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import hashing  # canonical_key is looked up on it per call, where bench/spans.py wraps it
-from .events import EdgeEvent, TickClock
+from .events import TICK_BATCH_MAX, EdgeEvent, TickClock
 from .hashing import DEFAULT_SEED, HashFamily, canonical_keys, check_shape, mix_keys
 from .sketch import check_decay, check_positive, check_weight, conditional_merge, shown, weights_ok
 
@@ -64,9 +64,6 @@ VARIANTS = ("plain", "relational", "filtering")
 # 9, 10, 20 and 100 records per tick: 46 / 21 / 10 / 9.5 / 7.2 / 5.2
 # against 18 / 12 / 10 / 10.4 / 9.1 / 9.2. It breaks even at ~10 too.
 TICK_BATCH_MIN = {"plain": 18, "relational": 10, "filtering": 10}
-# each_run hands a batch at most this many items at a time, so the batch's
-# transient arrays stay a few MB however many items share a tick.
-TICK_BATCH_MAX = 4096
 
 
 def chi2_score(current: float, total: float, tick: int) -> float:
@@ -349,7 +346,9 @@ class ChiSquaredTables:
         n_keys, n_rows, n = cells.shape
         filtering = self.variant == "filtering"
         flat = (cells + self._row_base).reshape(-1)
-        order = flat.argsort(kind="stable")
+        # Both stable sorts take the narrowest key type that holds their keys:
+        # at up to 16 bits numpy sorts by radix.
+        order = flat.astype(np.min_scalar_type(self._kind_size - 1)).argsort(kind="stable")
         ordered = flat[order]
         # edge[p]: a cell's entries end before p, so edge[:-1] marks the first
         # entry of each cell in event order and edge[1:] the last.
@@ -365,7 +364,7 @@ class ChiSquaredTables:
         rest = (~first).nonzero()[0]
         if rest.size:
             rank = rest - first.nonzero()[0][first.cumsum()[rest] - 1]
-            rest = rest[rank.argsort(kind="stable")]
+            rest = rest[rank.astype(np.min_scalar_type(n - 1)).argsort(kind="stable")]
             bounds = np.bincount(rank).cumsum()
             for lo, hi in zip(bounds[:-1], bounds[1:]):
                 level = rest[lo:hi]

@@ -14,7 +14,7 @@ record, so a tick boundary decays every current table in one multiply.
 ``MstreamDetector.score_many`` scores a whole stream as ``score`` would one
 record at a time, with ``==`` totals, in one loop over the runs that
 ``ChiSquaredTables.each_run`` yields. Each piece of up to
-``midas.TICK_BATCH_MAX`` records is hashed once into every cell its records
+``events.TICK_BATCH_MAX`` records is hashed once into every cell its records
 are scored on (a piece holding a record ``score`` might reject goes through
 ``score`` whole): canonical keys and bucket indexes, on the hashing module's
 one path, hyperplane signs, and last the numeric buckets. A numeric bucket

@@ -66,12 +66,26 @@ def _tie_heavy(kind, rng, batch, n_rows, n_cols):
         mats = rng.choice([0.0, -0.0, 1.0, 2.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
         mats[rng.random(shape) < 0.02] = np.inf
         return mats
+    if kind == "finite_signed_zeros":
+        # No inf anywhere, so the kernel skips its nan clean-up: the adds
+        # alone must keep every zero's sign.
+        return rng.choice([0.0, -0.0, 1.0, 2.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
+    if kind == "one_inf_lane":
+        # One inf cell, in one lane: the clean-up runs on every lane and must
+        # leave the finite lanes' signed zeros as they are.
+        mats = rng.choice([0.0, -0.0, 1.0, 2.0], size=shape, p=[0.4, 0.4, 0.1, 0.1])
+        mats[batch // 2, rng.integers(n_rows), rng.integers(n_cols)] = np.inf
+        return mats
     # Decayed counts: the fractional values a sketch holds between ticks.
     return rng.poisson(1.5, size=shape) * 0.9 ** rng.integers(0, 30, size=shape)
 
 
 @pytest.mark.parametrize(
-    "kind", ["zeros", "ones", "poisson", "decayed", "with_inf", "signed_zeros"]
+    "kind",
+    [
+        "zeros", "ones", "poisson", "decayed", "with_inf", "signed_zeros",
+        "finite_signed_zeros", "one_inf_lane",
+    ],
 )
 def test_expand_many_matches_scalar_oracle(kind):
     rng = np.random.default_rng(len(kind))

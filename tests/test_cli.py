@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from streamsketch import cli, midas
+from streamsketch import cli, midas, mstream
 from streamsketch.cli import main
 from streamsketch.events import EdgeEvent
 from streamsketch.ingest import parse_record_stream
@@ -47,6 +47,21 @@ def test_missing_input_file_exits_1(tmp_path, capsys):
     code = run_cli("midas", "--input", str(tmp_path / "absent.csv"))
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Each shape asks for petabytes, far beyond any 48-bit address space, so the
+# allocator refuses it at once; no shape a machine could try to fill is used.
+@pytest.mark.parametrize("argv", [
+    ["anoedge-g", "--buckets", "100000000"],  # 142 PiB of matrices
+    ["midas", "--buckets", "100000000000000"],  # 2.84 PiB of count tables
+])
+def test_a_sketch_too_large_to_allocate_exits_1(tmp_path, capsys, argv):
+    edges = tmp_path / "edges.csv"
+    write_edges(edges, [(1, 2, 1)])
+    assert run_cli(*argv, "--input", str(edges)) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_midas_reads_stdin_and_writes_stdout_by_default(monkeypatch, capsys):
@@ -643,7 +658,7 @@ def test_config_hash_inside_a_value_is_kept(tmp_path, capsys):
 def test_mstream_builds_its_detector_before_the_timed_scoring(tmp_path, monkeypatch):
     events = []
 
-    class Detector(cli.MstreamDetector):
+    class Detector(mstream.MstreamDetector):
         def __init__(self, *args, **kwargs):
             events.append("build")
             super().__init__(*args, **kwargs)
@@ -652,7 +667,7 @@ def test_mstream_builds_its_detector_before_the_timed_scoring(tmp_path, monkeypa
         events.append("clock")
         return 0.0
 
-    monkeypatch.setattr(cli, "MstreamDetector", Detector)
+    monkeypatch.setattr(mstream, "MstreamDetector", Detector)
     monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=clock))
     assert run_cli(*detector_argv(tmp_path, "mstream"), "--time") == 0
     assert events == ["build", "clock", "clock"]
@@ -691,7 +706,7 @@ def test_mstream_prints_the_per_record_totals(tmp_path, capsys, tick_column, dec
     schema, records = parse_record_stream(
         path.read_text().splitlines(), tick_every=int(decay_every) if decay_every else None
     )
-    detector = cli.MstreamDetector(schema.n_categorical, schema.n_numeric, seed=9)
+    detector = mstream.MstreamDetector(schema.n_categorical, schema.n_numeric, seed=9)
     expected = [cli.FORMAT.format(detector.score(record).total) for record in records]
     assert len(expected) == len(ticks)
     assert capsys.readouterr().out == "".join(line + "\n" for line in expected)

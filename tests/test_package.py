@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -17,6 +18,7 @@ README = ROOT / "README.md"
 
 
 def test_public_names_resolve_and_cover_the_readme_import():
+    assert set(streamsketch.__all__) <= set(dir(streamsketch))
     for name in streamsketch.__all__:
         assert getattr(streamsketch, name) is not None
     block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
@@ -25,6 +27,33 @@ def test_public_names_resolve_and_cover_the_readme_import():
     exec(statement.group(0), namespace)
     imported = {name for name in namespace if name != "__builtins__"}
     assert imported and imported <= set(streamsketch.__all__)
+
+
+# Modules no command needs at import; each is loaded by the commands that use it.
+DETECTOR_MODULES = {"densegraph", "midas", "mstream", "sess", "metrics", "pomdp", "synth"}
+
+
+def _loaded_modules(code: str) -> set[str]:
+    """The ``streamsketch`` submodules loaded once ``code`` has run in a
+    fresh interpreter."""
+    code += (
+        "\nimport json, sys\nprint(json.dumps("
+        "[m for m in sys.modules if m.startswith('streamsketch.')]))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return {name.split(".", 1)[1] for name in json.loads(done.stdout.splitlines()[-1])}
+
+
+def test_each_command_loads_only_the_modules_it_uses(tmp_path):
+    assert not _loaded_modules("import streamsketch.cli") & DETECTOR_MODULES
+    edges = tmp_path / "edges.csv"
+    edges.write_text("1,2,1\n")
+    run = f"from streamsketch.cli import main\nmain(['anoedge-g', '--input', {str(edges)!r}])"
+    assert _loaded_modules(run) & DETECTOR_MODULES == {"densegraph"}
 
 
 def test_benchmark_tracer_targets_resolve():
