@@ -31,35 +31,37 @@ def _as_matrix(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
         raise ValueError("expected a non-empty 2-D matrix")
+    if not (m >= 0.0).all():  # also rejects nan
+        raise ValueError("matrix entries must be nonnegative")
     return m
 
 
 def expand_many(mats, rows, cols) -> np.ndarray:
     """Greedy expansions from many 1x1 seeds, advanced in lock-step.
 
-    ``mats`` has shape ``(*batch, n_rows, n_cols)`` and ``rows``/``cols``
-    shape ``batch``; lane i expands ``mats[i]`` from the seed cell
-    ``(rows[i], cols[i])``. Starting from the seed, each step adds the
-    remaining row with the largest sum against the current columns, or the
-    remaining column with the largest sum against the current rows, until
-    nothing remains. The best density seen anywhere on that path (seed
-    included) is returned per lane, shape ``batch``. Cells may be inf, but
-    not nan or -inf (sketch counts are nonnegative).
+    ``mats`` is a stack ``(*batch, n_rows, n_cols)``; ``rows`` and ``cols``
+    have shape ``batch``, or ``batch`` and more axes for several seeds per
+    matrix. Seed i, one lane, expands ``mats[i[:len(batch)]]`` from the cell
+    ``(rows[i], cols[i])``: each step adds the remaining row with the largest
+    sum against the current columns, or the remaining column with the largest
+    sum against the current rows, until nothing remains. The best density
+    seen on that path (seed included) is returned in the seeds' shape. Cells
+    may be inf, but not nan or below 0, which only ``_as_matrix`` checks.
 
     Every expansion of an n_rows x n_cols matrix takes the same
     n_rows + n_cols - 2 steps, so all lanes move together. Row and column
     sums share one ``gains[lane, side, line]`` array with members (and the
     zero padding of a non-square stack) at -inf, so one argmax picks every
-    lane's best row and column. One copy of the stack, ``lines[lane, side,
-    line, :]``, holds each lane's columns (side 0, the rows of M^T) and rows
-    (side 1), zero-padded to size x size, so the line a lane takes is one
-    contiguous row at the same flat index as its gain; each lane adds it to
-    its other side only (gather, add, scatter). Where the stack holds an inf,
-    a member's -inf + inf = nan is put back at -inf. Totals and densities
-    come after the loop, by the same adds in the same order, and the first
-    maximum is kept, as a strict > would: each lane equals a scalar
-    expansion, bit for bit, signed zeros included. ``mats`` may be a
-    broadcast view; it is only read.
+    lane's best row and column. One copy of the stack, ``lines[mat, side,
+    line, :]``, holds each matrix's columns (side 0, the rows of M^T) and rows
+    (side 1), zero-padded to size x size, and all seeds of a matrix read that
+    one copy: the line a lane takes is one contiguous row, at its gain's flat
+    index plus (mat - lane) * 2 * size. Each lane adds it to its other side
+    only (gather, add, scatter). Where the stack holds an inf, a member's
+    -inf + inf = nan is put back at -inf. Totals and densities come after the
+    loop, by the same adds in the same order, and the first maximum is kept,
+    as a strict > would: each lane equals a scalar expansion, bit for bit,
+    signed zeros included. ``mats`` may be a broadcast view; it is only read.
     """
     mats = np.asarray(mats, dtype=np.float64)
     if mats.ndim < 3 or mats.shape[-1] == 0 or mats.shape[-2] == 0:
@@ -68,26 +70,29 @@ def expand_many(mats, rows, cols) -> np.ndarray:
     batch = tuple(batch)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    if rows.shape != batch or cols.shape != batch:
-        raise ValueError(f"seed arrays must have shape {batch}")
+    if rows.shape[: len(batch)] != batch or cols.shape != rows.shape:
+        raise ValueError(f"seed arrays must have shape {batch} or {batch} + (k, ...)")
     if ((rows < 0) | (rows >= n_rows) | (cols < 0) | (cols >= n_cols)).any():
         raise ValueError(f"seed out of range for {n_rows}x{n_cols} matrices")
 
-    n_lanes, size, steps = math.prod(batch), max(n_rows, n_cols), n_rows + n_cols - 2
+    n_mats, size, steps = math.prod(batch), max(n_rows, n_cols), n_rows + n_cols - 2
     has_inf = np.isinf(mats).any()  # before the copy, so the two are never held at once
     lines = np.zeros(batch + (2, size, size))
     lines[..., 0, :n_cols, :n_rows] = np.swapaxes(mats, -1, -2)
     lines[..., 1, :n_rows, :n_cols] = mats
-    lines = lines.reshape(n_lanes, 2, size, size)
+    lines = lines.reshape(n_mats, 2, size, size)
+    shape, n_lanes = rows.shape, rows.size
+    mat = np.repeat(np.arange(n_mats), math.prod(shape[len(batch) :]))  # each lane's matrix
     rows, cols, lane = rows.reshape(n_lanes), cols.reshape(n_lanes), np.arange(n_lanes)
+    shift = (mat - lane) * (2 * size)  # from a lane's flat gain index to its line's
     # Side 0 holds each column's sum against the current rows, side 1 each row's
     # against the current columns; pairs[2 * lane + side] is one side's sums.
     gains = np.empty((n_lanes, 2, size))
-    gains[:, 0], gains[:, 1] = lines[lane, 1, rows], lines[lane, 0, cols]
+    gains[:, 0], gains[:, 1] = lines[mat, 1, rows], lines[mat, 0, cols]
     gains[:, 0, n_cols:] = gains[:, 1, n_rows:] = -np.inf
     gains[lane, 0, cols] = gains[lane, 1, rows] = -np.inf
     pairs, flat_pairs = gains.reshape(2 * n_lanes, size), gains.reshape(-1)
-    flat_lines = lines.reshape(-1, size)  # the line behind each entry of flat_pairs
+    flat_lines = lines.reshape(-1, size)
     first_of_pair, pair_start = 2 * lane, np.arange(0, gains.size, size)
     # Each step's best column and row gain per lane, and whether it took the row.
     seen = np.empty((steps + 1, 2 * n_lanes))
@@ -102,6 +107,7 @@ def expand_many(mats, rows, cols) -> np.ndarray:
             taken = first_of_pair + take_row
             line = at[taken]
             flat_pairs[line] = -np.inf
+            line += shift
             other = taken ^ 1
             sums = pairs.take(other, axis=0)
             sums += flat_lines.take(line, axis=0)
@@ -109,11 +115,11 @@ def expand_many(mats, rows, cols) -> np.ndarray:
                 np.fmax(sums, -np.inf, out=sums)
             pairs[other] = sums
     totals = np.where(took_row, seen[:, 1::2], seen[:, 0::2])
-    totals[0] = lines[lane, 1, rows, cols]
+    totals[0] = lines[mat, 1, rows, cols]
     np.add.accumulate(totals, axis=0, out=totals)
     size_rows = 1 + np.cumsum(took_row, axis=0)
     density = totals / np.sqrt(size_rows * (np.arange(2, steps + 3)[:, None] - size_rows))
-    return density[density.argmax(axis=0), lane].reshape(batch)  # the first maximum
+    return density[density.argmax(axis=0), lane].reshape(shape)  # the first maximum
 
 
 def edge_submatrix_density(matrix, row: int, col: int) -> float:
@@ -248,8 +254,6 @@ def anograph_density(matrix) -> float:
     best submatrix of any shape.
     """
     m = _as_matrix(matrix)
-    if not (m >= 0.0).all():  # also rejects nan
-        raise ValueError("matrix entries must be nonnegative")
     sub = _Submatrix.whole(m)
     best = sub.density()
     # The best density only rises, so an inf one is final; peeling on takes inf - inf.
@@ -266,18 +270,18 @@ def anograph_density(matrix) -> float:
 
 def _topk_densities(mats: np.ndarray, k: int) -> np.ndarray:
     """Best expansion density over the k largest cells of each matrix in a
-    stack ``(*batch, n_rows, n_cols)``, floored at 0; shape ``batch``.
+    stack ``(*batch, n_rows, n_cols)``, or of one matrix, floored at 0; shape
+    ``batch``.
 
     Cells tie-break in row-major order. All seeds of all matrices expand in
-    one ``expand_many`` call over a broadcast view, which the kernel copies,
-    with its transpose, once per seed.
+    one ``expand_many`` call, which copies each matrix, with its transpose,
+    once for all of its seeds.
     """
     *batch, n_rows, n_cols = mats.shape
-    flat = mats.reshape(*batch, n_rows * n_cols)
-    seeds = np.argsort(-flat, axis=-1, kind="stable")[..., :k]
-    views = np.broadcast_to(mats[..., None, :, :], seeds.shape + (n_rows, n_cols))
-    best = expand_many(views, seeds // n_cols, seeds % n_cols)
-    return np.maximum(best.max(axis=-1), 0.0)
+    stack = mats.reshape(-1, n_rows, n_cols)
+    seeds = np.argsort(-stack.reshape(len(stack), -1), axis=-1, kind="stable")[:, :k]
+    best = expand_many(stack, *np.divmod(seeds, n_cols))
+    return np.maximum(best.max(axis=-1), 0.0).reshape(batch)
 
 
 # Bytes of sketch snapshots an AnoEdgeGlobal buffers before expanding them
@@ -350,12 +354,8 @@ class AnoEdgeGlobal:
         return scores
 
     def _expand_snapshots(self, count: int) -> list[float]:
-        n_layers, n_buckets, _ = self.sketch.matrices.shape
-        lanes = count * n_layers
-        mats = self._snapshots[:count].reshape(lanes, n_buckets, n_buckets)
-        rows, cols = np.divmod(self._seeds[:count].reshape(lanes), n_buckets)
-        best = expand_many(mats, rows, cols)
-        return best.reshape(count, n_layers).min(axis=1).tolist()
+        seeds = np.divmod(self._seeds[:count], self.sketch.n_buckets)
+        return expand_many(self._snapshots[:count], *seeds).min(axis=1).tolist()
 
 
 class AnoEdgeLocal:

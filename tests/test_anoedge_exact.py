@@ -111,6 +111,11 @@ def test_expand_many_on_broadcast_batch_matches_oracle():
         [oracle_expand(mats[i], rows[i, j], cols[i, j]) for j in range(5)] for i in range(3)
     ]
     assert np.array_equal(got, want)
+    # The same seeds, five per matrix of the stack as it is.
+    stacked = expand_many(mats, rows, cols)
+    assert np.array_equal(stacked, got) and np.array_equal(stacked, want)
+    assert np.array_equal(np.signbit(stacked), np.signbit(got))
+    assert np.array_equal(np.signbit(stacked), np.signbit(want))
 
 
 @pytest.mark.parametrize("n_rows,n_cols", [(6, 6), (7, 5)])
@@ -129,7 +134,14 @@ def test_expand_many_only_reads_its_input(n_rows, n_cols):
     seeds = rng.integers(0, n_rows, size=(6, 4)), rng.integers(0, n_cols, size=(6, 4))
     want = [[oracle_expand(mats[i], seeds[0][i, j], seeds[1][i, j]) for j in range(4)]
             for i in range(6)]
-    assert np.array_equal(expand_many(view, *seeds), want)
+    got = expand_many(view, *seeds)
+    assert np.array_equal(got, want)
+    assert mats.tobytes() == before
+    # The same seeds, four per matrix of the stack as it is.
+    stacked = expand_many(mats, *seeds)
+    assert np.array_equal(stacked, got) and np.array_equal(stacked, want)
+    assert np.array_equal(np.signbit(stacked), np.signbit(got))
+    assert np.array_equal(np.signbit(stacked), np.signbit(want))
     assert mats.tobytes() == before
 
 
@@ -143,6 +155,15 @@ def test_expand_many_rejects_bad_input():
         expand_many(mats, [0], [0])
     with pytest.raises(ValueError):
         expand_many(np.zeros((3, 3)), 0, 0)
+    # Seeds whose leading axes are not the stack's batch.
+    with pytest.raises(ValueError):
+        expand_many(mats, np.zeros((3, 2), dtype=int), np.zeros((3, 2), dtype=int))
+    with pytest.raises(ValueError):
+        expand_many(mats, np.zeros((2, 4), dtype=int), np.zeros((2, 3), dtype=int))
+    # An empty stack is not bad input: it has no seeds and gives no densities.
+    assert expand_many(np.zeros((0, 3, 3)), [], []).shape == (0,)
+    assert expand_many(np.zeros((0, 3, 3)), np.zeros((0, 5), dtype=int),
+                       np.zeros((0, 5), dtype=int)).shape == (0, 5)
 
 
 def test_edge_submatrix_density_is_the_oracle():
@@ -167,6 +188,25 @@ def test_topk_matches_per_seed_oracle():
     for k in (1, 5, 300):
         want = min(oracle_topk(window.matrices[j], k) for j in range(3))
         assert anograph_score(window, "topk", k) == want
+
+
+def test_topk_memory_does_not_grow_with_k():
+    rng = np.random.default_rng(11)
+    window = HigherOrderSketch(2, 128, seed=11)
+    for u, v in rng.integers(0, 512, size=(2000, 2)):
+        window.update(int(u), int(v), 1.0)
+
+    def peak(k):
+        gc.collect()
+        tracemalloc.start()
+        anograph_score(window, "topk", k)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
+
+    # Each matrix is copied once for all its seeds: one stacked copy of the
+    # window (and its transpose) whatever k is, and per-seed state is small.
+    assert peak(8) - peak(1) < 2 * window.counts.nbytes
 
 
 # -- chunked scoring -------------------------------------------------------------

@@ -100,6 +100,23 @@ def test_peel_rejects_bad_input():
         anograph_density(np.array([[math.nan, 1.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [[math.nan, 1.0], [1.0, 1.0]],
+        [[-5.0, 1.0], [1.0, 1.0]],
+        [[-math.inf, 1.0], [1.0, 1.0]],
+        [[math.inf, 1.0], [1.0, math.nan]],
+    ],
+)
+def test_expansion_and_peel_reject_negative_or_nan_cells(cells):
+    m = np.array(cells)
+    with pytest.raises(ValueError, match="nonnegative"):
+        edge_submatrix_density(m, 0, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        anograph_density(m)
+
+
 def test_peel_matches_slow_reference():
     rng = np.random.default_rng(2)
     for _ in range(40):
