@@ -21,8 +21,9 @@ option. ``--seed`` defaults to the environment variable STREAMSKETCH_SEED,
 else 42. A detector, window, sharpening or ``synth`` parameter left unset
 is not passed, so the library signature holds its only default.
 
-Each command imports its detector's module when it runs, so a run loads
-only the modules its command uses.
+Each command imports its detector's module when it runs, and ``json`` is
+imported only by ``--eval``, ``--time`` and ``eval``, so a run loads only
+the modules its command uses.
 
 Exit codes: 0 success, 1 validation, I/O or allocation failure (message
 names the location), 2 usage errors, config values and STREAMSKETCH_SEED
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -219,6 +219,8 @@ def _score_input(args, start, labels=None) -> int:
 
     output = _score_lines(held)
     if args.eval:
+        import json
+
         from .metrics import roc_auc
 
         truth = _read_labels(args.labels, n) if labels is None else truth
@@ -227,6 +229,8 @@ def _score_input(args, start, labels=None) -> int:
     with _open(args.output, "w") as out:
         _write_lines(out, output)
     if args.time:
+        import json
+
         print(json.dumps({"seconds": round(elapsed, 6), "items": n}), file=sys.stderr)
     return 0
 
@@ -395,6 +399,8 @@ def _run_synth(args) -> int:
 
 
 def _run_eval(args) -> int:
+    import json
+
     from .metrics import roc_auc
 
     scores = []

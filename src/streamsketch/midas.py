@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import groupby, islice, repeat
 from operator import attrgetter
-from statistics import NormalDist
 
 import numpy as np
 
@@ -117,9 +116,12 @@ def _scores_many(current: np.ndarray, total: np.ndarray, tick: int, filtering: b
 
 
 def standard_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF, from the standard library."""
+    """Inverse standard normal CDF, from the standard library; ``statistics``
+    is imported on the first call, as only a ``DecisionRule`` needs it."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(p)
 
 

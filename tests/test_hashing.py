@@ -1,15 +1,19 @@
 import gc
+import random
 import tracemalloc
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from streamsketch import hashing
 from streamsketch.hashing import (
     MERSENNE_P,
     HashFamily,
+    _Pcg64,
     bucket_indexes,
     canonical_key,
+    draw_rows,
 )
 
 
@@ -129,3 +133,85 @@ def test_bucket_indexes_temporaries_do_not_grow_with_the_key_count():
     small, large = transient(4096), transient(65536)
     assert small < 256 * 1024
     assert abs(large - small) < 32 * 1024
+
+
+def test_in_package_draw_equals_numpys_for_every_seed():
+    """``draw_rows`` through ``_Pcg64(seed)`` gives numpy's rows for the same
+    seed: edge seeds, seeds of five or more 32-bit words (which SeedSequence
+    mixes in after its pool of four), 64-bit and 20-bit random seeds."""
+    picks = random.Random(2024)
+    seeds = [0, 1, 2, 42, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**96 + 5, 2**128 - 1]
+    seeds += [2**128, 2**160 + 3, 2**300 - 1]
+    seeds += [picks.getrandbits(64) for _ in range(300)]
+    seeds += [picks.getrandbits(20) for _ in range(200)]
+    seeds += [picks.getrandbits(picks.randrange(65, 400)) for _ in range(40)]
+    assert len(seeds) >= 500
+    for seed in seeds:
+        assert draw_rows(_Pcg64(seed), 4) == draw_rows(np.random.default_rng(seed), 4), seed
+
+
+@pytest.mark.parametrize(
+    "low, high, dtype", [(0, 3 << 62, np.uint64), (-(1 << 63), 1 << 62, np.int64)]
+)
+def test_bounded_draw_equals_numpys_where_it_rejects(low, high, dtype):
+    """Over 3 * 2^62 values, 2^64 mod the range is 2^62, so a quarter of the
+    64-bit outputs are rejected and drawn again (the hash ranges near 2^61
+    reject almost never); the draws stay numpy's."""
+    for seed in (0, 7, 2**64 - 1):
+        ours, numpys = _Pcg64(seed), np.random.default_rng(seed)
+        outputs = 0
+        step = ours._next64
+
+        def counted():
+            nonlocal outputs
+            outputs += 1
+            return step()
+
+        ours._next64 = counted
+        for _ in range(400):
+            assert ours.integers(low, high) == int(numpys.integers(low, high, dtype=dtype))
+        assert outputs > 400 + 50  # the rejection loop ran
+
+
+def test_seeded_rows_are_pinned():
+    """The rows of two seeds, written out: they stay fixed whatever numpy's
+    generators do in later releases."""
+    assert HashFamily(2, 1024, 42)._params == (
+        (1784621144001422545, 1011984782196883447),
+        (1979792011353080515, 1608021194655666448),
+    )
+    assert HashFamily(2, 1024, 7)._params == (
+        (1441372011761543505, 2068834170735742289),
+        (1788609426198978347, 519292424664466664),
+    )
+
+
+def test_family_seed_is_a_nonnegative_integer():
+    rows = draw_rows(np.random.default_rng(42), 3)
+    for seed in (42, np.int64(42), np.uint64(42), np.uint8(42)):
+        assert HashFamily(3, 64, seed)._params == rows
+    assert HashFamily(2, 64, np.uint64(2**64 - 1))._params == draw_rows(
+        np.random.default_rng(2**64 - 1), 2
+    )
+    with pytest.raises(ValueError):
+        HashFamily(2, 64, -1)
+    # None and sequences, which numpy's SeedSequence took, are rejected too:
+    # None drew rows no run could reproduce.
+    for seed in (1.0, np.float64(1.0), "42", None, [1, 2], (1, 2)):
+        with pytest.raises(TypeError):
+            HashFamily(2, 64, seed)
+
+
+def test_from_rows_draws_nothing_and_checks_its_shape(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("from_rows drew rows")
+
+    monkeypatch.setattr(hashing, "_seeded_rows", no_draw)
+    family = HashFamily.from_rows([(3, 5), (7, 11)], 16)
+    assert (family.n_rows, family.n_buckets, family.seed) == (2, 16, None)
+    assert family._params == ((3, 5), (7, 11))
+    assert family.indexes(2) == ((3 * 2 + 5) % 16, (7 * 2 + 11) % 16)
+    with pytest.raises(ValueError):
+        HashFamily.from_rows([], 16)
+    with pytest.raises(ValueError):
+        HashFamily.from_rows([(3, 5)], 0)

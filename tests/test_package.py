@@ -30,30 +30,75 @@ def test_public_names_resolve_and_cover_the_readme_import():
 
 
 # Modules no command needs at import; each is loaded by the commands that use it.
-DETECTOR_MODULES = {"densegraph", "midas", "mstream", "sess", "metrics", "pomdp", "synth"}
+DETECTOR_MODULES = {
+    f"streamsketch.{name}"
+    for name in ("densegraph", "midas", "mstream", "sess", "metrics", "pomdp", "synth")
+}
+# What a run on integer ids never needs: numpy.random and hashlib each load
+# OpenSSL (numpy.random through secrets and hmac), and json only serves
+# --eval, --time and eval.
+UNUSED_BY_EDGE_RUNS = {"numpy.random", "hashlib", "_hashlib", "json"}
 
 
 def _loaded_modules(code: str) -> set[str]:
-    """The ``streamsketch`` submodules loaded once ``code`` has run in a
-    fresh interpreter."""
-    code += (
-        "\nimport json, sys\nprint(json.dumps("
-        "[m for m in sys.modules if m.startswith('streamsketch.')]))"
-    )
+    """The names of the modules loaded once ``code`` has run in a fresh
+    interpreter, taken before the report imports ``json``."""
+    code += "\nimport sys\nloaded = list(sys.modules)\nimport json\nprint(json.dumps(loaded))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    return {name.split(".", 1)[1] for name in json.loads(done.stdout.splitlines()[-1])}
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _run(command: list[str]) -> str:
+    return f"from streamsketch.cli import main\nassert main({command!r}) == 0"
 
 
 def test_each_command_loads_only_the_modules_it_uses(tmp_path):
     assert not _loaded_modules("import streamsketch.cli") & DETECTOR_MODULES
     edges = tmp_path / "edges.csv"
     edges.write_text("1,2,1\n")
-    run = f"from streamsketch.cli import main\nmain(['anoedge-g', '--input', {str(edges)!r}])"
-    assert _loaded_modules(run) & DETECTOR_MODULES == {"densegraph"}
+    loaded = _loaded_modules(_run(["anoedge-g", "--input", str(edges)]))
+    assert loaded & DETECTOR_MODULES == {"streamsketch.densegraph"}
+
+
+@pytest.mark.parametrize(
+    "command, also_unused",
+    [
+        (["midas-r", "--flag-epsilon", "0.05"], set()),
+        (["midas-f"], {"statistics"}),
+        (["anoedge-g"], {"statistics"}),
+        (["sess", "--feedback", "{feedback}"], set()),
+    ],
+)
+def test_edge_runs_load_neither_numpy_random_nor_openssl(tmp_path, command, also_unused):
+    """Hash rows are drawn in the package and hashlib loads with the first
+    string key, so a one-line run on integer ids loads neither; statistics
+    only serves a DecisionRule's threshold."""
+    edges, feedback = tmp_path / "edges.csv", tmp_path / "feedback.txt"
+    edges.write_text("1,2,1\n")
+    feedback.write_text("0,1\n")
+    command = [arg.format(feedback=feedback) for arg in command]
+    loaded = _loaded_modules(_run(command + ["--input", str(edges)]))
+    assert not loaded & (UNUSED_BY_EDGE_RUNS | also_unused)
+
+
+def test_string_ids_load_hashlib_and_records_load_numpy_random(tmp_path):
+    """The two exceptions: a string id is hashed by blake2b, and MStream's
+    hyperplanes continue the numpy generator its hash rows come from."""
+    edges = tmp_path / "edges.csv"
+    edges.write_text("n1,h2,1\nn1,h2,1\nn3,h2,1\nn1,h2,2\nn1,h4,2\nn1,h2,3\nn1,h2,3\nn1,h2,3\n")
+    out = tmp_path / "scores.txt"
+    loaded = _loaded_modules(_run(["midas-r", "--input", str(edges), "--output", str(out)]))
+    assert {"hashlib", "_hashlib"} <= loaded
+    assert "numpy.random" not in loaded
+    # The scores of the string ids before the lazy import.
+    assert out.read_text() == "0\n0\n0\n0.333333333\n1\n0.625\n1.6875\n3.01785714\n"
+    records = tmp_path / "records.csv"
+    records.write_text("cat:a,num:x,tick\nc,1.5,1\n")
+    assert "numpy.random" in _loaded_modules(_run(["mstream", "--input", str(records)]))
 
 
 def test_benchmark_tracer_targets_resolve():
