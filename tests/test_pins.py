@@ -7,6 +7,8 @@ byte-identical output. The inputs are built here as the workflow builds them.
 """
 
 import hashlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,15 +31,46 @@ def _weighted(lines):
     return "".join(out)
 
 
+def _string_ids(lines):
+    """The workflow's copy of a stream with every id a string, n<u> for
+    sources and h<v> for destinations:
+
+        awk -F, '{print "n" $1 ",h" $2 "," $3}' attack.csv
+    """
+    return "".join("n{},h{},{}\n".format(*line.split(",")) for line in lines)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """``synth --kind windows --seed 3`` (6150 edges) and its weighted copy."""
+    """The workflow's edge streams: ``synth --kind windows --seed 3`` (6150
+    edges) and its weighted copy, the README quick start's burst stream and
+    its labels, the short-ticks burst stream (3040 edges), and ``synth
+    --kind attack --seed 5`` (43146 edges) and its string-id copy."""
     tmp_path = tmp_path_factory.mktemp("pins")
-    windows = tmp_path / "windows.csv"
-    assert main(["synth", "--kind", "windows", "--seed", "3", "--out-edges", str(windows)]) == 0
-    weighted = tmp_path / "weighted.csv"
-    weighted.write_text(_weighted(windows.read_text().splitlines()))
-    return {"windows.csv": str(windows), "weighted.csv": str(weighted)}
+    paths = {name: tmp_path / name for name in (
+        "windows.csv", "weighted.csv", "edges.csv", "labels.txt", "sparse.csv", "attack.csv",
+        "attack-str.csv",
+    )}
+    synth = [
+        ["--kind", "windows", "--seed", "3", "--out-edges", paths["windows.csv"]],
+        ["--kind", "burst", "--seed", "7", "--out-edges", paths["edges.csv"],
+         "--out-labels", paths["labels.txt"]],
+        ["--kind", "burst", "--seed", "7", "--n-background", "3000", "--n-ticks", "2000",
+         "--n-burst", "40", "--burst-span", "1", "--burst-tick", "1500",
+         "--out-edges", paths["sparse.csv"]],
+        ["--kind", "attack", "--seed", "5", "--out-edges", paths["attack.csv"]],
+    ]
+    for argv in synth:
+        assert main(["synth"] + [str(arg) for arg in argv]) == 0
+    paths["weighted.csv"].write_text(_weighted(paths["windows.csv"].read_text().splitlines()))
+    paths["attack-str.csv"].write_text(_string_ids(paths["attack.csv"].read_text().splitlines()))
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _stdout_sha256(inputs, capsys, command):
+    argv = [inputs.get(arg, arg) for arg in command.split()]
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
 # The workflow steps "dense submatrices" and "expansion kernel on degenerate
@@ -75,7 +108,58 @@ DENSE_PINS = [
 
 @pytest.mark.parametrize("command,digest", DENSE_PINS, ids=[c for c, _ in DENSE_PINS])
 def test_dense_pins(inputs, capsys, command, digest):
-    argv = [inputs.get(arg, arg) for arg in command.split()]
-    assert main(argv) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert _stdout_sha256(inputs, capsys, command) == digest
+
+
+# The workflow steps "short ticks" (1-6 edges per tick and one tick of 42:
+# nearly every edge takes the per-item step), "midas on string ids" and
+# "midas on many pieces of long ticks" (about 108 edges per tick, 11 pieces
+# of up to 4096 edges).
+EDGE_PINS = [
+    ("midas --input sparse.csv --flag-epsilon 0.05",
+     "2098c9ac914714c2cc8956b284eacea5367031df941e921b8f517d621bd29201"),
+    ("midas-r --input sparse.csv --flag-epsilon 0.05",
+     "5e2738b4a0322d9a9b37a539d6c471a992eda99db21c9c6fc77ea7e622dc6e65"),
+    ("midas-f --input sparse.csv",
+     "ea4a84365e60c108082b1115443fa65984ad45fc1016e81a0e5d4700ef0ee0cd"),
+    ("midas-r --input attack-str.csv --flag-epsilon 0.05",
+     "9dce13e9e15e0aa5255bfd8c80a3e84715a367d03e8c50bd2be57f394866cb01"),
+    ("midas-f --input attack-str.csv",
+     "5eaa9a46324f5a6967fdacbcc8b6c9acedb2a72e2a0bf447e818d8de68beb8e2"),
+    ("midas --input attack.csv --flag-epsilon 0.05",
+     "6a2178e4758da3ff07f952c2e6c8641a8961721cb4bfb15e37beaf7f4698541a"),
+    ("midas-r --input attack.csv --score-mode sum --flag-epsilon 0.05",
+     "6361fd511644b6f28229883946785d12415fcbbc52f90b6dcaa9756fd89cc744"),
+    ("midas-f --input attack.csv --score-mode sum",
+     "520891a52bf4e5a2bc538ed3b1a785b08985d490ef27a1618d213e5a6a1dee50"),
+]
+
+
+@pytest.mark.parametrize("command,digest", EDGE_PINS, ids=[c for c, _ in EDGE_PINS])
+def test_edge_pins(inputs, capsys, command, digest):
+    assert _stdout_sha256(inputs, capsys, command) == digest
+
+
+def test_readme_quick_start(inputs, capsys, monkeypatch, tmp_path):
+    """The workflow's README quick start: the AUC string, then the same
+    scores from stdin and from copies with a byte-order mark, CRLF line ends
+    and no newline after the last line."""
+    edges = inputs["edges.csv"]
+    assert main(["midas-r", "--input", edges, "--eval", "--labels", inputs["labels.txt"]]) == 0
+    assert capsys.readouterr().out == '{"auc": 0.9981764}\n'
+    assert main(["midas-r", "--input", edges]) == 0
+    scores = capsys.readouterr().out
+    with open(edges, encoding="utf-8") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["midas-r"]) == 0
+    assert capsys.readouterr().out == scores
+    text = Path(edges).read_bytes()
+    copies = {
+        "edges-bom.csv": b"\xef\xbb\xbf" + text,
+        "edges-crlf.csv": text.replace(b"\n", b"\r\n"),
+        "edges-no-eol.csv": text.rstrip(b"\n"),
+    }
+    for name, data in copies.items():
+        (tmp_path / name).write_bytes(data)
+        assert main(["midas-r", "--input", str(tmp_path / name)]) == 0
+        assert capsys.readouterr().out == scores, name
