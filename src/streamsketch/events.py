@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .sketch import MAX_FLOAT, as_float, check_weight, shown
 
@@ -93,3 +95,38 @@ class MultiAspectRecord:
             raise ValueError(f"numeric attributes must be finite, got {numeric}")
         object.__setattr__(self, "numeric", numeric)
         _check_tick(self.tick)
+
+
+# The parsers' constructors, for values already checked as __post_init__
+# checks them. A frozen dataclass's slot descriptors set a field without its
+# __setattr__: ~0.3 us an item against ~0.8 us for EdgeEvent(...) and ~1.5 us
+# for MultiAspectRecord(...) (2-core x86). Edges come a block at a time, so
+# each setter runs over a whole column in one map(), with no Python frame per
+# edge; records come one at a time.
+_new = object.__new__
+_EDGE_SETTERS = tuple(
+    getattr(EdgeEvent, name).__set__ for name in ("source", "dest", "tick", "weight")
+)
+_set_categorical, _set_numeric, _set_record_tick = (
+    getattr(MultiAspectRecord, name).__set__ for name in ("categorical", "numeric", "tick")
+)
+
+
+def _checked_edges(sources: list, dests: list, ticks: list[int]) -> list[EdgeEvent]:
+    """``EdgeEvent(source, dest, tick)`` for each row of three columns, for
+    ticks already checked: each passes ``_check_tick``. The weight is 1."""
+    events = list(map(_new, repeat(EdgeEvent, len(ticks))))
+    for setter, column in zip(_EDGE_SETTERS, (sources, dests, ticks, repeat(1.0))):
+        deque(map(setter, events, column), maxlen=0)
+    return events
+
+
+def _checked_record(categorical: tuple, numeric: tuple, tick: int) -> MultiAspectRecord:
+    """``MultiAspectRecord(categorical, numeric, tick)`` for two tuples and a
+    tick already checked: the numeric values are finite floats and
+    ``_check_tick`` passes."""
+    record = _new(MultiAspectRecord)
+    _set_categorical(record, categorical)
+    _set_numeric(record, numeric)
+    _set_record_tick(record, tick)
+    return record

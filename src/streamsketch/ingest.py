@@ -7,30 +7,49 @@ no header. Record files start with one header line tagging each column
 event per line: ``index,label`` for edges by stream position, or
 ``node,<id>,<label>`` for node labels.
 
-Every input, the CLI's side files included, is read through ``Lines``. Blank
-lines are skipped (a record header is the first non-blank line; synthetic
-ticks count records), and a malformed line aborts as ``line N: ...``, or
-``PATH:N: ...`` in a named file. A ``TickClock`` keeps ticks from decreasing.
+Every input, the CLI's side files included, is read through ``Lines``, a
+block of up to ``BLOCK_LINES`` lines at a time. Blank lines are skipped (a
+record header is the first non-blank line; synthetic ticks count records),
+and a malformed line aborts as ``line N: ...``, or ``PATH:N: ...`` in a
+named file. A ``TickClock`` keeps ticks from decreasing. The edge parser
+reads a block of plain integer-id lines in array passes and any other block
+line by line; both give the same events, lines and messages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import count, groupby, islice
 from typing import Iterable, Iterator
 
-from .events import EdgeEvent, MultiAspectRecord, TickClock
+import numpy as np
+
+from .events import (
+    EdgeEvent,
+    MultiAspectRecord,
+    TickClock,
+    _check_tick,
+    _checked_edges,
+    _checked_record,
+)
 from .hashing import DEFAULT_SEED
 from .sketch import HigherOrderSketch
 
 DELIMITER = ","
+# Raw lines per block ``Lines`` reads: ~12 KB of integer-id edges, small
+# enough that a block's text and arrays add a fraction of a MB at peak.
+BLOCK_LINES = 1024
 
 
 class Lines:
     """The non-blank lines of one input, stripped, numbered from 1; one
     byte-order mark (U+FEFF, which ``str.strip`` keeps) before line 1 is
     dropped, so an input reads as its copy without it.
+
+    The input is read ``BLOCK_LINES`` raw lines at a time (``blocks``), so
+    reading runs up to one block ahead of the line handled; iterating
+    handles the lines of each block in turn (``each``).
 
     Used as a context manager, it re-raises a ``ValueError`` raised while a
     line is handled with the line's location in front: ``line N: ...``, or
@@ -45,12 +64,29 @@ class Lines:
         self.name = name
         self.lineno: int | None = None  # the line being handled, if any
 
-    def __iter__(self) -> Iterator[str]:
-        for lineno, raw in enumerate(self._lines, start=1):
+    def blocks(self) -> Iterator[tuple[int, list[str]]]:
+        """The raw lines, unstripped, in lists of up to ``BLOCK_LINES``, each
+        with the number of lines before it; the byte-order mark is dropped."""
+        lines = iter(self._lines)
+        start = 0
+        while block := list(islice(lines, BLOCK_LINES)):
+            if not start:
+                block[0] = block[0].removeprefix("\ufeff")
+            yield start, block
+            start += len(block)
+
+    def each(self, start: int, block: list[str]) -> Iterator[str]:
+        """The non-blank lines of a block that follows ``start`` lines,
+        stripped, with ``lineno`` set to each raw line as it is handled."""
+        for lineno, raw in enumerate(block, start + 1):
             self.lineno = lineno
-            line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
+            line = raw.strip()
             if line:
                 yield line
+
+    def __iter__(self) -> Iterator[str]:
+        for start, block in self.blocks():
+            yield from self.each(start, block)
         self.lineno = None
 
     def __enter__(self) -> Lines:
@@ -88,21 +124,70 @@ def _parse_label(text: str) -> int:
     return label
 
 
+def _integer_edges(block: list[str], after: int | None) -> list[list[int]] | None:
+    """The sources, destinations and ticks of a block of raw lines, as lists
+    of ints, found in a few array passes over the block's text, when each
+    line is ``u,v,t`` of 1 to 18 ASCII digits (so int64 holds it) and ends
+    in a newline, the block's last line excepted, and the ticks are >= 1 and
+    never fall, from the tick ``after`` on; else None."""
+    text = "".join(block)
+    if not text.isascii():
+        return None
+    lengths = np.fromiter(map(len, block), np.intp, len(block))
+    if not text.endswith("\n"):
+        text += "\n"
+        lengths[-1] += 1
+    data = np.frombuffer(text.encode("ascii"), np.uint8)
+    newlines = np.flatnonzero(data == 10)
+    if not np.array_equal(newlines, np.cumsum(lengths) - 1):  # one newline, at each line's end
+        return None
+    breaks = np.flatnonzero((data == 10) | (data == 44))  # every newline and comma
+    if breaks.shape != (3 * len(block),) or not np.array_equal(breaks[2::3], newlines):
+        return None  # a line without exactly two commas
+    widths = np.diff(breaks, prepend=-1) - 1
+    digits = (data >= 48) & (data <= 57)
+    if widths.min() < 1 or widths.max() > 18 or digits.sum() != len(data) - len(breaks):
+        return None
+    sources, dests, ticks = np.fromstring(
+        text[:-1].replace("\n", DELIMITER), np.int64, sep=DELIMITER
+    ).reshape(-1, 3).T
+    if ticks[0] < (1 if after is None else after) or (ticks[1:] < ticks[:-1]).any():
+        return None
+    return [sources.tolist(), dests.tolist(), ticks.tolist()]
+
+
 def parse_edge_stream(lines: Iterable[str], has_weight: bool = False) -> Iterator[EdgeEvent]:
-    """Yield EdgeEvents from CSV rows, validating arity and tick order."""
+    """Yield EdgeEvents from CSV rows, validating arity and tick order.
+
+    A block of the input whose lines are all ``u,v,t`` of ASCII digits with
+    valid ticks (``_integer_edges``) is parsed in array passes and its events
+    built from the checked values; any other block, and every weighted one,
+    is parsed line by line from its first line, so each message and the line
+    it names are the per-line parser's. ``lineno`` is each event's line as
+    it is yielded, on both paths.
+    """
     arity = 4 if has_weight else 3
     clock = TickClock()
     with (lines if isinstance(lines, Lines) else Lines(lines)) as rows:
-        for line in rows:
-            parts = line.split(DELIMITER)
-            if len(parts) != arity:
-                raise ValueError(f"expected {arity} fields, got {len(parts)}")
-            source = _parse_node(parts[0])
-            dest = _parse_node(parts[1])
-            weight = convert(float, parts[2], "non-numeric weight") if has_weight else 1.0
-            event = EdgeEvent(source, dest, convert(int, parts[-1], "non-integer tick"), weight)
-            clock.advance(event.tick)
-            yield event
+        for start, block in rows.blocks():
+            columns = None if has_weight else _integer_edges(block, clock.tick)
+            if columns is not None:
+                clock.advance(columns[2][-1])
+                for lineno, event in zip(count(start + 1), _checked_edges(*columns)):
+                    rows.lineno = lineno
+                    yield event
+                continue
+            for line in rows.each(start, block):
+                parts = line.split(DELIMITER)
+                if len(parts) != arity:
+                    raise ValueError(f"expected {arity} fields, got {len(parts)}")
+                source = _parse_node(parts[0])
+                dest = _parse_node(parts[1])
+                weight = convert(float, parts[2], "non-numeric weight") if has_weight else 1.0
+                event = EdgeEvent(source, dest, convert(int, parts[-1], "non-integer tick"), weight)
+                clock.advance(event.tick)
+                yield event
+        rows.lineno = None
 
 
 @dataclass(frozen=True)
@@ -197,7 +282,8 @@ def parse_record_stream(
                         nums.append(number)
                     else:
                         tick = convert(int, value, "non-integer tick")
-                record = MultiAspectRecord(tuple(cats), tuple(nums), tick)
+                _check_tick(tick)
+                record = _checked_record(tuple(cats), tuple(nums), tick)
                 clock.advance(tick)
                 yield record
 

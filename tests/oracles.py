@@ -18,7 +18,7 @@ import numpy as np
 from streamsketch.densegraph import AnoEdgeGlobal, AnoEdgeLocal, _as_matrix, _topk_densities
 from streamsketch.events import EdgeEvent
 from streamsketch.hashing import DEFAULT_SEED, canonical_key
-from streamsketch.ingest import parse_edge_stream, parse_feedback
+from streamsketch.ingest import _parse_node, convert, parse_edge_stream, parse_feedback
 from streamsketch.midas import MidasDetector, chi2_score, filtering_score
 from streamsketch.mstream import HyperplaneHash, RecordScore
 from streamsketch.sess import SharpeningParams, Sess3dDetector, apply_feedback
@@ -359,6 +359,36 @@ def oracle_sess(text, feedback, feedback_name, layout="flat", seed=DEFAULT_SEED)
         return 1, "", f"error: {exc}\n"
     assert not any(map(math.isnan, scores)), "a nan score: the CLI reports it by chunk"
     return 0, "".join(f"{score:.9g}\n" for score in scores), ""
+
+
+# -- the per-line edge reader -------------------------------------------------
+
+
+def oracle_edge_lines(lines, has_weight=False):
+    """``(lineno, event)`` for each edge of the raw ``lines``, read one line
+    at a time, as ``parse_edge_stream`` read them before it read blocks: a
+    byte-order mark before line 1 is dropped, blank lines are skipped, and a
+    bad line raises ``ValueError("line N: ...")`` once the lines before it
+    have been yielded."""
+    arity = 4 if has_weight else 3
+    last = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = (raw.removeprefix("\ufeff") if lineno == 1 else raw).strip()
+        if not line:
+            continue
+        try:
+            parts = line.split(",")
+            if len(parts) != arity:
+                raise ValueError(f"expected {arity} fields, got {len(parts)}")
+            source, dest = _parse_node(parts[0]), _parse_node(parts[1])
+            weight = convert(float, parts[2], "non-numeric weight") if has_weight else 1.0
+            event = EdgeEvent(source, dest, convert(int, parts[-1], "non-integer tick"), weight)
+            if last is not None and event.tick < last:
+                raise ValueError(f"tick regression: got {event.tick} after {last}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        last = event.tick
+        yield lineno, event
 
 
 # -- an edge and a record that check none of their fields --------------------

@@ -127,6 +127,11 @@ TRACED_RUNS = {
         "".join(f"{i % 3},{(i + 1) % 4},{1 + i // 4}\n" for i in range(12)),
         ("midas.process", "hashing.indexes", "hashing.canonical_key"),
     ),
+    # Integer ids over three blocks of the edge reader, read in array passes.
+    "midas-r": (
+        "".join(f"{i % 37},{(i * 7) % 41},{1 + i // 50}\n" for i in range(2500)),
+        ("hashing.indexes", "hashing.canonical_key"),
+    ),
 }
 
 
@@ -146,11 +151,12 @@ def test_benchmark_tracer_reaches_every_layer(tmp_path, command):
     ]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=120, cwd=ROOT)
     assert done.returncode == 0, done.stderr
-    assert len(done.stdout.splitlines()) == 12
+    n_items = text.count("\n") - (command == "mstream")  # a record file has a header line
+    assert len(done.stdout.splitlines()) == n_items
     traced = json.loads(report.read_text())
     for label in labels_needed:
         assert traced["labels"].get(label, {}).get("calls", 0) > 0, label
-    assert traced["counters"]["ingest.parse.items"] == 12
+    assert traced["counters"]["ingest.parse.items"] == n_items
 
 
 def test_readme_flag_examples_use_the_guaranteed_shape():
